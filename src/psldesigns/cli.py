@@ -18,20 +18,12 @@ from psldesigns import design, gf, projline, search, starter
 DEFAULT_SEED = 20250841
 
 
-def _fmt_sign(s: int) -> str:
-    return f"{s:+d}"
-
-
 def _fmt_sequence(seq: starter.CharSequence) -> str:
-    return ",".join(_fmt_sign(s) for s in seq.entries)
-
-
-def _field(q: int) -> gf.FieldSpec:
-    return gf.field_for_order(q)
+    return ",".join(f"{s:+d}" for s in seq.entries)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    spec = _field(args.q)
+    spec = gf.field_for_order(args.q)
     ctx = starter.make_starter_context(spec, args.k, alpha=args.alpha)
     ok = starter.gives_design(ctx)
     dsum = None if ctx.e % 2 else starter.delta_sum(ctx)
@@ -73,7 +65,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    spec = _field(args.q)
+    spec = gf.field_for_order(args.q)
     d = design.build_design(spec, args.k, alpha=args.alpha)
     design.write_design(d, args.out)
     flag = "" if d.is_design else f"  [{design.NON_DESIGN_FLAG}]"
@@ -83,6 +75,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     d = design.read_design(args.path)
+    design.check_blocks(d)
     lam = design.verify_t_design(d.blocks, args.t, v=d.v)
     if args.t == 2:
         ok = lam is not None
@@ -116,7 +109,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
-    spec = _field(args.q)
+    spec = gf.field_for_order(args.q)
     ctx = starter.make_starter_context(spec, args.k, alpha=args.alpha)
     seq = starter.char_sequence(ctx)
     if args.json:
@@ -193,8 +186,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_equivalence(rep: search.EquivalenceReport, as_json: bool) -> int:
-    if as_json:
+def cmd_equivalence(args: argparse.Namespace) -> int:
+    """thm510 and thm1326: the subcommand name is the sweep's name."""
+    rep = search.thm_equivalence_sweep(args.command, args.pmax, threads=args.threads)
+    if args.json:
         print(
             json.dumps(
                 {
@@ -216,16 +211,6 @@ def _emit_equivalence(rep: search.EquivalenceReport, as_json: bool) -> int:
             print(f"disagreements: {' '.join(map(str, rep.disagreements))}")
         print(f"hits: {' '.join(map(str, rep.hits))}")
     return 0 if rep.all_consistent else 1
-
-
-def cmd_thm510(args: argparse.Namespace) -> int:
-    rep = search.thm_equivalence_sweep("thm510", args.pmax, threads=args.threads)
-    return _emit_equivalence(rep, args.json)
-
-
-def cmd_thm1326(args: argparse.Namespace) -> int:
-    rep = search.thm_equivalence_sweep("thm1326", args.pmax, threads=args.threads)
-    return _emit_equivalence(rep, args.json)
 
 
 def cmd_lift(args: argparse.Namespace) -> int:
@@ -252,7 +237,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    spec = _field(args.q)
+    spec = gf.field_for_order(args.q)
     orbits = projline.brute_force_triple_orbits(spec)
     mismatches = sum(
         1
@@ -341,17 +326,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("thm510", help="k in {5,10} seven-way equivalence sweep")
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_thm510)
-
-    p = sub.add_parser("thm1326", help="k in {13,26} sequence equivalence sweep")
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_thm1326)
+    for name, help_ in (
+        ("thm510", "k in {5,10} seven-way equivalence sweep"),
+        ("thm1326", "k in {13,26} sequence equivalence sweep"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--pmax", type=int, required=True)
+        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_equivalence)
 
     p = sub.add_parser("lift", help="criterion at q and at q^n")
     p.add_argument("q", type=int)

@@ -8,6 +8,7 @@ trusts the orbit-transitivity argument that produced the blocks.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from math import comb
@@ -274,19 +275,34 @@ def build_design(
     )
 
 
+def check_blocks(design: Design) -> None:
+    """Raise ValueError naming the first block that is not k distinct
+    points of range(v) in increasing order, the form the coverage
+    recount relies on."""
+    k, v = design.k, design.v
+    for n, blk in enumerate(design.blocks, 1):
+        if len(blk) != k or not all(map(operator.lt, blk, blk[1:])):
+            defect = f"is not {k} distinct points in increasing order"
+        elif blk[0] < 0 or blk[-1] >= v:
+            defect = f"has a point outside the range 0..{v - 1}"
+        else:
+            continue
+        raise ValueError(f"block {n} {defect}: {' '.join(map(str, blk))}")
+
+
 def verify_design(design: Design) -> bool:
     """Recount triple coverage of the stored blocks from scratch.
 
-    A claimed design must cover every triple exactly lam times and satisfy
-    the counting identity b * C(k,3) = lam * C(v,3); a claimed non-design
-    must really have non-flat coverage.
+    The blocks must pass check_blocks and be distinct (an orbit never
+    repeats a block). A claimed design must cover every triple exactly lam
+    times and satisfy the counting identity b * C(k,3) = lam * C(v,3); a
+    claimed non-design must really have non-flat coverage.
     """
     v = design.v
-    for blk in design.blocks:
-        if len(blk) != design.k or len(set(blk)) != design.k:
-            return False
-        if blk[0] < 0 or blk[-1] >= v or tuple(sorted(blk)) != blk:
-            return False
+    try:
+        check_blocks(design)
+    except ValueError:
+        return False
     if len(set(design.blocks)) != design.b:
         return False
     lam = verify_t_design(design.blocks, 3, v=v)

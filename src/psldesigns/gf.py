@@ -36,21 +36,6 @@ class FieldSpec:
     alpha: int
 
 
-def is_prime(m: int) -> bool:
-    """Trial-division primality test; adequate for q <= 2**31."""
-    if m < 2:
-        return False
-    for f in (2, 3):
-        if m % f == 0:
-            return m == f
-    f = 5
-    while f * f <= m:
-        if m % f == 0 or m % (f + 2) == 0:
-            return False
-        f += 6
-    return True
-
-
 @lru_cache(maxsize=None)
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of m >= 1 as ((prime, multiplicity), ...)."""
@@ -297,23 +282,6 @@ def sqrt(spec: FieldSpec, a: int) -> int:
     return x
 
 
-def nth_root_subgroup(spec: FieldSpec, k: int) -> tuple[int, list[int]]:
-    """Generator and listing of the order-k multiplicative subgroup.
-
-    Returns (beta, [1, beta, beta**2, ..., beta**(k-1)]) with
-    beta = alpha**((q-1)/k). Requires k | q - 1.
-    """
-    q1 = spec.q - 1
-    if k < 1 or q1 % k:
-        raise ValueError(f"k = {k} does not divide q - 1 = {q1}")
-    beta = power(spec, spec.alpha, q1 // k)
-    block = [1]
-    for _ in range(k - 1):
-        block.append(mul(spec, block[-1], beta))
-    assert len(set(block)) == k
-    return beta, block
-
-
 # ---------------------------------------------------------------------------
 # field construction
 
@@ -340,7 +308,7 @@ def make_prime_field(p: int) -> FieldSpec:
     cached = _FIELD_CACHE.get((p, 1))
     if cached is not None:
         return cached
-    if not is_prime(p):
+    if factorize(p) != ((p, 1),):
         raise ValueError(f"{p} is not prime")
     if p == 2:
         raise ValueError("the field order must be odd")
@@ -362,7 +330,7 @@ def make_extension_field(p: int, n: int, q_limit: int = DEFAULT_Q_LIMIT) -> Fiel
         raise ValueError(f"invalid extension degree {n}")
     if n == 1:
         return make_prime_field(p)
-    if not is_prime(p) or p == 2:
+    if p == 2 or factorize(p) != ((p, 1),):
         raise ValueError(f"{p} is not an odd prime")
     q = p**n
     if q > q_limit:

@@ -44,6 +44,22 @@ def enumerate_prime_powers(limit: int) -> list[tuple[int, int, int]]:
     return sorted(out, key=lambda t: t[2])
 
 
+def _map(fn, items: list, threads: int) -> list:
+    """[fn(x) for x in items], in input order, on `threads` worker
+    processes when threads > 1. Items go out in about 4 chunks per worker,
+    so the per-item pickling and scheduling cost is paid once per chunk."""
+    if threads > 1 and len(items) > 1:
+        chunksize = -(-len(items) // (4 * threads))
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
+    return [fn(x) for x in items]
+
+
+def _check_bound(bound: int) -> None:
+    if bound < 1:
+        raise ValueError(f"the bound must be positive, got {bound}")
+
+
 def sweep_modulus(k: int) -> int:
     """q must be 1 mod this for the order-k subgroup to have even cofactor
     in a q = 1 mod 4 field: lcm(4, 2k)."""
@@ -101,13 +117,13 @@ def sweep_entries(
     """Evaluate the criterion at every candidate q <= q_max with
     q = 1 mod lcm(4, 2k), in increasing q order. Parallel evaluation
     never reorders output."""
+    if k <= 3:
+        raise ValueError(f"k = {k} is outside the range k > 3")
+    _check_bound(q_max)
     jobs = [
         (k, p, n, q) for p, n, q in _sweep_candidates(k, q_max, include_prime_powers)
     ]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_sweep_one, jobs))
-    return [_sweep_one(job) for job in jobs]
+    return _map(_sweep_one, jobs, threads)
 
 
 def sweep(
@@ -235,16 +251,14 @@ class LiftCheck:
 
 def _pair_gives_design(q: int, k: int) -> bool:
     """Criterion outcome for (q, k); False (not an error) when the pair
-    is not a valid starter configuration at all."""
+    is not a valid starter configuration in GF(q). A q that names no
+    field, or one over the size limit, raises."""
+    spec = gf.field_for_order(q)
     try:
-        spec = gf.field_for_order(q)
+        ctx = starter.make_starter_context(spec, k)
     except ValueError:
         return False
-    if (q - 1) % k or not 3 < k < q - 1:
-        return False
-    if ((q - 1) // k) % 2 == 0 and q % 4 != 1:
-        return False
-    return starter.gives_design(starter.make_starter_context(spec, k))
+    return starter.gives_design(ctx)
 
 
 def lift_check(q: int, k: int, n: int) -> LiftCheck:
@@ -287,8 +301,7 @@ class EquivalenceReport:
 
 def _thm510_case(p: int) -> tuple[int, bool, bool]:
     conds = starter.thm510_conditions(gf.field_for_order(p))
-    vs = conds.values()
-    return p, all(vs) or not any(vs), conds.c1
+    return p, conds.all_agree(), conds.c1
 
 
 def _thm1326_case(p: int) -> tuple[int, bool, bool]:
@@ -314,12 +327,9 @@ def thm_equivalence_sweep(
         modulus, case = 52, _thm1326_case
     else:
         raise ValueError(f"unknown equivalence sweep: {name!r}")
+    _check_bound(p_max)
     ps = [p for p in sieve_primes(p_max) if p % modulus == 1]
-    if threads > 1 and len(ps) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(case, ps))
-    else:
-        results = [case(p) for p in ps]
+    results = _map(case, ps, threads)
     hits = tuple(p for p, agree, hit in results if agree and hit)
     bad = tuple(p for p, agree, _ in results if not agree)
     return EquivalenceReport(

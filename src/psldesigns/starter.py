@@ -6,8 +6,10 @@ e even (which requires q = 1 mod 4 here) it is one exactly when the signed
 count of 3-subsets of B vanishes. The sign of a triple
 {beta^a, beta^b, beta^c} is the product of chi(1 - beta^m) over the three
 cyclic exponent gaps, so everything reduces to the character table
-chi(1 - beta^m), m = 1..k-1, and the dihedral orbit decomposition of the
-3-subsets of a cyclic group.
+t[m] = chi(1 - beta^m), m = 1..k-1: the signed count is one
+self-convolution of t (delta_sum). The dihedral orbit decomposition of
+the 3-subsets of a cyclic group (dihedral_orbit_reps, delta_of_rep) and
+the direct sum over all triples (delta_sum_brute) are its test oracles.
 """
 
 from __future__ import annotations
@@ -46,16 +48,16 @@ def make_starter_context(
 ) -> StarterContext:
     """Build the context for the order-k subgroup of GF(q).
 
-    Requires k | q-1 and 3 < k < q-1. An even cofactor additionally
+    Requires 3 < k < q-1 and k | q-1. An even cofactor additionally
     requires q = 1 (mod 4); with an odd cofactor any odd q is accepted.
     `alpha` overrides the canonical generator (it must also have order q-1),
     which changes the character table but never the design outcome.
     """
     q = spec.q
-    if (q - 1) % k:
-        raise ValueError(f"k = {k} does not divide q - 1 = {q - 1}")
     if not 3 < k < q - 1:
         raise ValueError(f"k = {k} is outside the range 3 < k < q - 1 = {q - 1}")
+    if (q - 1) % k:
+        raise ValueError(f"k = {k} does not divide q - 1 = {q - 1}")
     e = (q - 1) // k
     if e % 2 == 0 and q % 4 != 1:
         raise ValueError(
@@ -142,30 +144,18 @@ def delta_of_rep(ctx: StarterContext, rep: OrbitRep) -> int:
 def delta_sum(ctx: StarterContext) -> int:
     """Signed count of all C(k,3) 3-subsets of the block.
 
-    Accumulated orbit by orbit (orbit length times representative sign);
-    the inner gap enumeration is vectorized but exact (int64, values are
-    bounded by C(k,3)).
+    A 3-subset's sign is t[g1] * t[g2] * t[g3] over its cyclic gaps
+    g1 + g2 + g3 = k (t = chi_table). Each 3-subset arises from 3 of the
+    k * C(k-1, 2) (start, gap composition) pairs, so the count is
+    (k/3) * sum_d t[d] * (t*t)[k-d], one self-convolution of the table
+    (t[0] = 0 drops the zero gaps). Exact: int64 values stay below k^2.
     """
     if ctx.e % 2:
         raise ValueError("the signed count is only defined for even e")
     k = ctx.k
-    x = np.asarray(ctx.chi_table, dtype=np.int64)
-    total_a = 0
-    for d1 in range(1, (k - 3) // 3 + 1):
-        lo, hi = d1 + 1, (k - d1 - 1) // 2
-        if hi < lo:
-            continue
-        seg = x[lo : hi + 1]
-        partner = x[k - d1 - hi : k - d1 - lo + 1][::-1]
-        total_a += int(x[d1]) * int(seg @ partner)
-    total_b = 0
-    for i in range(1, (k + 1) // 2):
-        if 3 * i != k:
-            total_b += int(x[k - 2 * i])
-    total = 2 * k * total_a + k * total_b
-    if k % 3 == 0:
-        total += (k // 3) * int(x[k // 3])
-    return total
+    t = np.asarray(ctx.chi_table, dtype=np.int64)
+    tt = np.convolve(t, t)
+    return k * int(t[1:] @ tt[k - 1 : 0 : -1]) // 3
 
 
 def delta_sum_brute(ctx: StarterContext) -> int:
@@ -259,13 +249,6 @@ class Thm510Conditions:
     c5: bool  # 5 is not a fourth power
     c6: bool | None  # no integers x, y with q = x^2 + 20 y^2
     c7: bool | None  # no integers x, y with q = x^2 + 100 y^2
-
-    @property
-    def applicable(self) -> dict[str, bool]:
-        flags = {f"c{i}": True for i in range(1, 6)}
-        flags["c6"] = self.c6 is not None
-        flags["c7"] = self.c7 is not None
-        return flags
 
     def values(self) -> list[bool]:
         out = [self.c1, self.c2, self.c3, self.c4, self.c5]

@@ -49,6 +49,15 @@ def test_check_invalid_input(capsys):
     assert err.startswith("error:")
 
 
+def test_check_k_out_of_range(capsys):
+    # the range check runs before the divisibility test, so k = 0 is an
+    # input error rather than a division by zero
+    for k in ("0", "-5", "3", "40"):
+        code, _, err = _run(capsys, "check", "41", k)
+        assert code == 2
+        assert err.startswith("error:") and "outside the range" in err
+
+
 def test_check_json(capsys):
     code, out, _ = _run(capsys, "check", "41", "10", "--json")
     assert code == 0
@@ -96,6 +105,33 @@ def test_verify_detects_corruption(capsys, tmp_path):
     code, out, _ = _run(capsys, "verify", path)
     assert code == 1
     assert "match: False" in out
+
+
+def _verify_text(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    return _run(capsys, "verify", str(path))
+
+
+def test_verify_rejects_point_out_of_range(capsys, tmp_path):
+    code, out, err = _verify_text(capsys, tmp_path, "4 3 0 1\nNOT-A-3-DESIGN\n0 1 4\n")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: block 1 has a point outside the range 0..3")
+
+
+def test_verify_rejects_negative_point(capsys, tmp_path):
+    code, out, err = _verify_text(capsys, tmp_path, "4 3 0 1\nNOT-A-3-DESIGN\n-1 0 1\n")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: block 1 has a point outside the range 0..3")
+
+
+def test_verify_rejects_unsorted_block(capsys, tmp_path):
+    # the same block twice, once unsorted: an unsorted block is ranked
+    # wrongly by the recount, so it must be refused before counting
+    text = "4 3 0 2\nNOT-A-3-DESIGN\n2 1 0\n0 1 2\n"
+    code, out, err = _verify_text(capsys, tmp_path, text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: block 1 is not 3 distinct points in increasing order")
 
 
 def test_build_non_design_file(capsys, tmp_path):
@@ -178,6 +214,20 @@ def test_sweep_requires_mode(capsys):
     assert exc.value.code == 2
 
 
+def test_sweep_rejects_bad_arguments(capsys):
+    for argv in (
+        ["sweep", "--k", "0", "--qmax", "100"],
+        ["sweep", "--k", "3", "--qmax", "1000"],
+        ["sweep", "--k", "5", "--qmax", "-5"],
+        ["sweep", "--pair", "5", "3", "--qmax", "1000"],
+        ["thm510", "--pmax", "-3"],
+        ["thm1326", "--pmax", "0"],
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:"), argv
+
+
 def test_thm510_command(capsys):
     code, out, _ = _run(capsys, "thm510", "--pmax", "700", "--json")
     assert code == 0
@@ -204,6 +254,17 @@ def test_lift_command(capsys):
     code, _, err = _run(capsys, "lift", "41", "5", "0")
     assert code == 2
     assert "positive" in err
+
+
+def test_lift_rejects_bad_fields(capsys):
+    # 41^7 is over the field size limit and 12 is not a prime power:
+    # both are input errors, not a verdict on the lifting rule
+    code, out, err = _run(capsys, "lift", "41", "5", "7")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "size limit" in err
+    code, out, err = _run(capsys, "lift", "12", "5", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "not a prime power" in err
 
 
 def test_oracle_command(capsys):

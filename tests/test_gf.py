@@ -6,15 +6,6 @@ import pytest
 from psldesigns import gf
 
 
-def test_is_prime_small():
-    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-    assert {m for m in range(2, 50) if gf.is_prime(m)} == primes
-    assert not gf.is_prime(1)
-    assert not gf.is_prime(0)
-    assert gf.is_prime(3121)
-    assert not gf.is_prime(3127)  # 53 * 59
-
-
 def test_factorize():
     assert gf.factorize(24389) == ((29, 3),)
     assert gf.factorize(360) == ((2, 3), (3, 2), (5, 1))
@@ -29,10 +20,22 @@ def test_prime_field_spec(f41):
     assert f41.alpha == 6
     assert gf.make_prime_field(13).alpha == 2
     assert gf.make_prime_field(61).alpha == 2
-    with pytest.raises(ValueError):
-        gf.make_prime_field(15)
-    with pytest.raises(ValueError):
+    # primality comes from factorize: every odd prime below 50 builds a
+    # field, every other m >= 1 is refused
+    odd_primes = {3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
+    for m in range(1, 50):
+        if m in odd_primes:
+            assert gf.make_prime_field(m).q == m
+        elif m != 2:
+            with pytest.raises(ValueError, match="is not prime"):
+                gf.make_prime_field(m)
+    with pytest.raises(ValueError, match="must be odd"):
         gf.make_prime_field(2)
+    with pytest.raises(ValueError):
+        gf.make_prime_field(0)
+    assert gf.make_prime_field(3121).q == 3121
+    with pytest.raises(ValueError, match="is not prime"):
+        gf.make_prime_field(3127)  # 53 * 59
 
 
 def test_extension_field_spec(f9, f25, f49):
@@ -188,16 +191,6 @@ def test_sqrt(f13, f41, f29, f25):
             else:
                 with pytest.raises(ValueError):
                     gf.sqrt(spec, a)
-
-
-def test_nth_root_subgroup(f41):
-    beta, block = gf.nth_root_subgroup(f41, 5)
-    assert beta == 10
-    assert block == [1, 10, 18, 16, 37]
-    assert gf.element_order(f41, beta) == 5
-    assert len(set(block)) == 5
-    with pytest.raises(ValueError):
-        gf.nth_root_subgroup(f41, 7)
 
 
 def test_field_cache():

@@ -63,7 +63,18 @@ def test_sweep_entries_fields():
 
 
 def test_sweep_threads_deterministic():
-    assert search.sweep_entries(5, 700, threads=2) == search.sweep_entries(5, 700)
+    serial = search.sweep_entries(5, 700)
+    # 14 jobs go out in chunks of 2, so each of the 2 workers takes several
+    assert len(serial) == 14
+    assert search.sweep_entries(5, 700, threads=2) == serial
+
+
+def test_map_keeps_input_order():
+    items = list(range(-30, 0))
+    want = [abs(x) for x in items]
+    assert search._map(abs, items, 1) == want
+    assert search._map(abs, items, 2) == want  # 8 chunks of 4 or fewer
+    assert search._map(abs, [], 2) == []
 
 
 def test_sweep_rows_shape():
@@ -128,6 +139,10 @@ def test_lift_check_frozen():
     assert (res.base, res.lifted) == (True, False)
     assert res.consistent
 
+    # 7 divides neither 40 nor 41^3 - 1: not a starter pair, so False
+    res = search.lift_check(41, 7, 3)
+    assert (res.base, res.lifted) == (False, False)
+
     with pytest.raises(ValueError):
         search.lift_check(41, 5, 0)
 
@@ -149,6 +164,7 @@ def test_thm1326_equivalence_sweep():
 
 def test_thm_equivalence_sweep_threads():
     a = search.thm_equivalence_sweep("thm510", 700)
+    assert a.checked == 14  # chunks of 2 over the 2 workers
     b = search.thm_equivalence_sweep("thm510", 700, threads=2)
     assert a == b
 

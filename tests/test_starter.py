@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from psldesigns import gf, starter
+from psldesigns import gf, search, starter
 
 
 def _ctx(q, k, alpha=None):
@@ -20,6 +20,8 @@ def _small_primes(limit):
 def test_context_fields(f41):
     ctx = starter.make_starter_context(f41, 5)
     assert (ctx.k, ctx.e, ctx.alpha) == (5, 8, 6)
+    assert ctx.beta == 10
+    assert ctx.block == (1, 10, 18, 16, 37)
     assert gf.element_order(f41, ctx.beta) == 5
     assert ctx.block[0] == 1 and len(set(ctx.block)) == 5
     assert ctx.chi_table[0] == 0
@@ -157,6 +159,32 @@ def test_delta_sum_matches_brute(f41, f17, f25, f49):
     assert starter.delta_sum(ctx) == starter.delta_sum_brute(ctx) == -10
 
 
+def test_delta_sum_three_routes():
+    """The convolution, the dihedral orbit sum and the brute-force triple
+    sum agree at every even-cofactor (q, k) with q <= 700; the O(k^3)
+    brute force runs where k <= 30."""
+    pairs = brute = 0
+    for p, n, q in search.enumerate_prime_powers(700):
+        if p == 2 or q % 4 != 1:
+            continue
+        spec = gf.field_for_order(q)
+        for k in range(4, q - 1):
+            if (q - 1) % k or ((q - 1) // k) % 2:
+                continue
+            ctx = starter.make_starter_context(spec, k)
+            want = starter.delta_sum(ctx)
+            by_orbits = sum(
+                rep.length * starter.delta_of_rep(ctx, rep)
+                for rep in starter.dihedral_orbit_reps(k)
+            )
+            assert by_orbits == want, (q, k)
+            pairs += 1
+            if k <= 30:
+                assert starter.delta_sum_brute(ctx) == want, (q, k)
+                brute += 1
+    assert (pairs, brute) == (478, 287)
+
+
 def test_gives_design(f13, f17, f41, f9):
     assert starter.gives_design(starter.make_starter_context(f13, 4))  # e odd
     assert starter.gives_design(starter.make_starter_context(f41, 5))
@@ -243,10 +271,6 @@ def test_thm510_prime_power(f29):
     c = starter.thm510_conditions(f81)
     assert (c.c6, c.c7) == (None, None)
     assert c.values() == [False] * 5
-    assert c.applicable == {
-        "c1": True, "c2": True, "c3": True, "c4": True, "c5": True,
-        "c6": False, "c7": False,
-    }
     with pytest.raises(ValueError, match="not 1 mod 20"):
         starter.thm510_conditions(f29)
 

@@ -297,7 +297,9 @@ def _has_full_order(spec: FieldSpec, a: int) -> bool:
 
 
 def _smallest_generator(spec: FieldSpec) -> int:
-    for a in range(2, spec.q):
+    # below p every encoding is a constant of GF(p), whose order divides
+    # p - 1 < q - 1 when n > 1, so the search of an extension starts at p
+    for a in range(2 if spec.n == 1 else spec.p, spec.q):
         if _has_full_order(spec, a):
             return a
     raise RuntimeError(f"no generator found in GF({spec.q})")  # unreachable

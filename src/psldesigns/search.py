@@ -3,8 +3,11 @@
 The sweep condition q = 1 (mod lcm(4, 2k)) is exactly "k divides q-1, the
 cofactor is even, and q = 1 mod 4". Odd-cofactor pairs always give
 designs, so the interesting tables fix k and ask which q of this shape
-succeed. Sweeps decide via the orbit-rep signed count only; explicit
-expansion stays in the design module.
+succeed. A sweep sieves once up to its bound and reads every k's prime
+candidates off that sieve as the progression 1 + j*lcm(4, 2k); they are
+decided in row chunks by starter.decide_prime_batch, and extension-field
+candidates by the scalar starter context. Explicit expansion stays in the
+design module.
 """
 
 from __future__ import annotations
@@ -13,35 +16,49 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt, lcm
 
+import numpy as np
+
 from psldesigns import gf, starter
 
 # Bounds behind the "no further coincident (k, 2k) pair" report.
 PAIR_SCAN_K_MAX = 60
 PAIR_SCAN_Q_MAX = 2 * 10**5
+# prime candidates per starter.decide_prime_batch call; a chunk holds a
+# few int64 arrays of DECIDE_CHUNK_ROWS * k entries
+DECIDE_CHUNK_ROWS = 2048
+
+
+def prime_flags(limit: int) -> np.ndarray:
+    """Sieve of Eratosthenes: flags[n] is true exactly for the primes
+    n <= limit (an empty array for limit < 0)."""
+    flags = np.ones(max(limit + 1, 0), dtype=bool)
+    flags[:2] = False
+    for i in range(2, isqrt(max(limit, 0)) + 1):
+        if flags[i]:
+            flags[i * i :: i] = False
+    return flags
 
 
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit (plain Eratosthenes)."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i, f in enumerate(flags) if f]
+    """All primes <= limit."""
+    return np.flatnonzero(prime_flags(limit)).tolist()
 
 
-def enumerate_prime_powers(limit: int) -> list[tuple[int, int, int]]:
-    """All prime powers p^n <= limit as (p, n, q), sorted by q."""
+def _powers_of(primes, limit: int, n_min: int) -> list[tuple[int, int, int]]:
+    """(p, n, p^n) for n >= n_min and p^n <= limit, sorted by p^n."""
     out = []
-    for p in sieve_primes(limit):
-        q, n = p, 1
+    for p in primes:
+        q, n = p**n_min, n_min
         while q <= limit:
             out.append((p, n, q))
             q *= p
             n += 1
     return sorted(out, key=lambda t: t[2])
+
+
+def enumerate_prime_powers(limit: int) -> list[tuple[int, int, int]]:
+    """All prime powers p^n <= limit as (p, n, q), sorted by q."""
+    return _powers_of(sieve_primes(limit), limit, 1)
 
 
 def _map(fn, items: list, threads: int) -> list:
@@ -56,8 +73,14 @@ def _map(fn, items: list, threads: int) -> list:
 
 
 def _check_bound(bound: int) -> None:
+    """A bound names the largest field a scan may reach; it is refused
+    before anything of its size is allocated."""
     if bound < 1:
         raise ValueError(f"the bound must be positive, got {bound}")
+    if bound > gf.DEFAULT_Q_LIMIT:
+        raise ValueError(
+            f"the bound {bound} exceeds the size limit {gf.DEFAULT_Q_LIMIT}"
+        )
 
 
 def sweep_modulus(k: int) -> int:
@@ -86,26 +109,31 @@ class SweepEntry:
     lam: int | None
 
 
-def _sweep_candidates(
-    k: int, q_max: int, include_prime_powers: bool
-) -> list[tuple[int, int, int]]:
-    m = sweep_modulus(k)
-    out = []
-    for p, n, q in enumerate_prime_powers(q_max):
-        if not include_prime_powers and n > 1:
-            continue
-        if q % m == 1 and q > k + 1:
-            out.append((p, n, q))
-    return out
+def sweep_sieve(ks: tuple[int, ...] | list[int], q_max: int) -> np.ndarray:
+    """Check every k and the bound, then sieve once: the prime flags up to
+    q_max that all k of one sweep share."""
+    for k in ks:
+        if k <= 3:
+            raise ValueError(f"k = {k} is outside the range k > 3")
+    _check_bound(q_max)
+    return prime_flags(q_max)
+
+
+def _decide_chunk(args: tuple[int, np.ndarray]) -> np.ndarray:
+    k, qs = args
+    return starter.decide_prime_batch(k, qs)
+
+
+def _entry(k: int, q: int, p: int, n: int, ok: bool) -> SweepEntry:
+    e = (q - 1) // k
+    lam = starter.lambda_formula(k, e) if ok else None
+    return SweepEntry(k=k, q=q, p=p, n=n, e=e, gives_design=ok, lam=lam)
 
 
 def _sweep_one(args: tuple[int, int, int, int]) -> SweepEntry:
     k, p, n, q = args
-    spec = gf.field_for_order(q)
-    ctx = starter.make_starter_context(spec, k)
-    ok = starter.gives_design(ctx)
-    lam = starter.lambda_formula(k, ctx.e) if ok else None
-    return SweepEntry(k=k, q=q, p=p, n=n, e=ctx.e, gives_design=ok, lam=lam)
+    ctx = starter.make_starter_context(gf.field_for_order(q), k)
+    return _entry(k, q, p, n, starter.gives_design(ctx))
 
 
 def sweep_entries(
@@ -113,17 +141,32 @@ def sweep_entries(
     q_max: int,
     include_prime_powers: bool = False,
     threads: int = 1,
+    sieve: np.ndarray | None = None,
 ) -> list[SweepEntry]:
     """Evaluate the criterion at every candidate q <= q_max with
-    q = 1 mod lcm(4, 2k), in increasing q order. Parallel evaluation
-    never reorders output."""
-    if k <= 3:
-        raise ValueError(f"k = {k} is outside the range k > 3")
-    _check_bound(q_max)
-    jobs = [
-        (k, p, n, q) for p, n, q in _sweep_candidates(k, q_max, include_prime_powers)
+    q = 1 mod lcm(4, 2k), in increasing q order. sieve is a sweep_sieve
+    covering k and q_max, made here when not given. Prime candidates go
+    through the batched kernel DECIDE_CHUNK_ROWS at a time, extension
+    fields through the scalar context; parallel evaluation never reorders
+    output."""
+    if sieve is None:
+        sieve = sweep_sieve((k,), q_max)
+    sieve = sieve[: q_max + 1]
+    m = sweep_modulus(k)
+    qs = np.flatnonzero(sieve[1::m]) * m + 1  # from 1 + m > k + 1 on
+    chunks = [
+        (k, qs[i : i + DECIDE_CHUNK_ROWS])
+        for i in range(0, qs.size, DECIDE_CHUNK_ROWS)
     ]
-    return _map(_sweep_one, jobs, threads)
+    decided = _map(_decide_chunk, chunks, threads)
+    oks = np.concatenate(decided).tolist() if decided else []
+    entries = [_entry(k, q, q, 1, ok) for q, ok in zip(qs.tolist(), oks)]
+    if include_prime_powers:
+        small = np.flatnonzero(sieve[: isqrt(q_max) + 1]).tolist()
+        jobs = [(k, p, n, q) for p, n, q in _powers_of(small, q_max, 2) if q % m == 1]
+        entries += _map(_sweep_one, jobs, threads)
+        entries.sort(key=lambda ent: ent.q)
+    return entries
 
 
 def sweep(
@@ -131,13 +174,15 @@ def sweep(
     q_max: int,
     include_prime_powers: bool = False,
     threads: int = 1,
+    sieve: np.ndarray | None = None,
 ) -> SweepResult:
     """The ascending q <= q_max (primes by default) where the order-k
     subgroup with even cofactor starts a 3-design. Empty for inadmissible
-    k, which is the empirical content of the residue filter."""
+    k, which is the empirical content of the residue filter. sieve as for
+    sweep_entries."""
     hits = tuple(
         ent.q
-        for ent in sweep_entries(k, q_max, include_prime_powers, threads)
+        for ent in sweep_entries(k, q_max, include_prime_powers, threads, sieve)
         if ent.gives_design
     )
     return SweepResult(k=k, bound=q_max, hits=hits)
@@ -153,9 +198,10 @@ def sweep_rows(
     threads: int = 1,
 ) -> list[dict[str, object]]:
     """Flat dict rows for CSV/JSON emission, one per candidate q."""
+    sieve = sweep_sieve(ks, q_max)
     rows = []
     for k in ks:
-        for ent in sweep_entries(k, q_max, include_prime_powers, threads):
+        for ent in sweep_entries(k, q_max, include_prime_powers, threads, sieve):
             rows.append(
                 {
                     "k": ent.k,
@@ -199,8 +245,9 @@ def verify_pair_coincidence(
     not even a candidate for 13. first_divergence is the smallest q in
     the symmetric difference, None if the hit lists agree.
     """
-    h1 = sweep(k1, q_max, threads=threads).hits
-    h2 = sweep(k2, q_max, threads=threads).hits
+    sieve = sweep_sieve((k1, k2), q_max)
+    h1 = sweep(k1, q_max, threads=threads, sieve=sieve).hits
+    h2 = sweep(k2, q_max, threads=threads, sieve=sieve).hits
     diff = set(h1) ^ set(h2)
     return PairScan(
         k1=k1,

@@ -43,17 +43,14 @@ class StarterContext:
     chi_table: tuple[int, ...]
 
 
-def make_starter_context(
-    spec: gf.FieldSpec, k: int, alpha: int | None = None
-) -> StarterContext:
-    """Build the context for the order-k subgroup of GF(q).
+def starter_cofactor(q: int, k: int, alpha: int | None = None) -> int:
+    """The validity rule for a starter pair, shared by the scalar context
+    and the batched kernel; returns the cofactor e = (q-1)/k.
 
     Requires 3 < k < q-1 and k | q-1. An even cofactor additionally
     requires q = 1 (mod 4); with an odd cofactor any odd q is accepted.
-    `alpha` overrides the canonical generator (it must also have order q-1),
-    which changes the character table but never the design outcome.
+    An explicit alpha must be an element encoding, 1 <= alpha < q.
     """
-    q = spec.q
     if not 3 < k < q - 1:
         raise ValueError(f"k = {k} is outside the range 3 < k < q - 1 = {q - 1}")
     if (q - 1) % k:
@@ -63,6 +60,22 @@ def make_starter_context(
         raise ValueError(
             f"even cofactor e = {e} requires q = 1 mod 4, but q = {q}"
         )
+    if alpha is not None and not 1 <= alpha < q:
+        raise ValueError(f"alpha = {alpha} is outside the range 1 <= alpha < q = {q}")
+    return e
+
+
+def make_starter_context(
+    spec: gf.FieldSpec, k: int, alpha: int | None = None
+) -> StarterContext:
+    """Build the context for the order-k subgroup of GF(q).
+
+    (q, k, alpha) must pass starter_cofactor. `alpha` overrides the
+    canonical generator (it must also have order q-1), which changes the
+    character table but never the design outcome.
+    """
+    q = spec.q
+    e = starter_cofactor(q, k, alpha)
     if alpha is None:
         alpha = spec.alpha
     elif gf.element_order(spec, alpha) != q - 1:
@@ -178,6 +191,84 @@ def gives_design(ctx: StarterContext) -> bool:
     if ctx.e % 2:
         return True
     return delta_sum(ctx) == 0
+
+
+# ---------------------------------------------------------------------------
+# the batched decision over many prime fields
+
+
+def _powmod(base: np.ndarray, exp, mod) -> np.ndarray:
+    """base**exp % mod elementwise by square-and-multiply on int64 arrays;
+    exp and mod broadcast against base. Exact for mod <= 2**31, where
+    every product stays below 2**62."""
+    base = base % mod
+    exp = np.array(exp, dtype=np.int64)  # a copy, shifted in place
+    result = np.ones(np.broadcast(base, exp, mod).shape, dtype=np.int64)
+    while exp.any():
+        result = np.where(exp & 1, result * base % mod, result)
+        exp >>= 1
+        base = base * base % mod
+    return result
+
+
+def _order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Per row, an element of order k in GF(q)* for prime q = k*e + 1: the
+    first y = x**e, x = 2, 3, ..., with y**(k/r) != 1 for every prime
+    r | k (y**k = x**(q-1) = 1 holds already). A primitive root x < q
+    always qualifies, so no factorisation of q - 1 is needed."""
+    beta = np.zeros_like(qs)
+    todo = np.arange(qs.size)
+    x = 2
+    while todo.size:
+        q = qs[todo]
+        y = _powmod(x, e[todo], q)
+        ok = np.ones(todo.size, dtype=bool)
+        for r, _ in gf.factorize(k):
+            ok &= _powmod(y, k // r, q) != 1
+        beta[todo[ok]] = y[ok]
+        todo = todo[~ok]
+        x += 1
+    return beta
+
+
+def decide_prime_batch(k: int, qs) -> np.ndarray:
+    """gives_design for the order-k subgroup of GF(q) at every prime q of
+    qs at once, as a bool array; each q must pass starter_cofactor and
+    not exceed gf.DEFAULT_Q_LIMIT. Primality is not checked here: the
+    sweep takes qs from its sieve.
+
+    The rows are int64 arrays: an element beta of order k per row, its
+    powers beta^m column by column, the table t[m] = chi(1 - beta^m) by
+    Euler's criterion, and delta_sum's convolution row-wise. Any
+    generator of the subgroup will do: the signed count is the
+    generator-free delta_sum_brute. make_starter_context with gives_design
+    is this kernel's scalar oracle.
+
+    Only m <= k/2 is powered: with an even cofactor beta is a square and
+    chi(-1) = 1 (q = 1 mod 4), so t[k-m] = chi(-beta^-m (1 - beta^m)) =
+    t[m]. Odd-cofactor rows, where this may fail, are true regardless.
+    """
+    qs = np.asarray(qs, dtype=np.int64)
+    e = np.array([starter_cofactor(q, k) for q in qs.tolist()], dtype=np.int64)
+    if qs.size and qs.max() > gf.DEFAULT_Q_LIMIT:
+        raise ValueError(
+            f"q = {qs.max()} exceeds the size limit {gf.DEFAULT_Q_LIMIT}"
+        )
+    beta = _order_k_elements(k, qs, e)
+    half = k // 2 + 1
+    powers = np.ones((qs.size, half), dtype=np.int64)
+    for m in range(1, half):
+        powers[:, m] = powers[:, m - 1] * beta % qs
+    q = qs[:, None]
+    t = np.zeros((qs.size, k), dtype=np.int64)  # t[:, 0] = 0 drops zero gaps
+    euler = _powmod(1 - powers[:, 1:], (q - 1) // 2, q)
+    t[:, 1:half] = np.where(euler == 1, 1, -1)
+    t[:, half:] = t[:, k - half : 0 : -1]
+    tt = np.zeros_like(t)  # (t*t)[n] for n < k
+    for a in range(1, k):
+        tt[:, a:] += t[:, a, None] * t[:, : k - a]
+    delta = k * (t[:, 1:] * tt[:, k - 1 : 0 : -1]).sum(axis=1) // 3
+    return (e % 2 == 1) | (delta == 0)
 
 
 def admissible_k(k: int) -> bool:

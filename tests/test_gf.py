@@ -71,6 +71,26 @@ def test_alpha_is_smallest_generator(f9, f25, f49):
             assert gf.element_order(spec, a) != spec.q - 1
 
 
+def test_extension_generator_search_from_p_matches_search_from_2():
+    """The generator search of GF(p^n), n >= 2, starts at p: no constant
+    below p has order q - 1. For every odd prime power q <= 2000 a search
+    from 2 finds the same alpha."""
+    fields = 0
+    for p in range(3, 45, 2):
+        if gf.factorize(p) != ((p, 1),):
+            continue
+        for n in range(2, 8):
+            if p**n > 2000:
+                break
+            spec = gf.make_extension_field(p, n)
+            from_2 = next(
+                a for a in range(2, spec.q) if gf.element_order(spec, a) == spec.q - 1
+            )
+            assert spec.alpha == from_2 >= p, (p, n)
+            fields += 1
+    assert fields == 21
+
+
 def test_field_for_order():
     assert gf.field_for_order(41).n == 1
     s = gf.field_for_order(49)

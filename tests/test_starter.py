@@ -3,7 +3,9 @@
 import dataclasses
 import itertools
 import math
+import random
 
+import numpy as np
 import pytest
 
 from psldesigns import gf, search, starter
@@ -377,3 +379,64 @@ def test_sequence_determines_delta_sum():
             key = (k, starter.char_sequence(ctx).entries)
             value = starter.delta_sum(ctx)
             assert seen.setdefault(key, value) == value
+
+
+def test_decide_prime_batch_matches_scalar_and_brute():
+    """The batched kernel against the scalar context at every prime
+    candidate q <= 20000 of each table k, and against the brute-force
+    triple sum where k <= 30."""
+    primes = search.sieve_primes(20000)
+    rows = brute = 0
+    for k in search.SWEEP_TABLE_KS:
+        m = search.sweep_modulus(k)
+        qs = [q for q in primes if q % m == 1]
+        got = starter.decide_prime_batch(k, qs).tolist()
+        for q, ok in zip(qs, got):
+            ctx = _ctx(q, k)
+            assert ok == starter.gives_design(ctx), (q, k)
+            if k <= 30:
+                assert ok == (starter.delta_sum_brute(ctx) == 0), (q, k)
+                brute += 1
+        rows += len(qs)
+    assert (rows, brute) == (1200, 924)
+
+
+def test_decide_prime_batch_odd_cofactor_and_validation():
+    # an odd cofactor is always a design
+    assert starter.decide_prime_batch(4, [13, 37]).tolist() == [True, True]
+    assert starter.decide_prime_batch(5, []).tolist() == []
+    with pytest.raises(ValueError, match="does not divide"):
+        starter.decide_prime_batch(5, [41, 43])
+    with pytest.raises(ValueError, match="outside the range"):
+        starter.decide_prime_batch(3, [41])
+    with pytest.raises(ValueError, match="size limit"):
+        starter.decide_prime_batch(5, [2**31 + 13])  # = 1 mod 20
+
+
+def test_powmod_matches_pow_at_the_int64_edge():
+    """Products of residues below 2**31 stay below 2**62: the vectorised
+    square-and-multiply agrees with pow on the primes just below 2**31."""
+    ps = [p for p in range(2**31 - 1, 2**31 - 400, -2) if gf.factorize(p) == ((p, 1),)]
+    assert ps[0] == 2**31 - 1 and len(ps) >= 10
+    rng = random.Random(5)
+    for p in ps:
+        bases = [p - 1, p - 2, 2**31 - 2, 0, 1] + [rng.randrange(p) for _ in range(20)]
+        exps = [p - 2, (p - 1) // 2, 0, 1, 2**31 - 1] + [rng.randrange(p) for _ in range(20)]
+        got = starter._powmod(np.array(bases), np.array(exps), p).tolist()
+        assert got == [pow(b, x, p) for b, x in zip(bases, exps)]
+    # per-row moduli and exponents broadcast against a (rows, columns) base
+    mods = np.array(ps[:3])[:, None]
+    base = np.array([[2, 3, p - 1] for p in ps[:3]])
+    got = starter._powmod(base, (mods - 1) // 2, mods)
+    want = [[pow(b, (p - 1) // 2, p) for b in row] for p, row in zip(ps, base.tolist())]
+    assert got.tolist() == want
+
+
+def test_decide_prime_batch_near_the_size_limit():
+    """Prime candidates just below 2**31 decide as the scalar path does."""
+    k = 5
+    below = range(2**31 - 7, 0, -20)  # q = 1 mod 20
+    qs = list(itertools.islice((q for q in below if gf.factorize(q) == ((q, 1),)), 12))
+    got = starter.decide_prime_batch(k, qs).tolist()
+    assert got == [starter.gives_design(_ctx(q, k)) for q in qs]
+    assert True in got and False in got

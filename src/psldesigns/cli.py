@@ -174,14 +174,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             _emit_rows_csv(rows)
         return 0
-    sieve = search.sweep_sieve(ks, args.qmax)
     for k in ks:
         res = search.sweep(
-            k,
-            args.qmax,
-            include_prime_powers=args.prime_powers,
-            threads=args.threads,
-            sieve=sieve,
+            k, args.qmax, include_prime_powers=args.prime_powers, threads=args.threads
         )
         hits = " ".join(map(str, res.hits))
         if args.table:

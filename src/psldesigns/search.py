@@ -3,11 +3,11 @@
 The sweep condition q = 1 (mod lcm(4, 2k)) is exactly "k divides q-1, the
 cofactor is even, and q = 1 mod 4". Odd-cofactor pairs always give
 designs, so the interesting tables fix k and ask which q of this shape
-succeed. A sweep sieves once up to its bound and reads every k's prime
-candidates off that sieve as the progression 1 + j*lcm(4, 2k); they are
-decided in row chunks by starter.decide_prime_batch, and extension-field
-candidates by the scalar starter context. Explicit expansion stays in the
-design module.
+succeed. A sweep sieves up to its bound and reads k's prime candidates
+off the sieve as the progression 1 + j*lcm(4, 2k); they are decided
+serially in row chunks by starter.decide_prime_batch, and extension-field
+candidates by the scalar starter context. Explicit expansion stays in
+the design module.
 """
 
 from __future__ import annotations
@@ -109,21 +109,6 @@ class SweepEntry:
     lam: int | None
 
 
-def sweep_sieve(ks: tuple[int, ...] | list[int], q_max: int) -> np.ndarray:
-    """Check every k and the bound, then sieve once: the prime flags up to
-    q_max that all k of one sweep share."""
-    for k in ks:
-        if k <= 3:
-            raise ValueError(f"k = {k} is outside the range k > 3")
-    _check_bound(q_max)
-    return prime_flags(q_max)
-
-
-def _decide_chunk(args: tuple[int, np.ndarray]) -> np.ndarray:
-    k, qs = args
-    return starter.decide_prime_batch(k, qs)
-
-
 def _entry(k: int, q: int, p: int, n: int, ok: bool) -> SweepEntry:
     e = (q - 1) // k
     lam = starter.lambda_formula(k, e) if ok else None
@@ -141,25 +126,21 @@ def sweep_entries(
     q_max: int,
     include_prime_powers: bool = False,
     threads: int = 1,
-    sieve: np.ndarray | None = None,
 ) -> list[SweepEntry]:
     """Evaluate the criterion at every candidate q <= q_max with
-    q = 1 mod lcm(4, 2k), in increasing q order. sieve is a sweep_sieve
-    covering k and q_max, made here when not given. Prime candidates go
-    through the batched kernel DECIDE_CHUNK_ROWS at a time, extension
-    fields through the scalar context; parallel evaluation never reorders
-    output."""
-    if sieve is None:
-        sieve = sweep_sieve((k,), q_max)
-    sieve = sieve[: q_max + 1]
+    q = 1 mod lcm(4, 2k), in increasing q order. Prime candidates go
+    through the batched kernel DECIDE_CHUNK_ROWS at a time in this
+    process; extension fields go through the scalar context on `threads`
+    workers, which never reorders output."""
+    if k <= 3:
+        raise ValueError(f"k = {k} is outside the range k > 3")
+    _check_bound(q_max)
+    sieve = prime_flags(q_max)
     m = sweep_modulus(k)
     qs = np.flatnonzero(sieve[1::m]) * m + 1  # from 1 + m > k + 1 on
-    chunks = [
-        (k, qs[i : i + DECIDE_CHUNK_ROWS])
-        for i in range(0, qs.size, DECIDE_CHUNK_ROWS)
-    ]
-    decided = _map(_decide_chunk, chunks, threads)
-    oks = np.concatenate(decided).tolist() if decided else []
+    oks = []
+    for i in range(0, qs.size, DECIDE_CHUNK_ROWS):
+        oks += starter.decide_prime_batch(k, qs[i : i + DECIDE_CHUNK_ROWS]).tolist()
     entries = [_entry(k, q, q, 1, ok) for q, ok in zip(qs.tolist(), oks)]
     if include_prime_powers:
         small = np.flatnonzero(sieve[: isqrt(q_max) + 1]).tolist()
@@ -174,15 +155,13 @@ def sweep(
     q_max: int,
     include_prime_powers: bool = False,
     threads: int = 1,
-    sieve: np.ndarray | None = None,
 ) -> SweepResult:
     """The ascending q <= q_max (primes by default) where the order-k
     subgroup with even cofactor starts a 3-design. Empty for inadmissible
-    k, which is the empirical content of the residue filter. sieve as for
-    sweep_entries."""
+    k, which is the empirical content of the residue filter."""
     hits = tuple(
         ent.q
-        for ent in sweep_entries(k, q_max, include_prime_powers, threads, sieve)
+        for ent in sweep_entries(k, q_max, include_prime_powers, threads)
         if ent.gives_design
     )
     return SweepResult(k=k, bound=q_max, hits=hits)
@@ -198,10 +177,9 @@ def sweep_rows(
     threads: int = 1,
 ) -> list[dict[str, object]]:
     """Flat dict rows for CSV/JSON emission, one per candidate q."""
-    sieve = sweep_sieve(ks, q_max)
     rows = []
     for k in ks:
-        for ent in sweep_entries(k, q_max, include_prime_powers, threads, sieve):
+        for ent in sweep_entries(k, q_max, include_prime_powers, threads):
             rows.append(
                 {
                     "k": ent.k,
@@ -245,9 +223,8 @@ def verify_pair_coincidence(
     not even a candidate for 13. first_divergence is the smallest q in
     the symmetric difference, None if the hit lists agree.
     """
-    sieve = sweep_sieve((k1, k2), q_max)
-    h1 = sweep(k1, q_max, threads=threads, sieve=sieve).hits
-    h2 = sweep(k2, q_max, threads=threads, sieve=sieve).hits
+    h1 = sweep(k1, q_max, threads=threads).hits
+    h2 = sweep(k2, q_max, threads=threads).hits
     diff = set(h1) ^ set(h2)
     return PairScan(
         k1=k1,

@@ -154,21 +154,34 @@ def delta_of_rep(ctx: StarterContext, rep: OrbitRep) -> int:
     return t[d1] * t[d2] * t[d3]
 
 
-def delta_sum(ctx: StarterContext) -> int:
-    """Signed count of all C(k,3) 3-subsets of the block.
+def _signed_count(t: np.ndarray) -> np.ndarray:
+    """Signed count of all C(k,3) 3-subsets of the block, per row of a
+    2-D int64 array of character tables with k columns (t[:, 0] = 0).
 
     A 3-subset's sign is t[g1] * t[g2] * t[g3] over its cyclic gaps
-    g1 + g2 + g3 = k (t = chi_table). Each 3-subset arises from 3 of the
-    k * C(k-1, 2) (start, gap composition) pairs, so the count is
+    g1 + g2 + g3 = k. Each 3-subset arises from 3 of the k * C(k-1, 2)
+    (start, gap composition) pairs, so the count is
     (k/3) * sum_d t[d] * (t*t)[k-d], one self-convolution of the table
-    (t[0] = 0 drops the zero gaps). Exact: int64 values stay below k^2.
+    (t[0] = 0 drops the zero gaps). The convolution is one einsum over the
+    strided view w[:, d, a] = z[:, d + a] = t[:, k-1-d-a] (zero for
+    d + a >= k), so (t*t)[k-1-d] = sum_a t[a] * w[d, a]; the ndarray
+    constructor checks that w stays inside z. Exact: int64 values stay
+    below k^2.
     """
+    rows, k = t.shape
+    z = np.zeros((rows, 2 * k - 1), dtype=np.int64)
+    z[:, :k] = t[:, ::-1]
+    r, c = z.strides
+    w = np.ndarray((rows, k - 1, k), np.int64, z, 0, (r, c, c))
+    return k * (t[:, 1:] * np.einsum("ra,rda->rd", t, w)).sum(axis=1) // 3
+
+
+def delta_sum(ctx: StarterContext) -> int:
+    """Signed count of all C(k,3) 3-subsets of the block (_signed_count of
+    the chi table)."""
     if ctx.e % 2:
         raise ValueError("the signed count is only defined for even e")
-    k = ctx.k
-    t = np.asarray(ctx.chi_table, dtype=np.int64)
-    tt = np.convolve(t, t)
-    return k * int(t[1:] @ tt[k - 1 : 0 : -1]) // 3
+    return int(_signed_count(np.asarray(ctx.chi_table, dtype=np.int64)[None, :])[0])
 
 
 def delta_sum_brute(ctx: StarterContext) -> int:
@@ -239,7 +252,7 @@ def decide_prime_batch(k: int, qs) -> np.ndarray:
 
     The rows are int64 arrays: an element beta of order k per row, its
     powers beta^m column by column, the table t[m] = chi(1 - beta^m) by
-    Euler's criterion, and delta_sum's convolution row-wise. Any
+    Euler's criterion, and delta_sum's _signed_count row-wise. Any
     generator of the subgroup will do: the signed count is the
     generator-free delta_sum_brute. make_starter_context with gives_design
     is this kernel's scalar oracle.
@@ -264,11 +277,7 @@ def decide_prime_batch(k: int, qs) -> np.ndarray:
     euler = _powmod(1 - powers[:, 1:], (q - 1) // 2, q)
     t[:, 1:half] = np.where(euler == 1, 1, -1)
     t[:, half:] = t[:, k - half : 0 : -1]
-    tt = np.zeros_like(t)  # (t*t)[n] for n < k
-    for a in range(1, k):
-        tt[:, a:] += t[:, a, None] * t[:, : k - a]
-    delta = k * (t[:, 1:] * tt[:, k - 1 : 0 : -1]).sum(axis=1) // 3
-    return (e % 2 == 1) | (delta == 0)
+    return (e % 2 == 1) | (_signed_count(t) == 0)
 
 
 def admissible_k(k: int) -> bool:

@@ -62,19 +62,22 @@ def test_sweep_entries_fields():
     assert [e.gives_design for e in entries] == [True, True, False, False]
 
 
-def test_sweep_threads_deterministic(monkeypatch):
+def test_sweep_threads_deterministic():
     serial = search.sweep_entries(5, 700)
     assert len(serial) == 14
-    # 14 candidates in kernel chunks of 2 rows: 7 chunks, which _map hands
-    # to the 2 workers one at a time, so each worker takes several
-    monkeypatch.setattr(search, "DECIDE_CHUNK_ROWS", 2)
     assert search.sweep_entries(5, 700, threads=2) == serial
+    # workers take only the extension fields, here 3 jobs in chunks of 1,
+    # so both workers take some; the prime rows stay in the kernel
+    serial = search.sweep_entries(5, 700, include_prime_powers=True)
+    assert [e.q for e in serial if e.n > 1] == [81, 121, 361]
+    assert search.sweep_entries(5, 700, True, threads=2) == serial
 
 
 def test_sweep_chunking_never_changes_entries(monkeypatch):
     """Kernel chunks of 1 row, of 7 rows and of more rows than there are
-    candidates, serial and on 2 workers, give the same entries; the k = 13
-    sweep with prime powers mixes kernel rows with extension fields."""
+    candidates, with 1 or 2 workers for the extension fields, give the
+    same entries; the k = 13 sweep with prime powers mixes kernel rows
+    with extension fields."""
     cases = [(5, 3000, False), (13, 30000, True), (58, 20000, False)]
     want = [search.sweep_entries(k, q_max, pp) for k, q_max, pp in cases]
     assert [len(w) for w in want] == [48, 148, 46]
@@ -90,9 +93,7 @@ def test_map_keeps_input_order():
     items = list(range(-30, 0))
     want = [abs(x) for x in items]
     assert search._map(abs, items, 1) == want
-    # _map chunks its items, not kernel rows: 30 items go to 2 workers in
-    # 8 chunks of 4 or fewer
-    assert search._map(abs, items, 2) == want
+    assert search._map(abs, items, 2) == want  # 8 chunks of 4 or fewer
     assert search._map(abs, [], 2) == []
 
 
@@ -109,7 +110,7 @@ def test_sweep_bound_over_size_limit_refused_before_sieving(monkeypatch):
         lambda: search.sweep_rows(search.SWEEP_TABLE_KS, big),
         lambda: search.verify_pair_coincidence(5, 10, big),
         lambda: search.thm_equivalence_sweep("thm510", big),
-        lambda: search.sweep_sieve((5,), 10**12),
+        lambda: search.sweep_entries(5, 10**12),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="exceeds the size limit"):

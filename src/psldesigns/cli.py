@@ -141,7 +141,7 @@ def _emit_rows_csv(rows: list[dict[str, object]]) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.pair:
         k1, k2 = args.pair
-        scan = search.verify_pair_coincidence(k1, k2, args.qmax, threads=args.threads)
+        scan = search.verify_pair_coincidence(k1, k2, args.qmax)
         if args.json:
             print(
                 json.dumps(
@@ -166,18 +166,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 0 if scan.coincide else 1
     ks = list(search.SWEEP_TABLE_KS) if args.table else [args.k]
     if args.csv or args.json:
-        rows = search.sweep_rows(
-            ks, args.qmax, include_prime_powers=args.prime_powers, threads=args.threads
-        )
+        rows = search.sweep_rows(ks, args.qmax, include_prime_powers=args.prime_powers)
         if args.json:
             print(json.dumps(rows))
         else:
             _emit_rows_csv(rows)
         return 0
     for k in ks:
-        res = search.sweep(
-            k, args.qmax, include_prime_powers=args.prime_powers, threads=args.threads
-        )
+        res = search.sweep(k, args.qmax, include_prime_powers=args.prime_powers)
         hits = " ".join(map(str, res.hits))
         if args.table:
             print(f"k={k} (mod 24: {k % 24}): {hits}")
@@ -188,7 +184,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_equivalence(args: argparse.Namespace) -> int:
     """thm510 and thm1326: the subcommand name is the sweep's name."""
-    rep = search.thm_equivalence_sweep(args.command, args.pmax, threads=args.threads)
+    rep = search.thm_equivalence_sweep(args.command, args.pmax)
     if args.json:
         print(
             json.dumps(
@@ -321,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true", help="all standard k rows")
     p.add_argument("--pair", type=int, nargs=2, metavar=("K1", "K2"))
     p.add_argument("--prime-powers", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
@@ -332,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--pmax", type=int, required=True)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=cmd_equivalence)
 

@@ -16,6 +16,9 @@ from math import comb
 from psldesigns import gf, projline, starter
 
 DEFAULT_BLOCK_BUDGET = 10**6
+# the most t-subsets a coverage recount may allocate a counter for: one
+# list slot each, about 80 MB at the cap (v = 182 needs C(182, 3) = 988,260)
+MAX_RECOUNT_SUBSETS = 10**7
 NON_DESIGN_FLAG = "NOT-A-3-DESIGN"
 
 
@@ -125,7 +128,9 @@ def verify_t_design(
 
     Blocks must be sorted tuples of distinct points in range(v); v
     defaults to one past the largest point seen (exact for any orbit of a
-    transitive action, such as these).
+    transitive action, such as these). A v with no t-subsets, or with more
+    than MAX_RECOUNT_SUBSETS of them, is refused before anything is
+    allocated.
     """
     if t not in (2, 3):
         raise ValueError(f"only t = 2 and t = 3 are supported, got {t}")
@@ -133,6 +138,12 @@ def verify_t_design(
         raise ValueError("no blocks")
     if v is None:
         v = max(blk[-1] for blk in blocks) + 1
+    n = comb(v, t)
+    if not 0 < n <= MAX_RECOUNT_SUBSETS:
+        raise ValueError(
+            f"v = {v} has C({v}, {t}) = {n} {t}-subsets, outside the range "
+            f"1..{MAX_RECOUNT_SUBSETS} of the recount cap"
+        )
     counts = _coverage_counts(v, blocks, t)
     first = counts[0]
     if all(c == first for c in counts):

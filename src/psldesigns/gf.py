@@ -288,6 +288,12 @@ def sqrt(spec: FieldSpec, a: int) -> int:
 _FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}
 
 
+def check_size(q: int) -> None:
+    """Refuse a field order over DEFAULT_Q_LIMIT."""
+    if q > DEFAULT_Q_LIMIT:
+        raise ValueError(f"q = {q} exceeds the size limit {DEFAULT_Q_LIMIT}")
+
+
 def _has_full_order(spec: FieldSpec, a: int) -> bool:
     q1 = spec.q - 1
     for f, _ in factorize(q1):
@@ -320,7 +326,7 @@ def make_prime_field(p: int) -> FieldSpec:
     return spec
 
 
-def make_extension_field(p: int, n: int, q_limit: int = DEFAULT_Q_LIMIT) -> FieldSpec:
+def make_extension_field(p: int, n: int) -> FieldSpec:
     """GF(p^n) with the smallest modulus and generator.
 
     The modulus is the lexicographically smallest monic irreducible of
@@ -335,8 +341,7 @@ def make_extension_field(p: int, n: int, q_limit: int = DEFAULT_Q_LIMIT) -> Fiel
     if p == 2 or factorize(p) != ((p, 1),):
         raise ValueError(f"{p} is not an odd prime")
     q = p**n
-    if q > q_limit:
-        raise ValueError(f"q = {q} exceeds the size limit {q_limit}")
+    check_size(q)
     cached = _FIELD_CACHE.get((p, n))
     if cached is not None:
         return cached
@@ -355,12 +360,15 @@ def make_extension_field(p: int, n: int, q_limit: int = DEFAULT_Q_LIMIT) -> Fiel
     return spec
 
 
-def field_for_order(q: int, q_limit: int = DEFAULT_Q_LIMIT) -> FieldSpec:
-    """The field of order q (q an odd prime power)."""
+def field_for_order(q: int) -> FieldSpec:
+    """The field of order q (q an odd prime power). A q over the size
+    limit is refused before it is factorised, which takes up to sqrt(q)
+    trial divisions."""
+    check_size(q)
     fac = factorize(q)
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     p, n = fac[0]
     if n == 1:
         return make_prime_field(p)
-    return make_extension_field(p, n, q_limit)
+    return make_extension_field(p, n)

@@ -6,14 +6,15 @@ designs, so the interesting tables fix k and ask which q of this shape
 succeed. A sweep sieves up to its bound and reads k's prime candidates
 off the sieve as the progression 1 + j*lcm(4, 2k); they are decided
 serially in row chunks by starter.decide_prime_batch, and extension-field
-candidates by the scalar starter context. Explicit expansion stays in
+candidates by the scalar starter context; the equivalence scans decide
+theirs the same way with batched conditions. Explicit expansion stays in
 the design module.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt, lcm
 
 import numpy as np
@@ -23,8 +24,8 @@ from psldesigns import gf, starter
 # Bounds behind the "no further coincident (k, 2k) pair" report.
 PAIR_SCAN_K_MAX = 60
 PAIR_SCAN_Q_MAX = 2 * 10**5
-# prime candidates per starter.decide_prime_batch call; a chunk holds a
-# few int64 arrays of DECIDE_CHUNK_ROWS * k entries
+# primes per batched starter call; a chunk holds a few int64 arrays of
+# DECIDE_CHUNK_ROWS * k entries
 DECIDE_CHUNK_ROWS = 2048
 
 
@@ -61,15 +62,12 @@ def enumerate_prime_powers(limit: int) -> list[tuple[int, int, int]]:
     return _powers_of(sieve_primes(limit), limit, 1)
 
 
-def _map(fn, items: list, threads: int) -> list:
-    """[fn(x) for x in items], in input order, on `threads` worker
-    processes when threads > 1. Items go out in about 4 chunks per worker,
-    so the per-item pickling and scheduling cost is paid once per chunk."""
-    if threads > 1 and len(items) > 1:
-        chunksize = -(-len(items) // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
-    return [fn(x) for x in items]
+def _decide_primes(decide, sieve: np.ndarray, m: int) -> tuple[list[int], list]:
+    """The primes q = 1 mod m of a prime_flags sieve, ascending, and
+    decide(chunk).tolist() over them, DECIDE_CHUNK_ROWS rows at a time."""
+    qs, n = np.flatnonzero(sieve[1::m]) * m + 1, DECIDE_CHUNK_ROWS
+    rows = [r for i in range(0, qs.size, n) for r in decide(qs[i : i + n]).tolist()]
+    return qs.tolist(), rows
 
 
 def _check_bound(bound: int) -> None:
@@ -115,37 +113,29 @@ def _entry(k: int, q: int, p: int, n: int, ok: bool) -> SweepEntry:
     return SweepEntry(k=k, q=q, p=p, n=n, e=e, gives_design=ok, lam=lam)
 
 
-def _sweep_one(args: tuple[int, int, int, int]) -> SweepEntry:
-    k, p, n, q = args
-    ctx = starter.make_starter_context(gf.field_for_order(q), k)
-    return _entry(k, q, p, n, starter.gives_design(ctx))
-
-
 def sweep_entries(
     k: int,
     q_max: int,
     include_prime_powers: bool = False,
-    threads: int = 1,
 ) -> list[SweepEntry]:
     """Evaluate the criterion at every candidate q <= q_max with
     q = 1 mod lcm(4, 2k), in increasing q order. Prime candidates go
-    through the batched kernel DECIDE_CHUNK_ROWS at a time in this
-    process; extension fields go through the scalar context on `threads`
-    workers, which never reorders output."""
+    through the batched kernel DECIDE_CHUNK_ROWS at a time; extension
+    fields go through the scalar context."""
     if k <= 3:
         raise ValueError(f"k = {k} is outside the range k > 3")
     _check_bound(q_max)
     sieve = prime_flags(q_max)
     m = sweep_modulus(k)
-    qs = np.flatnonzero(sieve[1::m]) * m + 1  # from 1 + m > k + 1 on
-    oks = []
-    for i in range(0, qs.size, DECIDE_CHUNK_ROWS):
-        oks += starter.decide_prime_batch(k, qs[i : i + DECIDE_CHUNK_ROWS]).tolist()
-    entries = [_entry(k, q, q, 1, ok) for q, ok in zip(qs.tolist(), oks)]
+    # the primes from 1 + m > k + 1 on
+    qs, oks = _decide_primes(partial(starter.decide_prime_batch, k), sieve, m)
+    entries = [_entry(k, q, q, 1, ok) for q, ok in zip(qs, oks)]
     if include_prime_powers:
         small = np.flatnonzero(sieve[: isqrt(q_max) + 1]).tolist()
-        jobs = [(k, p, n, q) for p, n, q in _powers_of(small, q_max, 2) if q % m == 1]
-        entries += _map(_sweep_one, jobs, threads)
+        for p, n, q in _powers_of(small, q_max, 2):
+            if q % m == 1:
+                ctx = starter.make_starter_context(gf.field_for_order(q), k)
+                entries.append(_entry(k, q, p, n, starter.gives_design(ctx)))
         entries.sort(key=lambda ent: ent.q)
     return entries
 
@@ -154,14 +144,13 @@ def sweep(
     k: int,
     q_max: int,
     include_prime_powers: bool = False,
-    threads: int = 1,
 ) -> SweepResult:
     """The ascending q <= q_max (primes by default) where the order-k
     subgroup with even cofactor starts a 3-design. Empty for inadmissible
     k, which is the empirical content of the residue filter."""
     hits = tuple(
         ent.q
-        for ent in sweep_entries(k, q_max, include_prime_powers, threads)
+        for ent in sweep_entries(k, q_max, include_prime_powers)
         if ent.gives_design
     )
     return SweepResult(k=k, bound=q_max, hits=hits)
@@ -174,12 +163,11 @@ def sweep_rows(
     ks: tuple[int, ...] | list[int],
     q_max: int,
     include_prime_powers: bool = False,
-    threads: int = 1,
 ) -> list[dict[str, object]]:
     """Flat dict rows for CSV/JSON emission, one per candidate q."""
     rows = []
     for k in ks:
-        for ent in sweep_entries(k, q_max, include_prime_powers, threads):
+        for ent in sweep_entries(k, q_max, include_prime_powers):
             rows.append(
                 {
                     "k": ent.k,
@@ -213,9 +201,7 @@ class PairScan:
         return self.first_divergence is None
 
 
-def verify_pair_coincidence(
-    k1: int, k2: int, q_max: int, threads: int = 1
-) -> PairScan:
+def verify_pair_coincidence(k1: int, k2: int, q_max: int) -> PairScan:
     """Compare the design-giving q of two k values up to q_max.
 
     Each k is swept over its own candidate shape, so unrelated k diverge
@@ -223,8 +209,8 @@ def verify_pair_coincidence(
     not even a candidate for 13. first_divergence is the smallest q in
     the symmetric difference, None if the hit lists agree.
     """
-    h1 = sweep(k1, q_max, threads=threads).hits
-    h2 = sweep(k2, q_max, threads=threads).hits
+    h1 = sweep(k1, q_max).hits
+    h2 = sweep(k2, q_max).hits
     diff = set(h1) ^ set(h2)
     return PairScan(
         k1=k1,
@@ -239,7 +225,6 @@ def verify_pair_coincidence(
 def coincident_pair_report(
     k_max: int = PAIR_SCAN_K_MAX,
     q_max: int = PAIR_SCAN_Q_MAX,
-    threads: int = 1,
 ) -> list[PairScan]:
     """Scan every admissible pair (k, 2k) with 2k <= k_max for hit-set
     coincidence up to q_max. A bounded observation, not a proof: the
@@ -247,7 +232,7 @@ def coincident_pair_report(
     scans = []
     for k in range(4, k_max // 2 + 1):
         if starter.admissible_k(k) and starter.admissible_k(2 * k):
-            scans.append(verify_pair_coincidence(k, 2 * k, q_max, threads=threads))
+            scans.append(verify_pair_coincidence(k, 2 * k, q_max))
     return scans
 
 
@@ -323,43 +308,26 @@ class EquivalenceReport:
         return not self.disagreements
 
 
-def _thm510_case(p: int) -> tuple[int, bool, bool]:
-    conds = starter.thm510_conditions(gf.field_for_order(p))
-    return p, conds.all_agree(), conds.c1
-
-
-def _thm1326_case(p: int) -> tuple[int, bool, bool]:
-    spec = gf.field_for_order(p)
-    res = starter.thm1326_condition(spec)
-    d13 = starter.gives_design(starter.make_starter_context(spec, 13))
-    d26 = starter.gives_design(starter.make_starter_context(spec, 26))
-    return p, res.holds == d13 == d26, d13
-
-
-def thm_equivalence_sweep(
-    name: str, p_max: int, threads: int = 1
-) -> EquivalenceReport:
+def thm_equivalence_sweep(name: str, p_max: int) -> EquivalenceReport:
     """Check one characterization at every applicable prime up to p_max.
 
     name 'thm510': the seven k in {5, 10} conditions at p = 1 mod 20.
     name 'thm1326': sequence test vs the direct criterion at k = 13 and
-    k = 26, at p = 1 mod 52.
+    k = 26, at p = 1 mod 52; starter.thm510_batch and thm1326_batch.
     """
     if name == "thm510":
-        modulus, case = 20, _thm510_case
+        modulus, decide = 20, starter.thm510_batch
     elif name == "thm1326":
-        modulus, case = 52, _thm1326_case
+        modulus, decide = 52, starter.thm1326_batch
     else:
         raise ValueError(f"unknown equivalence sweep: {name!r}")
     _check_bound(p_max)
-    ps = [p for p in sieve_primes(p_max) if p % modulus == 1]
-    results = _map(case, ps, threads)
-    hits = tuple(p for p, agree, hit in results if agree and hit)
-    bad = tuple(p for p, agree, _ in results if not agree)
+    # a row holds the conditions that must agree at one prime
+    ps, rows = _decide_primes(decide, prime_flags(p_max), modulus)
     return EquivalenceReport(
         name=name,
         bound=p_max,
         checked=len(ps),
-        hits=hits,
-        disagreements=bad,
+        hits=tuple(p for p, row in zip(ps, rows) if all(row)),
+        disagreements=tuple(p for p, row in zip(ps, rows) if any(row) != all(row)),
     )

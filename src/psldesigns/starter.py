@@ -244,39 +244,42 @@ def _order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
     return beta
 
 
-def decide_prime_batch(k: int, qs) -> np.ndarray:
-    """gives_design for the order-k subgroup of GF(q) at every prime q of
-    qs at once, as a bool array; each q must pass starter_cofactor and
-    not exceed gf.DEFAULT_Q_LIMIT. Primality is not checked here: the
-    sweep takes qs from its sieve.
+def _is_square(a: np.ndarray, q) -> np.ndarray:
+    """Euler's criterion elementwise, for a != 0 mod the prime q."""
+    return _powmod(a, (q - 1) // 2, q) == 1
 
-    The rows are int64 arrays: an element beta of order k per row, its
-    powers beta^m column by column, the table t[m] = chi(1 - beta^m) by
-    Euler's criterion, and delta_sum's _signed_count row-wise. Any
-    generator of the subgroup will do: the signed count is the
-    generator-free delta_sum_brute. make_starter_context with gives_design
-    is this kernel's scalar oracle.
+
+def _prime_tables(k: int, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per prime q of qs: the cofactor e, an element beta of order k and
+    the table t[m] = chi(1 - beta^m) (t[:, 0] = 0), as int64 arrays.
+    Each q must pass starter_cofactor and gf.check_size. Primality is not
+    checked here: the callers take qs from a sieve.
 
     Only m <= k/2 is powered: with an even cofactor beta is a square and
     chi(-1) = 1 (q = 1 mod 4), so t[k-m] = chi(-beta^-m (1 - beta^m)) =
-    t[m]. Odd-cofactor rows, where this may fail, are true regardless.
+    t[m]. Odd-cofactor rows, where this may fail, are true in
+    decide_prime_batch regardless of their table.
     """
     qs = np.asarray(qs, dtype=np.int64)
     e = np.array([starter_cofactor(q, k) for q in qs.tolist()], dtype=np.int64)
-    if qs.size and qs.max() > gf.DEFAULT_Q_LIMIT:
-        raise ValueError(
-            f"q = {qs.max()} exceeds the size limit {gf.DEFAULT_Q_LIMIT}"
-        )
+    gf.check_size(qs.max(initial=0))
     beta = _order_k_elements(k, qs, e)
     half = k // 2 + 1
     powers = np.ones((qs.size, half), dtype=np.int64)
     for m in range(1, half):
         powers[:, m] = powers[:, m - 1] * beta % qs
-    q = qs[:, None]
     t = np.zeros((qs.size, k), dtype=np.int64)  # t[:, 0] = 0 drops zero gaps
-    euler = _powmod(1 - powers[:, 1:], (q - 1) // 2, q)
-    t[:, 1:half] = np.where(euler == 1, 1, -1)
+    t[:, 1:half] = np.where(_is_square(1 - powers[:, 1:], qs[:, None]), 1, -1)
     t[:, half:] = t[:, k - half : 0 : -1]
+    return e, beta, t
+
+
+def decide_prime_batch(k: int, qs) -> np.ndarray:
+    """gives_design for the order-k subgroup of GF(q) at every prime q of
+    qs at once, as a bool array. Any generator of the subgroup will do:
+    the signed count is the generator-free delta_sum_brute. The scalar
+    make_starter_context with gives_design is this kernel's oracle."""
+    e, _, t = _prime_tables(k, qs)
     return (e % 2 == 1) | (_signed_count(t) == 0)
 
 
@@ -358,10 +361,6 @@ class Thm510Conditions:
             out.append(self.c7)
         return out
 
-    def all_agree(self) -> bool:
-        vs = self.values()
-        return all(vs) or not any(vs)
-
 
 def _has_representation(m: int, c: int) -> bool:
     """Does m = x^2 + c*y^2 for integers x, y?"""
@@ -432,6 +431,30 @@ def thm510_conditions(spec: gf.FieldSpec, alpha: int | None = None) -> Thm510Con
     return Thm510Conditions(q, c1, c2, c3, c4, c5, c6, c7)
 
 
+def thm510_batch(qs) -> np.ndarray:
+    """thm510_conditions(...).values() at every prime q = 1 (mod 20) of
+    qs at once, as a (rows, 7) bool array. c3..c5 are Euler tests on the
+    kernel's element beta of order 5 (none depends on which one is found),
+    with s = beta(1-beta)^2(1+beta) as the root of 5."""
+    q = np.asarray(qs, dtype=np.int64)
+    _, beta, t5 = _prime_tables(5, q)  # refuses odd q other than 1 mod 20
+    s = beta * (1 - beta) % q * (1 - beta) % q * (1 + beta) % q
+    roots = ((2 + s) % q, (2 - s) % q)
+    theta0 = (2 * (_powmod(beta, 4, q) + beta) + 3) % q
+    assert np.all(s * s % q == 5)
+    assert np.all((theta0 == roots[0]) | (theta0 == roots[1]))
+    assert all(np.all((th * th - 4 * th - 1) % q == 0) for th in roots)
+    return np.column_stack([
+        _signed_count(t5) == 0,
+        decide_prime_batch(10, q),
+        ~_is_square(1 + beta, q),
+        ~_is_square(roots[0], q) | ~_is_square(roots[1], q),
+        _powmod(5, (q - 1) // 4, q) != 1,
+        [not _has_representation(p, 20) for p in q.tolist()],
+        [not _has_representation(p, 100) for p in q.tolist()],
+    ]).astype(bool)
+
+
 # ---------------------------------------------------------------------------
 # the k in {13, 26} sequence test (q = 1 mod 52)
 
@@ -465,3 +488,15 @@ def thm1326_condition(spec: gf.FieldSpec, alpha: int | None = None) -> Thm1326Re
     ctx = make_starter_context(spec, 13, alpha=alpha)
     seq = char_sequence(ctx)
     return Thm1326Result(spec.q, seq.entries in SEQ_13_PATTERNS, seq)
+
+
+def thm1326_batch(qs) -> np.ndarray:
+    """(holds, d13, d26) at every prime q = 1 (mod 52) of qs at once, as a
+    (rows, 3) bool array: thm1326_condition's pattern test on t[1..6] of
+    the kernel's k = 13 table, and the kernel's decisions at k = 13, 26.
+    """
+    q = np.asarray(qs, dtype=np.int64)
+    _, _, t13 = _prime_tables(13, q)  # refuses odd q other than 1 mod 52
+    holds = [tuple(row) in SEQ_13_PATTERNS for row in t13[:, 1:7].tolist()]
+    d13 = _signed_count(t13) == 0
+    return np.column_stack([holds, d13, decide_prime_batch(26, q)]).astype(bool)

@@ -134,6 +134,22 @@ def test_verify_rejects_unsorted_block(capsys, tmp_path):
     assert err.startswith("error: block 1 is not 3 distinct points in increasing order")
 
 
+def test_verify_refuses_a_recount_over_the_cap(capsys, tmp_path):
+    # one block under a header of 10^6 points: the counter list for
+    # C(10^6, 3) triples used to raise MemoryError with a traceback
+    cap = str(design.MAX_RECOUNT_SUBSETS)
+    for t in ("3", "2"):
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000 3 1 1\n1 2 3\n")
+        code, out, err = _run(capsys, "verify", str(path), "--t", t)
+        assert (code, out) == (2, ""), t
+        assert err.startswith("error:") and f"1..{cap} of the recount cap" in err, t
+    # two points have no triples: refused rather than an IndexError
+    code, out, err = _verify_text(capsys, tmp_path, "2 1 1 1\n0\n")
+    assert (code, out) == (2, "")
+    assert "has C(2, 3) = 0 3-subsets" in err
+
+
 def test_build_non_design_file(capsys, tmp_path):
     path = str(tmp_path / "nd.txt")
     code, out, _ = _run(capsys, "build", "17", "4", "--out", path)
@@ -267,6 +283,18 @@ def test_lift_rejects_bad_fields(capsys):
     assert err.startswith("error:") and "not a prime power" in err
 
 
+def test_field_commands_refuse_oversize_q_before_factorising(capsys, monkeypatch):
+    def no_factorize(m):
+        raise AssertionError(f"factorised {m}")
+
+    monkeypatch.setattr(gf, "factorize", no_factorize)
+    q = str(2**61 - 1)  # a prime: trial division would take about 2^30 steps
+    for argv in (["check", q, "5"], ["seq", q, "5", "--json"], ["lift", q, "5", "1"]):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "exceeds the size limit" in err, argv
+
+
 def test_oracle_command(capsys):
     code, out, _ = _run(capsys, "oracle", "13")
     assert code == 0
@@ -297,6 +325,20 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_threads_option_is_gone(capsys):
+    """Every scan runs in the calling process; --threads is a usage error."""
+    for argv in (
+        ["sweep", "--k", "5", "--qmax", "700", "--threads", "2"],
+        ["thm510", "--pmax", "700", "--threads", "2"],
+        ["thm1326", "--pmax", "700", "--threads", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --threads" in err and "Traceback" not in err
 
 
 def _assert_alpha_refused(capsys, argv):

@@ -1,6 +1,6 @@
-"""Fuzzed CLI argument vectors: every input ends in exit code 0, 1 or 2
-and never in a traceback. Needs hypothesis (the `test` extra); the module
-is skipped without it."""
+"""Fuzzed CLI argument vectors and design files: every input ends in exit
+code 0, 1 or 2 and never in a traceback. Needs hypothesis (the `test`
+extra); the module is skipped without it."""
 
 import contextlib
 import io
@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from psldesigns import cli, search  # noqa: E402
+from psldesigns import cli, design, gf, search  # noqa: E402
 
 
 def _exit_code(argv: list[str]) -> int:
@@ -59,17 +59,19 @@ def _garbled(draw, argv: list[str]) -> list[str]:
 
 
 @st.composite
-def _field_and_k(draw, q_max: int) -> tuple[int, int]:
-    """Mostly a field order with a valid starter k, sometimes any ints."""
+def _field_and_k(draw, q_max: int, q_any: int) -> tuple[int, int]:
+    """Mostly a field order q <= q_max with a valid starter k, sometimes
+    any ints with q <= q_any."""
     if draw(_one_in(4)):
-        return draw(st.integers(-5, q_max)), draw(st.integers(-3, 120))
+        return draw(st.integers(-5, q_any)), draw(st.integers(-3, 120))
     q = draw(st.sampled_from([q for q in _STARTERS if q <= q_max]))
     return q, draw(st.sampled_from(_STARTERS[q]))
 
 
 @st.composite
 def _check_seq_argv(draw) -> list[str]:
-    q, k = draw(_field_and_k(3000))
+    # q past the size limit is refused before it is factorised
+    q, k = draw(_field_and_k(3000, 2**62))
     argv = [draw(st.sampled_from(["check", "seq"])), str(q), str(k)]
     if draw(_one_in(3)):
         argv += ["--alpha", str(draw(st.integers(-5, max(q, 0) + 5)))]
@@ -80,7 +82,7 @@ def _check_seq_argv(draw) -> list[str]:
 
 @st.composite
 def _build_argv(draw, out: str) -> list[str]:
-    q, k = draw(_field_and_k(50))
+    q, k = draw(_field_and_k(50, 50))
     argv = ["build", str(q), str(k), "--out", out]
     if draw(_one_in(3)):
         argv += ["--alpha", str(draw(st.integers(-5, max(q, 0) + 5)))]
@@ -125,3 +127,47 @@ def test_fuzz_build_arguments(data):
 @given(argv=_sweep_argv())
 def test_fuzz_sweep_arguments(argv):
     _exit_code(argv)
+
+
+_TOKENS = ["", "x", "1.5", "-1", "-0", "1e3", "0x10", "\u0663", design.NON_DESIGN_FLAG]
+# the 3-(14, 4, 3) design of GF(13) and the non-design orbit of GF(17)
+_ORBITS = [
+    design.format_design(design.build_design(gf.make_prime_field(q), 4))
+    for q in (13, 17)
+]
+
+
+@st.composite
+def _design_text(draw) -> str:
+    """A built orbit file, or a header with small random blocks and
+    sometimes a huge v; then, now and again, one line garbled with junk
+    tokens and one junk line inserted."""
+    if draw(_one_in(3)):
+        lines = draw(st.sampled_from(_ORBITS)).splitlines()
+    else:
+        v = draw(st.integers(10**6, 10**7) if draw(_one_in(6)) else st.integers(-3, 14))
+        k = draw(st.integers(2, 5))
+        point = st.integers(0, max(min(v, 14), k) - 1)
+        block = st.lists(point, min_size=k, max_size=k, unique=True).map(sorted)
+        blocks = draw(st.lists(block, min_size=1, max_size=6))
+        lam = draw(st.integers(0, 4))
+        lines = [f"{v} {k} {lam} {len(blocks)}"]
+        lines += [design.NON_DESIGN_FLAG] * (lam == 0)
+        lines += [" ".join(map(str, blk)) for blk in blocks]
+    if draw(_one_in(3)):
+        i = draw(st.integers(0, len(lines) - 1))
+        words = st.sampled_from(_TOKENS + lines[i].split())
+        lines[i] = " ".join(draw(st.lists(words, max_size=6)))
+    if draw(_one_in(6)):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_TOKENS)))
+    return "\n".join(lines) + "\n"
+
+
+@_FUZZ
+@given(text=_design_text(), t=st.sampled_from(["2", "3"]), as_json=st.booleans())
+def test_fuzz_verify_design_files(text, t, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/d.txt"
+        with open(path, "w") as fh:
+            fh.write(text)
+        _exit_code(["verify", path, "--t", t] + ["--json"] * as_json)

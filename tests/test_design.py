@@ -72,6 +72,12 @@ def test_verify_t_design_validation(d13):
         design.verify_t_design(d13.blocks, 4)
     with pytest.raises(ValueError):
         design.verify_t_design([], 3)
+    with pytest.raises(ValueError, match="recount cap"):
+        design.verify_t_design(d13.blocks, 3, v=10**6)
+    with pytest.raises(ValueError, match="recount cap"):
+        design.verify_t_design([(0, 1)], 3)
+    # the largest orbits the benchmark builds (q = 181) stay under the cap
+    assert math.comb(182, 3) <= design.MAX_RECOUNT_SUBSETS
 
 
 def test_build_design_13_4(d13):

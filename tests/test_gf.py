@@ -101,6 +101,19 @@ def test_field_for_order():
             gf.field_for_order(bad)
 
 
+def test_field_for_order_refuses_oversize_q_before_factorising(monkeypatch):
+    """A q over the size limit is refused without trial division, which
+    would take about 2^30 steps for the prime 2^61 - 1."""
+
+    def no_factorize(m):
+        raise AssertionError(f"factorised {m}")
+
+    monkeypatch.setattr(gf, "factorize", no_factorize)
+    for q in (2**61 - 1, gf.DEFAULT_Q_LIMIT + 11, 3**20):
+        with pytest.raises(ValueError, match="exceeds the size limit"):
+            gf.field_for_order(q)
+
+
 def test_coeffs_roundtrip(f49):
     for a in range(f49.q):
         cs = gf.element_coeffs(f49, a)

@@ -39,7 +39,10 @@ def test_sweep_k5_frozen():
     res = search.sweep(5, 700)
     assert (res.k, res.bound) == (5, 700)
     assert res.hits == (41, 61, 241, 281, 421, 601, 641, 661)
-    # no prime-power candidates appear below 700 for k = 5
+    # the prime-power candidates below 700 for k = 5 are 81, 121 and 361,
+    # and none of them is a hit
+    entries = search.sweep_entries(5, 700, include_prime_powers=True)
+    assert [e.q for e in entries if e.n > 1] == [81, 121, 361]
     assert search.sweep(5, 700, include_prime_powers=True).hits == res.hits
     assert search.sweep(5, 1000).hits == res.hits + (701, 821, 881)
 
@@ -62,39 +65,25 @@ def test_sweep_entries_fields():
     assert [e.gives_design for e in entries] == [True, True, False, False]
 
 
-def test_sweep_threads_deterministic():
-    serial = search.sweep_entries(5, 700)
-    assert len(serial) == 14
-    assert search.sweep_entries(5, 700, threads=2) == serial
-    # workers take only the extension fields, here 3 jobs in chunks of 1,
-    # so both workers take some; the prime rows stay in the kernel
-    serial = search.sweep_entries(5, 700, include_prime_powers=True)
-    assert [e.q for e in serial if e.n > 1] == [81, 121, 361]
-    assert search.sweep_entries(5, 700, True, threads=2) == serial
-
-
 def test_sweep_chunking_never_changes_entries(monkeypatch):
     """Kernel chunks of 1 row, of 7 rows and of more rows than there are
-    candidates, with 1 or 2 workers for the extension fields, give the
-    same entries; the k = 13 sweep with prime powers mixes kernel rows
-    with extension fields."""
+    candidates give the same sweep entries and equivalence reports; the
+    k = 13 sweep with prime powers mixes kernel rows with extension
+    fields."""
     cases = [(5, 3000, False), (13, 30000, True), (58, 20000, False)]
     want = [search.sweep_entries(k, q_max, pp) for k, q_max, pp in cases]
     assert [len(w) for w in want] == [48, 148, 46]
     assert any(ent.n > 1 for ent in want[1])
+    scans = [("thm510", 3000), ("thm1326", 30000)]
+    want_scans = [search.thm_equivalence_sweep(name, p_max) for name, p_max in scans]
+    # the scans check the prime candidates of the k = 5 and k = 13 sweeps
+    assert [rep.checked for rep in want_scans] == [48, 140]
     for rows in (1, 7, 10**6):
         monkeypatch.setattr(search, "DECIDE_CHUNK_ROWS", rows)
-        for threads in (1, 2):
-            got = [search.sweep_entries(k, q_max, pp, threads) for k, q_max, pp in cases]
-            assert got == want, (rows, threads)
-
-
-def test_map_keeps_input_order():
-    items = list(range(-30, 0))
-    want = [abs(x) for x in items]
-    assert search._map(abs, items, 1) == want
-    assert search._map(abs, items, 2) == want  # 8 chunks of 4 or fewer
-    assert search._map(abs, [], 2) == []
+        got = [search.sweep_entries(k, q_max, pp) for k, q_max, pp in cases]
+        assert got == want, rows
+        got = [search.thm_equivalence_sweep(name, p_max) for name, p_max in scans]
+        assert got == want_scans, rows
 
 
 def test_sweep_bound_over_size_limit_refused_before_sieving(monkeypatch):
@@ -200,13 +189,6 @@ def test_thm1326_equivalence_sweep():
     assert rep.checked == 27
     assert rep.disagreements == ()
     assert rep.hits == (3121, 3797, 4993)
-
-
-def test_thm_equivalence_sweep_threads():
-    a = search.thm_equivalence_sweep("thm510", 700)
-    assert a.checked == 14  # chunks of 2 over the 2 workers
-    b = search.thm_equivalence_sweep("thm510", 700, threads=2)
-    assert a == b
 
 
 def test_thm_equivalence_sweep_unknown_name():

@@ -262,10 +262,8 @@ def test_thm510_frozen(f41, f61):
     for spec in (f41, f61):
         c = starter.thm510_conditions(spec)
         assert c.values() == [True] * 7
-        assert c.all_agree()
     c = starter.thm510_conditions(gf.make_prime_field(101))
     assert c.values() == [False] * 7
-    assert c.all_agree()
 
 
 def test_thm510_prime_power(f29):
@@ -440,3 +438,46 @@ def test_decide_prime_batch_near_the_size_limit():
     got = starter.decide_prime_batch(k, qs).tolist()
     assert got == [starter.gives_design(_ctx(q, k)) for q in qs]
     assert True in got and False in got
+
+
+def test_thm510_batch_matches_scalar_conditions():
+    """The batched c1..c7 against thm510_conditions at every prime
+    p = 1 mod 20 below 3000, with hits and non-hits among them."""
+    ps = [p for p in search.sieve_primes(3000) if p % 20 == 1]
+    got = starter.thm510_batch(ps).tolist()
+    want = [starter.thm510_conditions(gf.make_prime_field(p)).values() for p in ps]
+    assert got == want
+    assert len(ps) == 48 and [True] * 7 in got and [False] * 7 in got
+
+
+def test_thm1326_batch_matches_scalar_condition():
+    """The batched (holds, d13, d26) against thm1326_condition and the
+    scalar contexts at k = 13 and k = 26, at every prime p = 1 mod 52
+    below 3000 and at the hits 3121, 3797 and 4993."""
+    ps = [p for p in search.sieve_primes(3000) if p % 52 == 1] + [3121, 3797, 4993]
+    got = starter.thm1326_batch(ps).tolist()
+    want = [
+        [
+            starter.thm1326_condition(gf.make_prime_field(p)).holds,
+            starter.gives_design(_ctx(p, 13)),
+            starter.gives_design(_ctx(p, 26)),
+        ]
+        for p in ps
+    ]
+    assert got == want
+    assert len(ps) == 21 and got[-3:] == [[True] * 3] * 3
+
+
+def test_scan_batches_validate_their_primes():
+    assert starter.thm510_batch([]).shape == (0, 7)
+    assert starter.thm1326_batch([]).shape == (0, 3)
+    with pytest.raises(ValueError, match="does not divide"):
+        starter.thm510_batch([41, 53])
+    with pytest.raises(ValueError, match="requires q = 1 mod 4"):
+        starter.thm510_batch([41, 31])
+    with pytest.raises(ValueError, match="does not divide"):
+        starter.thm1326_batch([41])
+    with pytest.raises(ValueError, match="requires q = 1 mod 4"):
+        starter.thm1326_batch([79])  # = 1 mod 26
+    with pytest.raises(ValueError, match="size limit"):
+        starter.thm510_batch([2**31 + 13])

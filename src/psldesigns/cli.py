@@ -354,8 +354,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("sweep requires --k, --table, or --pair")
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

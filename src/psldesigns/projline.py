@@ -20,10 +20,6 @@ from psldesigns import gf
 DEFAULT_ORACLE_LIMIT = 64
 
 
-def point_at_infinity(spec: gf.FieldSpec) -> int:
-    return spec.q
-
-
 def all_points(spec: gf.FieldSpec) -> range:
     return range(spec.q + 1)
 

@@ -150,6 +150,52 @@ def test_verify_refuses_a_recount_over_the_cap(capsys, tmp_path):
     assert "has C(2, 3) = 0 3-subsets" in err
 
 
+def test_verify_refuses_blocks_smaller_than_t(capsys, tmp_path):
+    # a block of one point covers no pair: refused, not a 2-design with
+    # lambda 0
+    path = tmp_path / "short.txt"
+    path.write_text("2 1 1 1\n0\n")
+    code, out, err = _run(capsys, "verify", str(path), "--t", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: blocks of 1 points contain no 2-subsets")
+
+
+def test_verify_refuses_a_point_beyond_int64(capsys, tmp_path):
+    for block in ("0 1 99999999999999999999", "-99999999999999999999 0 1"):
+        code, out, err = _verify_text(capsys, tmp_path, f"4 3 0 1\nNOT-A-3-DESIGN\n{block}\n")
+        assert (code, out) == (2, ""), block
+        assert err == f"error: block 1 has a point outside the range 0..3: {block}\n"
+
+
+def test_verify_counts_repeated_blocks_as_a_multiset(capsys, tmp_path):
+    # a non-simple design is still a t-design: d13 with every block twice
+    # is a 3-(14, 4, 6) design with 546 blocks
+    path = str(tmp_path / "d13.txt")
+    assert cli.main(["build", "13", "4", "--out", path]) == 0
+    capsys.readouterr()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "14 4 3 273"
+    doubled = ["14 4 6 546"] + [ln for ln in lines[1:] for _ in (0, 1)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(doubled) + "\n")
+    code, out, _ = _run(capsys, "verify", path)
+    assert code == 0
+    assert "recomputed lambda: 6" in out and "match: True" in out
+    code, out, _ = _run(capsys, "verify", path, "--t", "2")
+    assert code == 0
+    assert "recomputed lambda: 36" in out
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_verify", exhausted)
+    code, out, err = _run(capsys, "verify", "any.txt")
+    assert (code, out, err) == (2, "", "error: MemoryError\n")
+
+
 def test_build_non_design_file(capsys, tmp_path):
     path = str(tmp_path / "nd.txt")
     code, out, _ = _run(capsys, "build", "17", "4", "--out", path)

@@ -3,9 +3,10 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from psldesigns import design, gf, projline, starter
+from psldesigns import design, gf, projline, search, starter
 
 
 @pytest.fixture(scope="module")
@@ -22,20 +23,117 @@ def _block(spec, k):
     return starter.make_starter_context(spec, k).block
 
 
+def _same_design(a, b):
+    """Every field equal, the blocks by np.array_equal."""
+    fields = ("q", "k", "lam", "is_design")
+    return [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields] and (
+        np.array_equal(a.blocks, b.blocks)
+    )
+
+
+# --- oracles: the tuple-and-set orbit closure and the nested-loop coverage
+# counters that the array path replaced; they share no code with it
+
+
+def _oracle_orbit(spec, block):
+    """The orbit as a sorted list of sorted point tuples, by breadth-first
+    closure over a set of tuples."""
+    perms = [projline.point_permutation(spec, g) for g in projline.psl_generators(spec)]
+    start = tuple(sorted(block))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for blk in frontier:
+            for perm in perms:
+                img = tuple(sorted(perm[z] for z in blk))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return sorted(seen)
+
+
+def _oracle_counts(v, blocks, t):
+    """Coverage count per t-subset of range(v), colex-ranked, by nested
+    loops over each block's pairs or triples."""
+    counts = [0] * math.comb(v, t)
+    c2 = [math.comb(y, 2) for y in range(v)]
+    c3 = [math.comb(z, 3) for z in range(v)]
+    for blk in blocks:
+        if t == 2:
+            for yi in range(1, len(blk)):
+                for xi in range(yi):
+                    counts[c2[blk[yi]] + blk[xi]] += 1
+            continue
+        for zi in range(2, len(blk)):
+            for yi in range(1, zi):
+                for xi in range(yi):
+                    counts[c3[blk[zi]] + c2[blk[yi]] + blk[xi]] += 1
+    return counts
+
+
+def _valid_pairs(q_max):
+    """Every (q, k) with a valid starter, q <= q_max prime or prime power."""
+    pairs = []
+    for p, _, q in search.enumerate_prime_powers(q_max):
+        if p == 2:
+            continue
+        spec = gf.field_for_order(q)
+        for k in range(1, q):
+            try:
+                starter.make_starter_context(spec, k)
+            except ValueError:
+                continue
+            pairs.append((q, k))
+    return pairs
+
+
+SMALL_PAIRS = _valid_pairs(50)
+
+
+def test_small_pairs_cover_primes_and_prime_powers():
+    qs = {q for q, _ in SMALL_PAIRS}
+    assert {9, 25, 49} <= qs and {13, 17, 29, 37, 41} <= qs
+    assert len(SMALL_PAIRS) >= 30
+
+
+@pytest.mark.parametrize(("q", "k"), SMALL_PAIRS)
+def test_array_path_matches_oracles(q, k):
+    spec = gf.field_for_order(q)
+    block = _block(spec, k)
+    want = _oracle_orbit(spec, block)
+    blocks = design.expand_orbit(spec, block)
+    assert blocks.dtype == np.int64 and blocks.flags.c_contiguous
+    assert blocks.tolist() == [list(blk) for blk in want]
+    for t in (2, 3):
+        counts = _oracle_counts(q + 1, want, t)
+        flat = counts[0] if len(set(counts)) == 1 else None
+        assert design.verify_t_design(blocks, t) == flat, t
+        assert design._coverage_counts(blocks, t, q + 1, 7).tolist() == counts, t
+
+
+def test_coverage_counts_do_not_depend_on_the_chunk_size(f41, f9):
+    for spec, k in ((f41, 10), (f41, 5), (f9, 4)):
+        blocks = design.expand_orbit(spec, _block(spec, k))
+        for t in (2, 3):
+            runs = [design._coverage_counts(blocks, t, spec.q + 1, n) for n in (1, 7, 10**6)]
+            assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+
+
 def test_expand_orbit_13_4(f13):
     blocks = design.expand_orbit(f13, _block(f13, 4))
-    assert len(blocks) == 273
-    assert blocks == sorted(set(blocks))
-    for blk in blocks:
-        assert len(blk) == 4
-        assert list(blk) == sorted(blk)
-        assert 0 <= blk[0] and blk[-1] <= 13
+    assert blocks.shape == (273, 4)
+    rows = [tuple(blk) for blk in blocks.tolist()]
+    assert rows == sorted(set(rows))
+    assert (blocks[:, 1:] > blocks[:, :-1]).all()
+    assert blocks.min() >= 0 and blocks.max() <= 13
 
 
 def test_expand_orbit_order_insensitive(f13):
     blk = _block(f13, 4)
     shuffled = (blk[2], blk[0], blk[3], blk[1])
-    assert design.expand_orbit(f13, blk) == design.expand_orbit(f13, shuffled)
+    assert np.array_equal(design.expand_orbit(f13, blk), design.expand_orbit(f13, shuffled))
 
 
 def test_expand_orbit_rejects_repeats(f13):
@@ -76,6 +174,11 @@ def test_verify_t_design_validation(d13):
         design.verify_t_design(d13.blocks, 3, v=10**6)
     with pytest.raises(ValueError, match="recount cap"):
         design.verify_t_design([(0, 1)], 3)
+    # blocks smaller than t cover nothing: refused, not a design with lambda 0
+    with pytest.raises(ValueError, match="no 2-subsets"):
+        design.verify_t_design([(0,), (1,)], 2)
+    with pytest.raises(ValueError, match="outside the range 0..3"):
+        design.verify_t_design([(0, 1, 4)], 3, v=4)
     # the largest orbits the benchmark builds (q = 181) stay under the cap
     assert math.comb(182, 3) <= design.MAX_RECOUNT_SUBSETS
 
@@ -115,9 +218,9 @@ def test_build_design_q_3_mod_4(f13):
 
 def test_verify_design_catches_tampering(d13):
     # duplicate one block in place of another: coverage goes non-flat
-    blocks = list(d13.blocks)
+    blocks = d13.blocks.copy()
     blocks[0] = blocks[1]
-    assert not design.verify_design(dataclasses.replace(d13, blocks=tuple(blocks)))
+    assert not design.verify_design(dataclasses.replace(d13, blocks=blocks))
     # wrong lambda
     assert not design.verify_design(dataclasses.replace(d13, lam=4))
     # claiming non-design over actually flat blocks
@@ -125,9 +228,14 @@ def test_verify_design_catches_tampering(d13):
         dataclasses.replace(d13, lam=0, is_design=False)
     )
     # unsorted block
-    blocks = list(d13.blocks)
-    blocks[0] = tuple(reversed(blocks[0]))
-    assert not design.verify_design(dataclasses.replace(d13, blocks=tuple(blocks)))
+    blocks = d13.blocks.copy()
+    blocks[0] = blocks[0][::-1]
+    assert not design.verify_design(dataclasses.replace(d13, blocks=blocks))
+    # every block twice: flat coverage with lambda doubled, but an orbit
+    # never repeats a block
+    twice = dataclasses.replace(d13, lam=6, blocks=np.repeat(d13.blocks, 2, axis=0))
+    assert design.verify_t_design(twice.blocks, 3) == 6
+    assert not design.verify_design(twice)
 
 
 def test_stabilizer_order_frozen(f13, f17, f41, d13):
@@ -188,7 +296,11 @@ def test_format_parse_round_trip(d13, d17):
     for d in (d13, d17):
         text = design.format_design(d)
         back = design.parse_design(text)
-        assert back == dataclasses.replace(d, blocks=tuple(sorted(d.blocks)))
+        rows = np.array(sorted(map(tuple, d.blocks.tolist())))
+        assert _same_design(back, dataclasses.replace(d, blocks=rows))
+        # rows are written in lexicographic order whatever order they are in
+        reordered = dataclasses.replace(d, blocks=d.blocks[::-1][np.r_[1:d.b, 0]])
+        assert design.format_design(reordered) == text
     head = design.format_design(d13).splitlines()[0]
     assert head == "14 4 3 273"
     assert design.format_design(d17).splitlines()[1] == design.NON_DESIGN_FLAG
@@ -197,7 +309,7 @@ def test_format_parse_round_trip(d13, d17):
 def test_write_read_round_trip(tmp_path, d13):
     path = tmp_path / "out.txt"
     design.write_design(d13, str(path))
-    assert design.read_design(str(path)) == d13
+    assert _same_design(design.read_design(str(path)), d13)
 
 
 def test_parse_errors(d13):
@@ -215,3 +327,28 @@ def test_parse_errors(d13):
         design.parse_design("5 3 1 1\nNOT-A-3-DESIGN\n0 1 2\n")
     with pytest.raises(ValueError, match="disagree"):
         design.parse_design("5 3 0 1\n0 1 2\n")
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        design.parse_design("5 3 1 1\n0 x 2\n")
+    # a header block count is checked against the lines, never allocated
+    with pytest.raises(ValueError, match="expected 10000000000000 blocks, found 1"):
+        design.parse_design("5 3 1 10000000000000\n0 1 2\n")
+    # a token beyond int64 is refused, not saturated or wrapped
+    with pytest.raises(ValueError, match="block 2 has a point outside the range 0..4: 1 2 9{20}$"):
+        design.parse_design("5 3 1 2\n0 1 2\n1 2 99999999999999999999\n")
+    # Python's int reads 1_0 as 10, numpy does not: refused, not misread
+    with pytest.raises(ValueError, match="blocks 1..1 are not whitespace-separated"):
+        design.parse_design("12 3 1 1\n0 1_0 11\n")
+
+
+def test_text_chunks_do_not_change_format_or_parse(d13, d17, monkeypatch):
+    texts = [design.format_design(d) for d in (d13, d17)]
+    lines = texts[0].splitlines()
+    lines[100] = "0 1 2 99999999999999999999"
+    bad = "\n".join(lines)
+    for size in (1, 7, 64):
+        monkeypatch.setattr(design, "TEXT_CHUNK_CHARS", size)
+        for d, text in zip((d13, d17), texts):
+            assert design.format_design(d) == text
+            assert _same_design(design.parse_design(text), d)
+        with pytest.raises(ValueError, match="block 100 has a point outside"):
+            design.parse_design(bad)

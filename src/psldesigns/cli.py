@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -276,7 +277,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() of a process and then reused.
+    Each subcommand names its handler, which main() looks up in the module
+    at call time, so a handler replaced after the first call is the one
+    that runs."""
     top = argparse.ArgumentParser(
         prog="psldesigns",
         description="Decide and build block-transitive 3-designs from "
@@ -289,27 +295,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(handler="cmd_check")
 
     p = sub.add_parser("build", help="expand the orbit into a design file")
     p.add_argument("q", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--alpha", type=int, default=None)
-    p.set_defaults(func=cmd_build)
+    p.set_defaults(handler="cmd_build")
 
     p = sub.add_parser("verify", help="recount coverage of a design file")
     p.add_argument("path")
     p.add_argument("--t", type=int, default=3, choices=(2, 3))
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(handler="cmd_verify")
 
     p = sub.add_parser("seq", help="print the character sequence")
     p.add_argument("q", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_seq)
+    p.set_defaults(handler="cmd_seq")
 
     p = sub.add_parser("sweep", help="design-giving q for a fixed k")
     p.add_argument("--k", type=int)
@@ -319,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime-powers", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(handler="cmd_sweep")
 
     for name, help_ in (
         ("thm510", "k in {5,10} seven-way equivalence sweep"),
@@ -328,21 +334,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--pmax", type=int, required=True)
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=cmd_equivalence)
+        p.set_defaults(handler="cmd_equivalence")
 
     p = sub.add_parser("lift", help="criterion at q and at q^n")
     p.add_argument("q", type=int)
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_lift)
+    p.set_defaults(handler="cmd_lift")
 
     p = sub.add_parser("oracle", help="triple-orbit oracle agreement at small q")
     p.add_argument("q", type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(handler="cmd_oracle")
 
     return top
 
@@ -350,10 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_sweep and not args.pair and not args.table and args.k is None:
+    if args.command == "sweep" and not args.pair and not args.table and args.k is None:
         parser.error("sweep requires --k, --table, or --pair")
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -137,8 +137,9 @@ def _coverage_counts(
     The rank of x1 < ... < xt is the sum of C(xi, i), a bijection onto
     range(C(v, t)). Each chunk of chunk_rows blocks ranks all its
     t-subsets at once, through the C(k, t) x t table of positions and a
-    table of C(x, i) per i, and np.bincount adds them up. Pure counting:
-    no group theory enters.
+    table of C(x, i) per i, and np.add.at adds them into the counts in
+    place (numpy >= 1.25 has its fast path), with no C(v, t)-long
+    temporary per chunk. Pure counting: no group theory enters.
     """
     at = np.array(list(itertools.combinations(range(blocks.shape[1]), t)))
     binom = [np.array([comb(x, i + 1) for x in range(v)]) for i in range(t)]
@@ -148,7 +149,7 @@ def _coverage_counts(
         ranks = binom[0][rows][:, at[:, 0]]
         for i in range(1, t):
             ranks += binom[i][rows][:, at[:, i]]
-        counts += np.bincount(ranks.ravel(), minlength=len(counts))
+        np.add.at(counts, ranks.ravel(), 1)
     return counts
 
 

@@ -13,7 +13,8 @@ and hashable, so concurrent readers need no coordination.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 DEFAULT_Q_LIMIT = 2**31
@@ -27,6 +28,10 @@ class FieldSpec:
       low degree first; empty for prime fields.
     alpha: canonical generator of the multiplicative group, the smallest
       encoding of order q - 1.
+    frobenius: the columns of the Frobenius map a -> a**p as a GF(p)-linear
+      map, column i the coefficients of x**(i*p) mod the modulus; empty for
+      prime fields. A function of (p, modulus), so it takes no part in
+      equality.
     """
 
     p: int
@@ -34,15 +39,31 @@ class FieldSpec:
     modulus: tuple[int, ...]
     q: int
     alpha: int
+    frobenius: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
+
+
+@lru_cache(maxsize=None)
+def _small_primes() -> tuple[int, ...]:
+    """The primes up to isqrt(DEFAULT_Q_LIMIT), enough to factor any m up
+    to the limit; sieved once, on first use."""
+    n = math.isqrt(DEFAULT_Q_LIMIT)
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
 @lru_cache(maxsize=None)
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of m >= 1 as ((prime, multiplicity), ...)."""
+    """Prime factorization of 1 <= m <= DEFAULT_Q_LIMIT as
+    ((prime, multiplicity), ...), by trial division by primes."""
     if m < 1:
         raise ValueError(f"cannot factorize {m}")
+    check_size(m)
     out = []
-    for f in itertools.chain((2,), itertools.count(3, 2)):
+    for f in _small_primes():
         if f * f > m:
             break
         if m % f == 0:
@@ -205,12 +226,48 @@ def mul(spec: FieldSpec, a: int, b: int) -> int:
     return element_from_coeffs(spec, _pmulmod(ca, cb, spec.modulus, spec.p))
 
 
+def _frobenius_image(spec: FieldSpec, ca: list) -> list:
+    """The coefficients of a**p from those of a (n >= 2)."""
+    img = [0] * spec.n
+    for c, col in zip(ca, spec.frobenius):
+        if c:
+            for j, m in enumerate(col):
+                img[j] += c * m
+    return _ptrim([x % spec.p for x in img])
+
+
+def _norm_parts(spec: FieldSpec, a: int) -> tuple[int, list]:
+    """(N(a), a**p * ... * a**(p**(n-1))) for n >= 2, the second as
+    coefficients; each conjugate is the Frobenius image of the one before."""
+    p, f = spec.p, spec.modulus
+    ca = _ptrim(element_coeffs(spec, a))
+    rest = conj = _frobenius_image(spec, ca)
+    for _ in range(spec.n - 2):
+        conj = _frobenius_image(spec, conj)
+        rest = _pmulmod(rest, conj, f, p)
+    full = _pmulmod(ca, rest, f, p)
+    assert len(full) <= 1, "the norm lies in GF(p)"
+    return (full[0] if full else 0), rest
+
+
+def norm(spec: FieldSpec, a: int) -> int:
+    """N(a) = a * a**p * ... * a**(p**(n-1)) = a**((q-1)/(p-1)), an element
+    of GF(p); N(a) = a on a prime field."""
+    if spec.n == 1:
+        return a
+    return _norm_parts(spec, a)[0]
+
+
 def inv(spec: FieldSpec, a: int) -> int:
+    """a**-1; on GF(p^n), (a**p * ... * a**(p**(n-1))) / N(a)."""
     if a == 0:
         raise ValueError("0 has no multiplicative inverse")
+    p = spec.p
     if spec.n == 1:
-        return pow(a, -1, spec.p)
-    return power(spec, a, spec.q - 2)
+        return pow(a, -1, p)
+    na, rest = _norm_parts(spec, a)
+    s = pow(na, -1, p)
+    return element_from_coeffs(spec, [c * s for c in rest])
 
 
 def power(spec: FieldSpec, a: int, e: int) -> int:
@@ -243,14 +300,16 @@ def element_order(spec: FieldSpec, a: int) -> int:
 def chi(spec: FieldSpec, a: int) -> int:
     """Quadratic character: +1 on nonzero squares, -1 on nonsquares.
 
-    chi(0) is undefined and raises.
+    chi(a) = chi_p(N(a)), Euler's criterion on the norm in GF(p), since
+    (q-1)/2 = ((q-1)/(p-1)) * (p-1)/2. chi(0) is undefined and raises.
     """
     if a == 0:
         raise ValueError("chi(0) is undefined")
-    r = power(spec, a, (spec.q - 1) // 2)
+    p = spec.p
+    r = pow(norm(spec, a), (p - 1) // 2, p)
     if r == 1:
         return 1
-    assert r == spec.p - 1  # the only other square root of 1
+    assert r == p - 1  # the only other square root of 1
     return -1
 
 
@@ -295,11 +354,15 @@ def check_size(q: int) -> None:
 
 
 def _has_full_order(spec: FieldSpec, a: int) -> bool:
-    q1 = spec.q - 1
-    for f, _ in factorize(q1):
-        if power(spec, a, q1 // f) == 1:
-            return False
-    return True
+    """a**((q-1)/f) != 1 for every prime f | q - 1. For f | p - 1 that
+    power is N(a)**((p-1)/f), taken in GF(p); only the primes of
+    (q-1)/(p-1) prime to p - 1 need the field's own power."""
+    p, q1 = spec.p, spec.q - 1
+    na = norm(spec, a)
+    fs = [f for f, _ in factorize(q1)]
+    if any(pow(na, (p - 1) // f, p) == 1 for f in fs if (p - 1) % f == 0):
+        return False
+    return all(power(spec, a, q1 // f) != 1 for f in fs if (p - 1) % f)
 
 
 def _smallest_generator(spec: FieldSpec) -> int:
@@ -354,7 +417,12 @@ def make_extension_field(p: int, n: int) -> FieldSpec:
             modulus = tuple(f)
             break
     assert modulus is not None  # irreducibles of every degree exist
-    spec = FieldSpec(p=p, n=n, modulus=modulus, q=q, alpha=0)
+    xp = _ppowmod([0, 1], p, modulus, p)
+    cols, col = [], [1]
+    for _ in range(n):
+        cols.append(tuple(col + [0] * (n - len(col))))
+        col = _pmulmod(col, xp, modulus, p)
+    spec = FieldSpec(p=p, n=n, modulus=modulus, q=q, alpha=0, frobenius=tuple(cols))
     spec = replace(spec, alpha=_smallest_generator(spec))
     _FIELD_CACHE[(p, n)] = spec
     return spec

@@ -196,6 +196,32 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: MemoryError\n")
 
 
+def test_memory_error_exits_2_after_the_parser_is_built(capsys, monkeypatch):
+    # the parser is built once per process; a handler replaced after that
+    # is still the one that runs
+    assert _run(capsys, "check", "41", "5")[0] == 0
+    test_memory_error_exits_2(capsys, monkeypatch)
+
+
+def test_reused_parser_keeps_no_options_from_earlier_calls(capsys):
+    code, out, _ = _run(capsys, "check", "41", "5", "--alpha", "7", "--json")
+    assert (code, json.loads(out)["alpha"]) == (0, 7)
+    code, out, _ = _run(capsys, "check", "41", "5", "--json")
+    assert (code, json.loads(out)["alpha"]) == (0, 6)
+
+
+def test_reused_parser_matches_fresh_parsers(capsys):
+    argvs = (["sweep", "--table", "--qmax", "3000"], ["sweep", "--k", "5", "--qmax", "3000"])
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(_run(capsys, *argv))
+    cli._build_parser.cache_clear()
+    reused = [_run(capsys, *argv) for argv in argvs]
+    assert reused == fresh
+    assert fresh[1][0] == 0 and fresh[1][1].startswith("41 61 ")
+
+
 def test_build_non_design_file(capsys, tmp_path):
     path = str(tmp_path / "nd.txt")
     code, out, _ = _run(capsys, "build", "17", "4", "--out", path)

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -13,6 +14,44 @@ def test_factorize():
     assert gf.factorize(1) == ()
     with pytest.raises(ValueError):
         gf.factorize(0)
+
+
+# 1, 2, the square of the largest prime below isqrt(2^31), and the limit
+# 2^31 with the prime 2^31 - 1 below it
+FACTORIZE_EDGES = (1, 2, 46_337**2, 2**31 - 1, 2**31)
+
+
+def _factorize_sample():
+    rng = random.Random(2031)
+    return [rng.randrange(1, 2**31) for _ in range(300)] + list(FACTORIZE_EDGES)
+
+
+def test_factorize_rebuilds_m_from_primes():
+    for m in _factorize_sample():
+        fac = gf.factorize(m)
+        prod = 1
+        for f, mult in fac:
+            assert mult >= 1 and all(f % d for d in range(2, math.isqrt(f) + 1)), m
+            prod *= f**mult
+        assert prod == m
+        assert [f for f, _ in fac] == sorted({f for f, _ in fac})
+    assert gf.factorize(46_337**2) == ((46_337, 2),)
+    assert gf.factorize(2**31) == ((2, 31),)
+    assert gf.factorize(2**31 - 1) == ((2**31 - 1, 1),)
+
+
+def test_factorize_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _factorize_sample():
+        assert dict(gf.factorize(m)) == sympy.factorint(m), m
+
+
+def test_factorize_refuses_m_over_the_size_limit():
+    """The prime list covers every m up to the limit and no further, so a
+    larger m is refused rather than mis-factored."""
+    for m in (2**31 + 1, 46_349**2, 2**61 - 1):
+        with pytest.raises(ValueError, match="exceeds the size limit"):
+            gf.factorize(m)
 
 
 def test_prime_field_spec(f41):
@@ -71,24 +110,29 @@ def test_alpha_is_smallest_generator(f9, f25, f49):
             assert gf.element_order(spec, a) != spec.q - 1
 
 
-def test_extension_generator_search_from_p_matches_search_from_2():
-    """The generator search of GF(p^n), n >= 2, starts at p: no constant
-    below p has order q - 1. For every odd prime power q <= 2000 a search
-    from 2 finds the same alpha."""
-    fields = 0
-    for p in range(3, 45, 2):
+def _odd_extension_fields(limit):
+    """GF(p^n) for every odd prime power p^n <= limit with n >= 2."""
+    for p in range(3, math.isqrt(limit) + 1, 2):
         if gf.factorize(p) != ((p, 1),):
             continue
-        for n in range(2, 8):
-            if p**n > 2000:
-                break
-            spec = gf.make_extension_field(p, n)
-            from_2 = next(
-                a for a in range(2, spec.q) if gf.element_order(spec, a) == spec.q - 1
-            )
-            assert spec.alpha == from_2 >= p, (p, n)
-            fields += 1
-    assert fields == 21
+        n = 2
+        while p**n <= limit:
+            yield gf.make_extension_field(p, n)
+            n += 1
+
+
+def test_extension_generator_search_from_p_matches_search_from_2():
+    """The generator search of GF(p^n), n >= 2, starts at p: no constant
+    below p has order q - 1. For every odd prime power q <= 20,000 a
+    search from 2 by element_order, the power route, finds the same
+    alpha as the norm-based generator test."""
+    fields = list(_odd_extension_fields(20_000))
+    assert len(fields) == 53
+    for spec in fields:
+        from_2 = next(
+            a for a in range(2, spec.q) if gf.element_order(spec, a) == spec.q - 1
+        )
+        assert spec.alpha == from_2 >= spec.p, (spec.p, spec.n)
 
 
 def test_field_for_order():
@@ -229,3 +273,51 @@ def test_sqrt(f13, f41, f29, f25):
 def test_field_cache():
     assert gf.make_prime_field(41) is gf.make_prime_field(41)
     assert gf.make_extension_field(3, 2) is gf.make_extension_field(3, 2)
+
+
+def _sampled_large_fields():
+    rng = random.Random(509)
+    for p, n in ((509, 2), (3, 11), (13, 5)):
+        spec = gf.make_extension_field(p, n)
+        yield spec, [rng.randrange(1, spec.q) for _ in range(200)]
+
+
+def _euler(spec, a):
+    return 1 if gf.power(spec, a, (spec.q - 1) // 2) == 1 else -1
+
+
+def test_norm_chi_and_inv_match_the_power_route():
+    """chi is Euler's criterion a**((q-1)/2) and inv a true inverse, on
+    every nonzero element of every odd GF(p^n) <= 2000, n >= 2, and on
+    samples of three larger fields; N(a) = a**((q-1)/(p-1))."""
+    fields = [(spec, range(1, spec.q)) for spec in _odd_extension_fields(2000)]
+    assert len(fields) == 21
+    for spec, elements in fields + list(_sampled_large_fields()):
+        r = (spec.q - 1) // (spec.p - 1)
+        for a in elements:
+            assert gf.chi(spec, a) == _euler(spec, a), (spec.q, a)
+            assert gf.mul(spec, a, gf.inv(spec, a)) == 1, (spec.q, a)
+            assert gf.norm(spec, a) == gf.power(spec, a, r), (spec.q, a)
+
+
+def test_norm_is_multiplicative_into_the_prime_field(f13, f9, f25, f49):
+    rng = random.Random(13)
+    specs = [f13, f9, f25, f49] + [spec for spec, _ in _sampled_large_fields()]
+    for spec in specs:
+        p = spec.p
+        assert gf.norm(spec, 1) == 1
+        for _ in range(200):
+            a, b = rng.randrange(1, spec.q), rng.randrange(1, spec.q)
+            na, nb = gf.norm(spec, a), gf.norm(spec, b)
+            assert 1 <= na < p and 1 <= nb < p
+            assert gf.norm(spec, gf.mul(spec, a, b)) == na * nb % p
+        # on GF(p) inside GF(p^n) the norm is c**n
+        for c in range(1, p):
+            assert gf.norm(spec, c) == pow(c, spec.n, p)
+
+
+def test_full_order_test_matches_element_order(f41, f9, f25, f49):
+    for spec in (f41, f9, f25, f49, gf.make_extension_field(3, 5)):
+        for a in range(1, spec.q):
+            full = gf.element_order(spec, a) == spec.q - 1
+            assert gf._has_full_order(spec, a) == full, (spec.q, a)

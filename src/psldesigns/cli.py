@@ -3,6 +3,10 @@
 Subcommands: check, build, verify, seq, sweep, thm510, thm1326, lift,
 oracle. Exit codes are a stable contract: 0 for success / condition true,
 1 for a verified-false or mismatch outcome, 2 for usage or input errors.
+
+Each cmd_* handler returns (exit code, answer), where the answer is what
+--json prints. Without --json, main() passes the answer to the text_*
+renderer of the same name, which reads nothing else.
 """
 
 from __future__ import annotations
@@ -17,13 +21,22 @@ import sys
 from psldesigns import design, gf, projline, search, starter
 
 DEFAULT_SEED = 20250841
+_ROW_FIELDS = ("k", "k_mod_24", "q", "p", "n", "e_parity", "lambda", "gives_design")
 
 
-def _fmt_sequence(seq: starter.CharSequence) -> str:
-    return ",".join(f"{s:+d}" for s in seq.entries)
+def _or(value, missing: str):
+    return missing if value is None else value
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def _ints(values) -> str:
+    return " ".join(map(str, values))
+
+
+def _signs(entries) -> str:
+    return ",".join(f"{s:+d}" for s in entries)
+
+
+def cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
     spec = gf.field_for_order(args.q)
     ctx = starter.make_starter_context(spec, args.k, alpha=args.alpha)
     ok = starter.gives_design(ctx)
@@ -36,320 +49,263 @@ def cmd_check(args: argparse.Namespace) -> int:
         seq = starter.char_sequence(ctx)
     except ValueError:
         seq = None
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "q": args.q,
-                    "k": args.k,
-                    "e": ctx.e,
-                    "e_parity": "odd" if ctx.e % 2 else "even",
-                    "alpha": ctx.alpha,
-                    "gives_design": ok,
-                    "lambda": lam,
-                    "delta_sum": dsum,
-                    "sequence": list(seq.entries) if seq else None,
-                    "sequence_convention": seq.convention if seq else None,
-                }
-            )
-        )
+    return (0 if ok else 1), {
+        "q": args.q,
+        "k": args.k,
+        "e": ctx.e,
+        "e_parity": "odd" if ctx.e % 2 else "even",
+        "alpha": ctx.alpha,
+        "gives_design": ok,
+        "lambda": lam,
+        "delta_sum": dsum,
+        "sequence": list(seq.entries) if seq else None,
+        "sequence_convention": seq.convention if seq else None,
+    }
+
+
+def text_check(a: dict) -> None:
+    print(f"q={a['q']} k={a['k']} e={a['e']} ({a['e_parity']})")
+    print(f"gives_design: {a['gives_design']}")
+    print(f"lambda: {_or(a['lambda'], 'n/a')}")
+    print(f"delta_sum: {_or(a['delta_sum'], 'n/a (odd cofactor)')}")
+    if a["sequence"] is None:
+        print("sequence: n/a (k = 0 mod 4)")
     else:
-        print(f"q={args.q} k={args.k} e={ctx.e} ({'odd' if ctx.e % 2 else 'even'})")
-        print(f"gives_design: {ok}")
-        print(f"lambda: {lam if lam is not None else 'n/a'}")
-        print(f"delta_sum: {dsum if dsum is not None else 'n/a (odd cofactor)'}")
-        if seq is not None:
-            print(f"sequence (alpha={ctx.alpha}): {_fmt_sequence(seq)}")
-        else:
-            print("sequence: n/a (k = 0 mod 4)")
-    return 0 if ok else 1
+        print(f"sequence (alpha={a['alpha']}): {_signs(a['sequence'])}")
 
 
-def cmd_build(args: argparse.Namespace) -> int:
+def cmd_build(args: argparse.Namespace) -> tuple[int, dict]:
     spec = gf.field_for_order(args.q)
     d = design.build_design(spec, args.k, alpha=args.alpha)
     design.write_design(d, args.out)
-    flag = "" if d.is_design else f"  [{design.NON_DESIGN_FLAG}]"
-    print(f"{d.v} {d.k} {d.lam} {d.b}{flag} -> {args.out}")
-    return 0
+    return 0, {"v": d.v, "k": d.k, "lambda": d.lam, "b": d.b,
+               "is_design": d.is_design, "out": args.out}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def text_build(a: dict) -> None:
+    flag = "" if a["is_design"] else f"  [{design.NON_DESIGN_FLAG}]"
+    print(f"{a['v']} {a['k']} {a['lambda']} {a['b']}{flag} -> {a['out']}")
+
+
+def cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     d = design.read_design(args.path)
     design.check_blocks(d)
     lam = design.verify_t_design(d.blocks, args.t, v=d.v)
-    if args.t == 2:
-        ok = lam is not None
-        claimed = None
-    else:
-        claimed = d.lam if d.is_design else None
-        ok = lam == claimed
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "path": args.path,
-                    "v": d.v,
-                    "k": d.k,
-                    "b": d.b,
-                    "t": args.t,
-                    "claimed_lambda": claimed,
-                    "recomputed_lambda": lam,
-                    "match": ok,
-                }
-            )
-        )
-    else:
-        shown = lam if lam is not None else "none (coverage not constant)"
-        print(f"{args.path}: v={d.v} k={d.k} b={d.b} t={args.t}")
-        print(f"recomputed lambda: {shown}")
-        if args.t == 3:
-            print(f"header lambda: {d.lam if d.is_design else 'non-design'}")
-            print(f"match: {ok}")
-    return 0 if ok else 1
+    claimed = d.lam if args.t == 3 and d.is_design else None
+    ok = lam is not None if args.t == 2 else lam == claimed
+    return (0 if ok else 1), {
+        "path": args.path,
+        "v": d.v,
+        "k": d.k,
+        "b": d.b,
+        "t": args.t,
+        "claimed_lambda": claimed,
+        "recomputed_lambda": lam,
+        "match": ok,
+    }
 
 
-def cmd_seq(args: argparse.Namespace) -> int:
+def text_verify(a: dict) -> None:
+    print(f"{a['path']}: v={a['v']} k={a['k']} b={a['b']} t={a['t']}")
+    shown = _or(a["recomputed_lambda"], "none (coverage not constant)")
+    print(f"recomputed lambda: {shown}")
+    if a["t"] == 3:
+        print(f"header lambda: {_or(a['claimed_lambda'], 'non-design')}")
+        print(f"match: {a['match']}")
+
+
+def cmd_seq(args: argparse.Namespace) -> tuple[int, dict]:
     spec = gf.field_for_order(args.q)
     ctx = starter.make_starter_context(spec, args.k, alpha=args.alpha)
     seq = starter.char_sequence(ctx)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "q": args.q,
-                    "k": args.k,
-                    "alpha": ctx.alpha,
-                    "sequence": list(seq.entries),
-                    "convention": seq.convention,
-                    "gives_design": starter.gives_design(ctx),
-                }
-            )
-        )
-    else:
-        print(f"alpha={ctx.alpha}: {_fmt_sequence(seq)}")
-    return 0
+    return 0, {
+        "q": args.q,
+        "k": args.k,
+        "alpha": ctx.alpha,
+        "sequence": list(seq.entries),
+        "convention": seq.convention,
+        "gives_design": starter.gives_design(ctx),
+    }
 
 
-def _emit_rows_csv(rows: list[dict[str, object]]) -> None:
-    fields = ["k", "k_mod_24", "q", "p", "n", "e_parity", "lambda", "gives_design"]
-    w = csv.DictWriter(sys.stdout, fieldnames=fields)
-    w.writeheader()
-    for row in rows:
-        w.writerow(row)
+def text_seq(a: dict) -> None:
+    print(f"alpha={a['alpha']}: {_signs(a['sequence'])}")
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[int, object]:
+    """--pair: the pair scan. --csv or --json: one row per candidate q.
+    Otherwise the hits of each k, taken from search.sweep, which builds no
+    row per candidate."""
     if args.pair:
-        k1, k2 = args.pair
-        scan = search.verify_pair_coincidence(k1, k2, args.qmax)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "k1": scan.k1,
-                        "k2": scan.k2,
-                        "qmax": scan.q_max,
-                        "hits1": list(scan.hits1),
-                        "hits2": list(scan.hits2),
-                        "coincide": scan.coincide,
-                        "first_divergence": scan.first_divergence,
-                    }
-                )
-            )
-        else:
-            print(f"k={k1}: {' '.join(map(str, scan.hits1))}")
-            print(f"k={k2}: {' '.join(map(str, scan.hits2))}")
-            if scan.coincide:
-                print("coincide up to the bound")
-            else:
-                print(f"diverge at {scan.first_divergence}")
-        return 0 if scan.coincide else 1
+        scan = search.verify_pair_coincidence(*args.pair, args.qmax)
+        return (0 if scan.coincide else 1), {
+            "k1": scan.k1,
+            "k2": scan.k2,
+            "qmax": scan.q_max,
+            "hits1": list(scan.hits1),
+            "hits2": list(scan.hits2),
+            "coincide": scan.coincide,
+            "first_divergence": scan.first_divergence,
+        }
     ks = list(search.SWEEP_TABLE_KS) if args.table else [args.k]
+    pp = args.prime_powers
     if args.csv or args.json:
-        rows = search.sweep_rows(ks, args.qmax, include_prime_powers=args.prime_powers)
-        if args.json:
-            print(json.dumps(rows))
-        else:
-            _emit_rows_csv(rows)
-        return 0
-    for k in ks:
-        res = search.sweep(k, args.qmax, include_prime_powers=args.prime_powers)
-        hits = " ".join(map(str, res.hits))
-        if args.table:
-            print(f"k={k} (mod 24: {k % 24}): {hits}")
-        else:
-            print(hits)
-    return 0
+        return 0, search.sweep_rows(ks, args.qmax, include_prime_powers=pp)
+    hits = {k: search.sweep(k, args.qmax, include_prime_powers=pp).hits for k in ks}
+    return 0, {"table": args.table, "hits": hits}
 
 
-def cmd_equivalence(args: argparse.Namespace) -> int:
+def text_sweep(a) -> None:
+    if isinstance(a, list):  # --csv
+        w = csv.DictWriter(sys.stdout, fieldnames=_ROW_FIELDS)
+        w.writeheader()
+        w.writerows(a)
+    elif "coincide" in a:  # --pair
+        print(f"k={a['k1']}: {_ints(a['hits1'])}")
+        print(f"k={a['k2']}: {_ints(a['hits2'])}")
+        if a["coincide"]:
+            print("coincide up to the bound")
+        else:
+            print(f"diverge at {a['first_divergence']}")
+    else:
+        for k, hits in a["hits"].items():
+            row = _ints(hits)
+            print(f"k={k} (mod 24: {k % 24}): {row}" if a["table"] else row)
+
+
+def cmd_equivalence(args: argparse.Namespace) -> tuple[int, dict]:
     """thm510 and thm1326: the subcommand name is the sweep's name."""
     rep = search.thm_equivalence_sweep(args.command, args.pmax)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "name": rep.name,
-                    "bound": rep.bound,
-                    "primes_checked": rep.checked,
-                    "all_consistent": rep.all_consistent,
-                    "disagreements": list(rep.disagreements),
-                    "hits": list(rep.hits),
-                }
-            )
-        )
-    else:
-        state = "holds" if rep.all_consistent else "FAILS"
-        print(
-            f"{rep.name}: equivalence {state} over {rep.checked} primes <= {rep.bound}"
-        )
-        if rep.disagreements:
-            print(f"disagreements: {' '.join(map(str, rep.disagreements))}")
-        print(f"hits: {' '.join(map(str, rep.hits))}")
-    return 0 if rep.all_consistent else 1
+    return (0 if rep.all_consistent else 1), {
+        "name": rep.name,
+        "bound": rep.bound,
+        "primes_checked": rep.checked,
+        "all_consistent": rep.all_consistent,
+        "disagreements": list(rep.disagreements),
+        "hits": list(rep.hits),
+    }
 
 
-def cmd_lift(args: argparse.Namespace) -> int:
+def text_equivalence(a: dict) -> None:
+    state = "holds" if a["all_consistent"] else "FAILS"
+    scope = f"{a['primes_checked']} primes <= {a['bound']}"
+    print(f"{a['name']}: equivalence {state} over {scope}")
+    if a["disagreements"]:
+        print(f"disagreements: {_ints(a['disagreements'])}")
+    print(f"hits: {_ints(a['hits'])}")
+
+
+def cmd_lift(args: argparse.Namespace) -> tuple[int, dict]:
     res = search.lift_check(args.q, args.k, args.n)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "q": res.q,
-                    "k": res.k,
-                    "n": res.n,
-                    "lifted_q": res.lifted_q,
-                    "base": res.base,
-                    "lifted": res.lifted,
-                    "consistent": res.consistent,
-                }
-            )
-        )
-    else:
-        print(f"({res.q}, {res.k}) base: {res.base}")
-        print(f"({res.lifted_q}, {res.k}) lifted (n={res.n}): {res.lifted}")
-        print(f"consistent with lifting rule: {res.consistent}")
-    return 0 if res.consistent else 1
+    return (0 if res.consistent else 1), {
+        "q": res.q,
+        "k": res.k,
+        "n": res.n,
+        "lifted_q": res.lifted_q,
+        "base": res.base,
+        "lifted": res.lifted,
+        "consistent": res.consistent,
+    }
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def text_lift(a: dict) -> None:
+    print(f"({a['q']}, {a['k']}) base: {a['base']}")
+    print(f"({a['lifted_q']}, {a['k']}) lifted (n={a['n']}): {a['lifted']}")
+    print(f"consistent with lifting rule: {a['consistent']}")
+
+
+def cmd_oracle(args: argparse.Namespace) -> tuple[int, dict]:
     spec = gf.field_for_order(args.q)
     orbits = projline.brute_force_triple_orbits(spec)
     mismatches = sum(
-        1
-        for t, label in orbits.items()
-        if projline.delta_extended(spec, t) != label
+        projline.delta_extended(spec, t) != label for t, label in orbits.items()
     )
     rng = random.Random(args.seed)
     pts = list(projline.all_points(spec))
     cov_bad = 0
-    trials = args.trials
-    for _ in range(trials):
+    for _ in range(args.trials):
         g = projline.random_element(spec, rng)
         t = tuple(rng.sample(pts, 3))
         before = projline.delta_extended(spec, t)
-        after = projline.delta_extended(
-            spec, tuple(projline.apply(spec, g, z) for z in t)
-        )
-        if before != after:
-            cov_bad += 1
+        image = tuple(projline.apply(spec, g, z) for z in t)
+        cov_bad += before != projline.delta_extended(spec, image)
     ok = mismatches == 0 and cov_bad == 0
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "q": args.q,
-                    "triples": len(orbits),
-                    "classifier_mismatches": mismatches,
-                    "covariance_trials": trials,
-                    "covariance_failures": cov_bad,
-                    "seed": args.seed,
-                    "agreement": ok,
-                }
-            )
-        )
-    else:
-        print(f"q={args.q}: {len(orbits)} triples in 2 orbits")
-        print(f"classifier mismatches: {mismatches}")
-        print(f"covariance failures: {cov_bad}/{trials} (seed {args.seed})")
-        print(f"agreement: {ok}")
-    return 0 if ok else 1
+    return (0 if ok else 1), {
+        "q": args.q,
+        "triples": len(orbits),
+        "classifier_mismatches": mismatches,
+        "covariance_trials": args.trials,
+        "covariance_failures": cov_bad,
+        "seed": args.seed,
+        "agreement": ok,
+    }
+
+
+def text_oracle(a: dict) -> None:
+    print(f"q={a['q']}: {a['triples']} triples in 2 orbits")
+    print(f"classifier mismatches: {a['classifier_mismatches']}")
+    failures = f"{a['covariance_failures']}/{a['covariance_trials']}"
+    print(f"covariance failures: {failures} (seed {a['seed']})")
+    print(f"agreement: {a['agreement']}")
+
+
+# Each subcommand's arguments in declaration order, which is the order of
+# its usage line. Argparse parent parsers would put the shared arguments
+# ahead of a subcommand's own ones and so reorder that line.
+_Q = ("q", {"type": int})
+_K = ("k", {"type": int})
+_ALPHA = ("--alpha", {"type": int, "default": None})
+_JSON = ("--json", {"action": "store_true"})
+_PMAX = ("--pmax", {"type": int, "required": True})
+_FLAG = {"action": "store_true"}
+_COMMANDS = (
+    ("check", "cmd_check", "decide the criterion for (q, k)", (_Q, _K, _ALPHA, _JSON)),
+    ("build", "cmd_build", "expand the orbit into a design file",
+     (_Q, _K, ("--out", {"required": True}), _ALPHA)),
+    ("verify", "cmd_verify", "recount coverage of a design file",
+     (("path", {}), ("--t", {"type": int, "default": 3, "choices": (2, 3)}), _JSON)),
+    ("seq", "cmd_seq", "print the character sequence", (_Q, _K, _ALPHA, _JSON)),
+    ("sweep", "cmd_sweep", "design-giving q for a fixed k", (
+        ("--k", {"type": int}),
+        ("--qmax", {"type": int, "required": True}),
+        ("--table", {**_FLAG, "help": "all standard k rows"}),
+        ("--pair", {"type": int, "nargs": 2, "metavar": ("K1", "K2")}),
+        ("--prime-powers", _FLAG),
+        ("--csv", _FLAG),
+        _JSON,
+    )),
+    ("thm510", "cmd_equivalence", "k in {5,10} seven-way equivalence sweep",
+     (_PMAX, _JSON)),
+    ("thm1326", "cmd_equivalence", "k in {13,26} sequence equivalence sweep",
+     (_PMAX, _JSON)),
+    ("lift", "cmd_lift", "criterion at q and at q^n",
+     (_Q, _K, ("n", {"type": int}), _JSON)),
+    ("oracle", "cmd_oracle", "triple-orbit oracle agreement at small q", (
+        _Q,
+        ("--seed", {"type": int, "default": DEFAULT_SEED}),
+        ("--trials", {"type": int, "default": 1000}),
+        _JSON,
+    )),
+)
 
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first main() of a process and then reused.
     Each subcommand names its handler, which main() looks up in the module
-    at call time, so a handler replaced after the first call is the one
-    that runs."""
+    at call time, as it does the handler's text_* renderer, so a function
+    replaced after the first call is the one that runs."""
     top = argparse.ArgumentParser(
         prog="psldesigns",
         description="Decide and build block-transitive 3-designs from "
         "multiplicative subgroup starters on the projective line.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="decide the criterion for (q, k)")
-    p.add_argument("q", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler="cmd_check")
-
-    p = sub.add_parser("build", help="expand the orbit into a design file")
-    p.add_argument("q", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=int, default=None)
-    p.set_defaults(handler="cmd_build")
-
-    p = sub.add_parser("verify", help="recount coverage of a design file")
-    p.add_argument("path")
-    p.add_argument("--t", type=int, default=3, choices=(2, 3))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler="cmd_verify")
-
-    p = sub.add_parser("seq", help="print the character sequence")
-    p.add_argument("q", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler="cmd_seq")
-
-    p = sub.add_parser("sweep", help="design-giving q for a fixed k")
-    p.add_argument("--k", type=int)
-    p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--table", action="store_true", help="all standard k rows")
-    p.add_argument("--pair", type=int, nargs=2, metavar=("K1", "K2"))
-    p.add_argument("--prime-powers", action="store_true")
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler="cmd_sweep")
-
-    for name, help_ in (
-        ("thm510", "k in {5,10} seven-way equivalence sweep"),
-        ("thm1326", "k in {13,26} sequence equivalence sweep"),
-    ):
+    for name, handler, help_, arguments in _COMMANDS:
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--pmax", type=int, required=True)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(handler="cmd_equivalence")
-
-    p = sub.add_parser("lift", help="criterion at q and at q^n")
-    p.add_argument("q", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler="cmd_lift")
-
-    p = sub.add_parser("oracle", help="triple-orbit oracle agreement at small q")
-    p.add_argument("q", type=int)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler="cmd_oracle")
-
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return top
 
 
@@ -359,7 +315,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "sweep" and not args.pair and not args.table and args.k is None:
         parser.error("sweep requires --k, --table, or --pair")
     try:
-        return globals()[args.handler](args)
+        code, answer = globals()[args.handler](args)
+        if getattr(args, "json", False):
+            print(json.dumps(answer))
+        else:
+            globals()["text_" + args.handler.removeprefix("cmd_")](answer)
+        return code
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -313,34 +313,6 @@ def chi(spec: FieldSpec, a: int) -> int:
     return -1
 
 
-def sqrt(spec: FieldSpec, a: int) -> int:
-    """A square root of a (Tonelli-Shanks with alpha as the nonsquare)."""
-    if a == 0:
-        return 0
-    if chi(spec, a) != 1:
-        raise ValueError(f"{a} is not a square in GF({spec.q})")
-    t, s = spec.q - 1, 0
-    while t % 2 == 0:
-        t //= 2
-        s += 1
-    z = power(spec, spec.alpha, t)
-    x = power(spec, a, (t + 1) // 2)
-    b = mul(spec, mul(spec, x, x), inv(spec, a))
-    while b != 1:
-        m = 0
-        bb = b
-        while bb != 1:
-            bb = mul(spec, bb, bb)
-            m += 1
-        g = power(spec, z, 1 << (s - m - 1))
-        x = mul(spec, x, g)
-        z = mul(spec, g, g)
-        b = mul(spec, b, z)
-        s = m
-    assert mul(spec, x, x) == a
-    return x
-
-
 # ---------------------------------------------------------------------------
 # field construction
 
@@ -430,7 +402,7 @@ def make_extension_field(p: int, n: int) -> FieldSpec:
 
 def field_for_order(q: int) -> FieldSpec:
     """The field of order q (q an odd prime power). A q over the size
-    limit is refused before it is factorised, which takes up to sqrt(q)
+    limit is refused before it is factorised, which takes up to isqrt(q)
     trial divisions."""
     check_size(q)
     fac = factorize(q)

@@ -37,24 +37,17 @@ class GroupElem:
 def canonicalize(spec: gf.FieldSpec, a: int, b: int, c: int, d: int) -> GroupElem:
     """Canonical form of a matrix with nonzero square determinant.
 
-    Scales so the determinant is 1, then fixes the overall sign so the
-    first nonzero entry of (a, b, c, d) is <= its negation in the element
-    order. Two matrices canonicalize identically iff they induce the same
-    map of the projective line.
+    Scales so the first nonzero entry of (a, b, c, d) is 1. Two matrices
+    induce the same map of the projective line exactly when they are
+    proportional, so they canonicalize identically iff their maps agree.
     """
     det = gf.sub(spec, gf.mul(spec, a, d), gf.mul(spec, b, c))
     if det == 0:
         raise ValueError("matrix is singular")
     if gf.chi(spec, det) != 1:
         raise ValueError("determinant is not a square, so not in PSL(2,q)")
-    s = gf.inv(spec, gf.sqrt(spec, det))
-    m = tuple(gf.mul(spec, s, x) for x in (a, b, c, d))
-    for x in m:
-        if x:
-            if gf.neg(spec, x) < x:
-                m = tuple(gf.neg(spec, y) for y in m)
-            break
-    return GroupElem(*m)
+    s = gf.inv(spec, a or b)  # a = b = 0 would make the matrix singular
+    return GroupElem(*(gf.mul(spec, s, x) for x in (a, b, c, d)))
 
 
 def identity(spec: gf.FieldSpec) -> GroupElem:

@@ -274,14 +274,12 @@ def lift_check(q: int, k: int, n: int) -> LiftCheck:
     """Evaluate the criterion at q and at q^n and report both outcomes."""
     if n < 1:
         raise ValueError(f"lift degree must be positive, got {n}")
-    return LiftCheck(
-        q=q,
-        k=k,
-        n=n,
-        base=_pair_gives_design(q, k),
-        lifted_q=q**n,
-        lifted=_pair_gives_design(q**n, k),
-    )
+    base = _pair_gives_design(q, k)
+    # q >= 2 names a field here, so q^n >= 2^n: refuse an over-limit n
+    # before the power, whose digits alone grow with n
+    if n >= gf.DEFAULT_Q_LIMIT.bit_length():
+        raise ValueError(f"q = {q}^{n} exceeds the size limit {gf.DEFAULT_Q_LIMIT}")
+    return LiftCheck(q, k, n, base, q**n, _pair_gives_design(q**n, k))
 
 
 # ---------------------------------------------------------------------------

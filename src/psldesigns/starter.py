@@ -379,18 +379,17 @@ def _has_representation(m: int, c: int) -> bool:
 def _quadratic_root_nonsquare(spec: gf.FieldSpec, beta: int) -> bool:
     """Whether the roots of x^2 - 4x - 1 are nonsquares.
 
-    The roots are 2 +/- s with s^2 = 5; a root of 5 always exists here
-    because beta*(1-beta)^2*(1+beta) squares to 5 when beta has order 5.
-    Both quadratic roots are checked (their characters agree).
+    The roots are 2 +/- s with s = beta*(1-beta)^2*(1+beta), which
+    squares to 5 when beta has order 5. Both quadratic roots are checked
+    (their characters agree).
     """
     five = gf.embed(spec, 5)
-    s = gf.sqrt(spec, five)
-    explicit = gf.mul(
+    s = gf.mul(
         spec,
         gf.mul(spec, beta, gf.power(spec, gf.sub(spec, 1, beta), 2)),
         gf.add(spec, 1, beta),
     )
-    assert gf.mul(spec, explicit, explicit) == five
+    assert gf.mul(spec, s, s) == five
     two = gf.embed(spec, 2)
     roots = (gf.add(spec, two, s), gf.sub(spec, two, s))
     theta0 = gf.add(

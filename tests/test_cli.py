@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import time
 
 import pytest
 
@@ -203,6 +204,15 @@ def test_memory_error_exits_2_after_the_parser_is_built(capsys, monkeypatch):
     test_memory_error_exits_2(capsys, monkeypatch)
 
 
+def test_text_is_rendered_from_the_json_answer(capsys, monkeypatch):
+    # the renderer is looked up at call time, after the parser is built
+    code, out, _ = _run(capsys, "check", "41", "10", "--json")
+    seen = []
+    monkeypatch.setattr(cli, "text_check", seen.append)
+    assert _run(capsys, "check", "41", "10") == (code, "", "")
+    assert seen == [json.loads(out)]
+
+
 def test_reused_parser_keeps_no_options_from_earlier_calls(capsys):
     code, out, _ = _run(capsys, "check", "41", "5", "--alpha", "7", "--json")
     assert (code, json.loads(out)["alpha"]) == (0, 7)
@@ -353,6 +363,17 @@ def test_lift_rejects_bad_fields(capsys):
     code, out, err = _run(capsys, "lift", "12", "5", "3")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "not a prime power" in err
+
+
+def test_lift_refuses_an_oversize_degree_before_the_power(capsys):
+    # 41^n for n in the millions used to be built digit by digit, and then
+    # failed on its decimal string instead of on the size limit
+    for n in ("32", "300000", "10000000"):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "lift", "41", "5", n)
+        assert time.perf_counter() - start < 1.0, n
+        assert (code, out) == (2, ""), n
+        assert err == f"error: q = 41^{n} exceeds the size limit {gf.DEFAULT_Q_LIMIT}\n"
 
 
 def test_field_commands_refuse_oversize_q_before_factorising(capsys, monkeypatch):

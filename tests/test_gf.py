@@ -259,17 +259,6 @@ def test_chi_multiplicative_random(f13, f29, f41, f61, f25):
             )
 
 
-def test_sqrt(f13, f41, f29, f25):
-    for spec in (f13, f41, f29, f25):
-        for a in range(1, spec.q):
-            if gf.chi(spec, a) == 1:
-                r = gf.sqrt(spec, a)
-                assert gf.mul(spec, r, r) == a
-            else:
-                with pytest.raises(ValueError):
-                    gf.sqrt(spec, a)
-
-
 def test_field_cache():
     assert gf.make_prime_field(41) is gf.make_prime_field(41)
     assert gf.make_extension_field(3, 2) is gf.make_extension_field(3, 2)

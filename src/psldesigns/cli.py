@@ -215,6 +215,8 @@ def text_lift(a: dict) -> None:
 
 
 def cmd_oracle(args: argparse.Namespace) -> tuple[int, dict]:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     spec = gf.field_for_order(args.q)
     orbits = projline.brute_force_triple_orbits(spec)
     mismatches = sum(
@@ -309,11 +311,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_sweep_mode(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Exactly one sweep mode, and no option that the mode would ignore."""
+    if args.pair:
+        mode, unused = "--pair", {"--k": args.k is not None, "--table": args.table,
+                                  "--prime-powers": args.prime_powers, "--csv": args.csv}
+    elif args.table:
+        mode, unused = "--table", {"--k": args.k is not None}
+    elif args.k is None:
+        parser.error("sweep requires --k, --table, or --pair")
+    else:
+        return
+    for flag, given in unused.items():
+        if given:
+            parser.error(f"sweep {mode} cannot be combined with {flag}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep" and not args.pair and not args.table and args.k is None:
-        parser.error("sweep requires --k, --table, or --pair")
+    if args.command == "sweep":
+        _check_sweep_mode(parser, args)
     try:
         code, answer = globals()[args.handler](args)
         if getattr(args, "json", False):

@@ -3,19 +3,21 @@
 The sweep condition q = 1 (mod lcm(4, 2k)) is exactly "k divides q-1, the
 cofactor is even, and q = 1 mod 4". Odd-cofactor pairs always give
 designs, so the interesting tables fix k and ask which q of this shape
-succeed. A sweep sieves up to its bound and reads k's prime candidates
-off the sieve as the progression 1 + j*lcm(4, 2k); they are decided
-serially in row chunks by starter.decide_prime_batch, and extension-field
-candidates by the scalar starter context; the equivalence scans decide
-theirs the same way with batched conditions. Explicit expansion stays in
+succeed. A sweep sieves the progression q = 1 + j*lcm(4, 2k) itself, one
+segment of j at a time, and decides each segment's primes serially in
+row chunks by starter.decide_prime_batch; extension-field candidates go
+through the scalar starter context. The equivalence scans decide their
+primes the same way with batched conditions. Explicit expansion stays in
 the design module.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from math import isqrt, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,9 @@ PAIR_SCAN_Q_MAX = 2 * 10**5
 # primes per batched starter call; a chunk holds a few int64 arrays of
 # DECIDE_CHUNK_ROWS * k entries
 DECIDE_CHUNK_ROWS = 2048
+# values of j per segment of a progression sieve over q = 1 + j*m; a
+# segment holds one bool per j and the int64 primes found in it
+SIEVE_SEGMENT = 2**16
 
 
 def prime_flags(limit: int) -> np.ndarray:
@@ -62,12 +67,38 @@ def enumerate_prime_powers(limit: int) -> list[tuple[int, int, int]]:
     return _powers_of(sieve_primes(limit), limit, 1)
 
 
-def _decide_primes(decide, sieve: np.ndarray, m: int) -> tuple[list[int], list]:
-    """The primes q = 1 mod m of a prime_flags sieve, ascending, and
-    decide(chunk).tolist() over them, DECIDE_CHUNK_ROWS rows at a time."""
-    qs, n = np.flatnonzero(sieve[1::m]) * m + 1, DECIDE_CHUNK_ROWS
-    rows = [r for i in range(0, qs.size, n) for r in decide(qs[i : i + n]).tolist()]
-    return qs.tolist(), rows
+def _base_primes(bound: int) -> tuple[int, ...]:
+    """The primes p <= isqrt(bound), enough to sieve up to bound."""
+    small = gf._small_primes()
+    return small[: bisect_right(small, isqrt(bound))]
+
+
+def _progression_primes(m: int, bound: int):
+    """The primes q = 1 + j*m <= bound, ascending, as one int64 array per
+    SIEVE_SEGMENT values of j >= 1. Each base prime p <= isqrt(bound) with
+    p not dividing m strikes the j = -m^-1 (mod p), where p | q, except at
+    q = p itself; a prime dividing m divides no q. Only the segment and
+    the base primes are held, never a flag per integer."""
+    base = [p for p in _base_primes(bound) if m % p]
+    first = []  # the first j each base prime strikes
+    for p in base:
+        j = pow(-m, -1, p)
+        first.append(j + p if 1 + j * m == p else j)
+    top = (bound - 1) // m
+    for lo in range(1, top + 1, SIEVE_SEGMENT):
+        flags = np.ones(min(SIEVE_SEGMENT, top + 1 - lo), dtype=bool)
+        for p, j in zip(base, first):
+            flags[j - lo if j >= lo else (j - lo) % p :: p] = False
+        yield np.flatnonzero(flags) * m + (1 + lo * m)
+
+
+def _decided(decide, m: int, bound: int):
+    """(qs, decide(qs)) over the primes q = 1 mod m up to bound, ascending,
+    DECIDE_CHUNK_ROWS rows at a time."""
+    n = DECIDE_CHUNK_ROWS
+    for qs in _progression_primes(m, bound):
+        for i in range(0, qs.size, n):
+            yield qs[i : i + n], decide(qs[i : i + n])
 
 
 def _check_bound(bound: int) -> None:
@@ -94,8 +125,7 @@ class SweepResult:
     hits: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     """Outcome at a single candidate q (a row of the CSV table)."""
 
     k: int
@@ -107,10 +137,22 @@ class SweepEntry:
     lam: int | None
 
 
-def _entry(k: int, q: int, p: int, n: int, ok: bool) -> SweepEntry:
+def _prime_entries(k: int, q: np.ndarray, ok: np.ndarray) -> list[SweepEntry]:
+    """SweepEntry rows for prime q from the columns q (int64) and ok
+    (bool). e and lambda are column operations: lambda_formula depends on
+    e only through its parity, and is asked only for a parity that has a
+    design."""
     e = (q - 1) // k
-    lam = starter.lambda_formula(k, e) if ok else None
-    return SweepEntry(k=k, q=q, p=p, n=n, e=e, gives_design=ok, lam=lam)
+    par = e % 2
+    lam = [
+        starter.lambda_formula(k, 2 - x) if (ok & (par == x)).any() else None
+        for x in (0, 1)
+    ]
+    cols = zip(q.tolist(), e.tolist(), par.tolist(), ok.tolist())
+    return [
+        SweepEntry(k, x, x, 1, ex, okx, lam[px] if okx else None)
+        for x, ex, px, okx in cols
+    ]
 
 
 def sweep_entries(
@@ -119,23 +161,25 @@ def sweep_entries(
     include_prime_powers: bool = False,
 ) -> list[SweepEntry]:
     """Evaluate the criterion at every candidate q <= q_max with
-    q = 1 mod lcm(4, 2k), in increasing q order. Prime candidates go
-    through the batched kernel DECIDE_CHUNK_ROWS at a time; extension
-    fields go through the scalar context."""
+    q = 1 mod lcm(4, 2k), in increasing q order. Prime candidates come
+    from the progression sieve and go through the batched kernel
+    DECIDE_CHUNK_ROWS at a time; extension fields go through the scalar
+    context."""
     if k <= 3:
         raise ValueError(f"k = {k} is outside the range k > 3")
     _check_bound(q_max)
-    sieve = prime_flags(q_max)
     m = sweep_modulus(k)
     # the primes from 1 + m > k + 1 on
-    qs, oks = _decide_primes(partial(starter.decide_prime_batch, k), sieve, m)
-    entries = [_entry(k, q, q, 1, ok) for q, ok in zip(qs, oks)]
+    entries = []
+    for qs, oks in _decided(partial(starter.decide_prime_batch, k), m, q_max):
+        entries += _prime_entries(k, qs, oks)
     if include_prime_powers:
-        small = np.flatnonzero(sieve[: isqrt(q_max) + 1]).tolist()
-        for p, n, q in _powers_of(small, q_max, 2):
+        for p, n, q in _powers_of(_base_primes(q_max), q_max, 2):
             if q % m == 1:
                 ctx = starter.make_starter_context(gf.field_for_order(q), k)
-                entries.append(_entry(k, q, p, n, starter.gives_design(ctx)))
+                ok = starter.gives_design(ctx)
+                lam = starter.lambda_formula(k, ctx.e) if ok else None
+                entries.append(SweepEntry(k, q, p, n, ctx.e, ok, lam))
         entries.sort(key=lambda ent: ent.q)
     return entries
 
@@ -320,12 +364,17 @@ def thm_equivalence_sweep(name: str, p_max: int) -> EquivalenceReport:
     else:
         raise ValueError(f"unknown equivalence sweep: {name!r}")
     _check_bound(p_max)
+    checked, hits, disagreements = 0, [], []
     # a row holds the conditions that must agree at one prime
-    ps, rows = _decide_primes(decide, prime_flags(p_max), modulus)
+    for ps, rows in _decided(decide, modulus, p_max):
+        every, some = rows.all(axis=1), rows.any(axis=1)
+        checked += ps.size
+        hits += ps[every].tolist()
+        disagreements += ps[some != every].tolist()
     return EquivalenceReport(
         name=name,
         bound=p_max,
-        checked=len(ps),
-        hits=tuple(p for p, row in zip(ps, rows) if all(row)),
-        disagreements=tuple(p for p, row in zip(ps, rows) if any(row) != all(row)),
+        checked=checked,
+        hits=tuple(hits),
+        disagreements=tuple(disagreements),
     )

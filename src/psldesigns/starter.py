@@ -228,13 +228,20 @@ def _order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Per row, an element of order k in GF(q)* for prime q = k*e + 1: the
     first y = x**e, x = 2, 3, ..., with y**(k/r) != 1 for every prime
     r | k (y**k = x**(q-1) = 1 holds already). A primitive root x < q
-    always qualifies, so no factorisation of q - 1 is needed."""
+    always qualifies, so no factorisation of q - 1 is needed.
+
+    For k = 2 mod 4 a y with y**(k/2) = 1 is replaced by -y: k/2 is odd,
+    so (-y)**(k/2) = -1, while (-y)**(k/r) = y**(k/r) for every odd prime
+    r | k. The order test still decides every row.
+    """
     beta = np.zeros_like(qs)
     todo = np.arange(qs.size)
     x = 2
     while todo.size:
         q = qs[todo]
         y = _powmod(x, e[todo], q)
+        if k % 4 == 2:
+            y = np.where(_powmod(y, k // 2, q) == 1, q - y, y)
         ok = np.ones(todo.size, dtype=bool)
         for r, _ in gf.factorize(k):
             ok &= _powmod(y, k // r, q) != 1
@@ -249,6 +256,17 @@ def _is_square(a: np.ndarray, q) -> np.ndarray:
     return _powmod(a, (q - 1) // 2, q) == 1
 
 
+def _cofactors(k: int, qs: np.ndarray) -> np.ndarray:
+    """starter_cofactor at every q of the int64 array qs at once: the
+    cofactors e = (q-1)/k, or starter_cofactor's own error for the first
+    q that fails its rule."""
+    e, rem = np.divmod(qs - 1, k)
+    bad = (k <= 3) | (k >= qs - 1) | (rem != 0) | ((e % 2 == 0) & (qs % 4 != 1))
+    for q in qs[bad].tolist():
+        starter_cofactor(q, k)
+    return e
+
+
 def _prime_tables(k: int, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per prime q of qs: the cofactor e, an element beta of order k and
     the table t[m] = chi(1 - beta^m) (t[:, 0] = 0), as int64 arrays.
@@ -261,7 +279,7 @@ def _prime_tables(k: int, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     decide_prime_batch regardless of their table.
     """
     qs = np.asarray(qs, dtype=np.int64)
-    e = np.array([starter_cofactor(q, k) for q in qs.tolist()], dtype=np.int64)
+    e = _cofactors(k, qs)
     gf.check_size(qs.max(initial=0))
     beta = _order_k_elements(k, qs, e)
     half = k // 2 + 1
@@ -272,6 +290,17 @@ def _prime_tables(k: int, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t[:, 1:half] = np.where(_is_square(1 - powers[:, 1:], qs[:, None]), 1, -1)
     t[:, half:] = t[:, k - half : 0 : -1]
     return e, beta, t
+
+
+def _pair_tables(k: int, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(q, beta, t_k, t_2k) for the scans, where every q = 1 mod 4k and
+    both cofactors are even. Only the order-2k table is built: beta_k =
+    beta_2k^2, so t_k[m] = chi(1 - beta_2k^(2m)) = t_2k[2m]. qs must pass
+    starter_cofactor at k and at 2k."""
+    q = np.asarray(qs, dtype=np.int64)
+    _cofactors(k, q)
+    _, beta2, t2 = _prime_tables(2 * k, q)
+    return q, beta2 * beta2 % q, t2[:, ::2], t2
 
 
 def decide_prime_batch(k: int, qs) -> np.ndarray:
@@ -376,6 +405,29 @@ def _has_representation(m: int, c: int) -> bool:
     return False
 
 
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) elementwise for int64 0 <= n < 2**52: the float
+    root, corrected by one step either way."""
+    s = np.sqrt(n).astype(np.int64)
+    s -= s * s > n
+    return s + ((s + 1) * (s + 1) <= n)
+
+
+def _represented(q: np.ndarray, root: np.ndarray, c: int) -> np.ndarray:
+    """_has_representation(q, c) at every prime q of the int64 array q at
+    once, by Cornacchia's descent (Cohen, Alg. 1.5.2): root is a square
+    root of -c mod q, per row. Euclid's steps on (q, root) run until the
+    remainder r has r^2 < q; q = x^2 + c*y^2 exactly when (q - r^2)/c is
+    then a whole square. Either root of -c gives the same r."""
+    a, r = q.copy(), root % q
+    live = np.flatnonzero(r * r > q)
+    while live.size:
+        a[live], r[live] = r[live], a[live] % r[live]
+        live = live[r[live] * r[live] > q[live]]
+    y2, rem = np.divmod(q - r * r, c)
+    return (rem == 0) & (_isqrt(y2) ** 2 == y2)
+
+
 def _quadratic_root_nonsquare(spec: gf.FieldSpec, beta: int) -> bool:
     """Whether the roots of x^2 - 4x - 1 are nonsquares.
 
@@ -432,25 +484,30 @@ def thm510_conditions(spec: gf.FieldSpec, alpha: int | None = None) -> Thm510Con
 
 def thm510_batch(qs) -> np.ndarray:
     """thm510_conditions(...).values() at every prime q = 1 (mod 20) of
-    qs at once, as a (rows, 7) bool array. c3..c5 are Euler tests on the
-    kernel's element beta of order 5 (none depends on which one is found),
-    with s = beta(1-beta)^2(1+beta) as the root of 5."""
-    q = np.asarray(qs, dtype=np.int64)
-    _, beta, t5 = _prime_tables(5, q)  # refuses odd q other than 1 mod 20
+    qs at once, as a (rows, 7) bool array, from the order-10 table alone
+    (_pair_tables). c3 is t_10[7], since 1 + beta = 1 + beta_10^2 =
+    1 - beta_10^7 (beta_10^5 = -1). c4 and c5 are Euler tests, with
+    s = beta(1-beta)^2(1+beta) as the root of 5; none of c3..c5 depends on
+    which beta of order 5 is found. c6/c7 are Cornacchia descents with the
+    roots 2*i*s of -20 and 10*i of -100, i a root of -1 (an element of
+    order 4).
+    """
+    q, beta, t5, t10 = _pair_tables(5, qs)  # refuses odd q other than 1 mod 20
     s = beta * (1 - beta) % q * (1 - beta) % q * (1 + beta) % q
     roots = ((2 + s) % q, (2 - s) % q)
     theta0 = (2 * (_powmod(beta, 4, q) + beta) + 3) % q
     assert np.all(s * s % q == 5)
     assert np.all((theta0 == roots[0]) | (theta0 == roots[1]))
     assert all(np.all((th * th - 4 * th - 1) % q == 0) for th in roots)
+    i = _order_k_elements(4, q, (q - 1) // 4)
     return np.column_stack([
         _signed_count(t5) == 0,
-        decide_prime_batch(10, q),
-        ~_is_square(1 + beta, q),
+        _signed_count(t10) == 0,
+        t10[:, 7] == -1,
         ~_is_square(roots[0], q) | ~_is_square(roots[1], q),
         _powmod(5, (q - 1) // 4, q) != 1,
-        [not _has_representation(p, 20) for p in q.tolist()],
-        [not _has_representation(p, 100) for p in q.tolist()],
+        ~_represented(q, 2 * i % q * s, 20),
+        ~_represented(q, 10 * i, 100),
     ]).astype(bool)
 
 
@@ -492,10 +549,10 @@ def thm1326_condition(spec: gf.FieldSpec, alpha: int | None = None) -> Thm1326Re
 def thm1326_batch(qs) -> np.ndarray:
     """(holds, d13, d26) at every prime q = 1 (mod 52) of qs at once, as a
     (rows, 3) bool array: thm1326_condition's pattern test on t[1..6] of
-    the kernel's k = 13 table, and the kernel's decisions at k = 13, 26.
+    the k = 13 table, and the kernel's decisions at k = 13, 26, all from
+    the order-26 table alone (_pair_tables).
     """
-    q = np.asarray(qs, dtype=np.int64)
-    _, _, t13 = _prime_tables(13, q)  # refuses odd q other than 1 mod 52
+    _, _, t13, t26 = _pair_tables(13, qs)  # refuses odd q other than 1 mod 52
     holds = [tuple(row) in SEQ_13_PATTERNS for row in t13[:, 1:7].tolist()]
-    d13 = _signed_count(t13) == 0
-    return np.column_stack([holds, d13, decide_prime_batch(26, q)]).astype(bool)
+    d13, d26 = _signed_count(t13) == 0, _signed_count(t26) == 0
+    return np.column_stack([holds, d13, d26]).astype(bool)

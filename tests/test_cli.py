@@ -411,6 +411,33 @@ def test_oracle_rejects_bad_q(capsys):
     assert "oracle limit" in err
 
 
+def test_oracle_rejects_negative_trials(capsys):
+    code, out, err = _run(capsys, "oracle", "13", "--trials", "-5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--trials" in err
+    code, out, _ = _run(capsys, "oracle", "13", "--trials", "0")
+    assert code == 0 and "covariance failures: 0/0" in out
+
+
+def test_sweep_rejects_options_its_mode_ignores(capsys):
+    for argv, flag in (
+        (["--pair", "5", "10", "--k", "5"], "--k"),
+        (["--pair", "5", "10", "--prime-powers"], "--prime-powers"),
+        (["--pair", "5", "10", "--csv"], "--csv"),
+        (["--pair", "5", "10", "--table", "--json"], "--table"),
+        (["--table", "--k", "3"], "--k"),
+        (["--k", "5", "--table", "--csv"], "--k"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", *argv, "--qmax", "100"])
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and f"cannot be combined with {flag}" in err, argv
+    # every mode still takes the options it uses
+    code, out, _ = _run(capsys, "sweep", "--k", "5", "--qmax", "100", "--csv", "--json")
+    assert code == 0 and json.loads(out)[0]["q"] == 41
+
+
 def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
@@ -469,6 +496,7 @@ def test_sweep_bound_over_size_limit(capsys, monkeypatch):
 
     monkeypatch.setattr(search, "prime_flags", no_sieve)
     monkeypatch.setattr(search, "sieve_primes", no_sieve)
+    monkeypatch.setattr(search, "_progression_primes", lambda m, bound: no_sieve(bound))
     big = str(gf.DEFAULT_Q_LIMIT + 1)
     for argv in (
         ["sweep", "--k", "5", "--qmax", big],

@@ -103,8 +103,10 @@ def _sweep_argv(draw) -> list[str]:
         )
     )
     qmax = str(draw(st.integers(-10, 5000)))
-    flags = draw(st.lists(st.sampled_from(["--json", "--csv", "--prime-powers"]), max_size=2))
-    return draw(_garbled(["sweep", *mode, "--qmax", qmax, *flags]))
+    # options of another mode ride along now and again: a usage error
+    flag = st.sampled_from(["--json", "--csv", "--prime-powers", "--table"])
+    flags = draw(st.lists(flag.map(lambda f: (f,)) | st.tuples(st.just("--k"), k), max_size=2))
+    return draw(_garbled(["sweep", *mode, "--qmax", qmax, *sum(flags, ())]))
 
 
 _FUZZ = settings(max_examples=50, deadline=None, database=None, derandomize=True)
@@ -126,7 +128,12 @@ def test_fuzz_build_arguments(data):
 @_FUZZ
 @given(argv=_sweep_argv())
 def test_fuzz_sweep_arguments(argv):
-    _exit_code(argv)
+    code = _exit_code(argv)
+    # a mode never runs with an option that it would ignore
+    if "--pair" in argv and {"--k", "--table", "--prime-powers", "--csv"} & set(argv):
+        assert code == 2, argv
+    if "--table" in argv and "--k" in argv:
+        assert code == 2, argv
 
 
 _TOKENS = ["", "x", "1.5", "-1", "-0", "1e3", "0x10", "\u0663", design.NON_DESIGN_FLAG]

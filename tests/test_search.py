@@ -1,10 +1,12 @@
 """Tests for the sweep, pair-coincidence, lift, and equivalence scans."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from psldesigns import gf, search
+from psldesigns import cli, gf, search
 
 
 def test_sieve_primes_against_naive():
@@ -13,6 +15,66 @@ def test_sieve_primes_against_naive():
     ]
     assert search.sieve_primes(300) == naive
     assert search.sieve_primes(1) == []
+
+
+def _progression(m, bound):
+    return [q for seg in search._progression_primes(m, bound) for q in seg.tolist()]
+
+
+def test_progression_sieve_matches_prime_flags(monkeypatch):
+    """The primes q = 1 mod m of the progression sieve are those of the
+    full sieve, at bounds past the square of the smallest prime
+    p = 1 mod m (17, 41, 53, 101, 233 and 1061), which must not strike
+    itself, and for segments of 1, 7 and 1000 values of j."""
+    flags = search.prime_flags(1_200_000)
+    moduli = (8, 20, 52, 100, 116, 212)
+    for bound in (1682, 60_000, 1_200_000):
+        primes = np.flatnonzero(flags[: bound + 1])
+        for m in moduli:
+            assert _progression(m, bound) == primes[primes % m == 1].tolist(), (m, bound)
+    assert [_progression(m, 1_200_000)[0] for m in moduli] == [17, 41, 53, 101, 233, 1061]
+    want = [_progression(m, 5000) for m in moduli]
+    entries = search.sweep_entries(13, 30000, include_prime_powers=True)
+    for rows in (1, 7, 1000):
+        monkeypatch.setattr(search, "SIEVE_SEGMENT", rows)
+        assert [_progression(m, 5000) for m in moduli] == want, rows
+        assert search.sweep_entries(13, 30000, include_prime_powers=True) == entries
+    assert _progression(20, 1) == _progression(20, 21) == []
+
+
+def test_largest_bound_holds_one_segment(monkeypatch, capsys):
+    """sweep_entries, thm_equivalence_sweep and the CLI at the largest
+    accepted bound 2**31 - 1, stopped after their first segment: they
+    answer for the primes 1 + 20j with j <= SIEVE_SEGMENT, hold no array
+    that grows with the bound (a flag per integer would be 2 GiB, one per
+    j 107 MB), and exit 0 without a traceback."""
+    real = search._progression_primes
+    segments = []
+
+    def first_segment(m, bound):
+        segments.append(next(real(m, bound)))
+        yield segments[-1]
+
+    monkeypatch.setattr(search, "_progression_primes", first_segment)
+    top = 2**31 - 1
+    tracemalloc.start()
+    try:
+        entries = search.sweep_entries(5, top)
+        rep = search.thm_equivalence_sweep("thm510", top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    for argv in (["sweep", "--k", "5", "--qmax", str(top)], ["thm510", "--pmax", str(top)]):
+        assert cli.main(argv) == 0, argv
+        assert "Traceback" not in capsys.readouterr().err
+    end = 1 + 20 * search.SIEVE_SEGMENT
+    want = [q for q in search.sieve_primes(end) if q % 20 == 1]
+    assert len(segments) == 4 and all(seg.tolist() == want for seg in segments)
+    assert (rep.checked, rep.all_consistent) == (len(want), True)
+    monkeypatch.undo()
+    assert entries == search.sweep_entries(5, end)
+    assert rep.hits == search.thm_equivalence_sweep("thm510", end).hits
 
 
 def test_enumerate_prime_powers():
@@ -92,6 +154,7 @@ def test_sweep_bound_over_size_limit_refused_before_sieving(monkeypatch):
 
     monkeypatch.setattr(search, "prime_flags", no_sieve)
     monkeypatch.setattr(search, "sieve_primes", no_sieve)
+    monkeypatch.setattr(search, "_progression_primes", lambda m, bound: no_sieve(bound))
     big = gf.DEFAULT_Q_LIMIT + 1
     calls = [
         lambda: search.sweep_entries(5, big),

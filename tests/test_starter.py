@@ -481,3 +481,126 @@ def test_scan_batches_validate_their_primes():
         starter.thm1326_batch([79])  # = 1 mod 26
     with pytest.raises(ValueError, match="size limit"):
         starter.thm510_batch([2**31 + 13])
+
+
+def test_cofactor_check_matches_starter_cofactor(monkeypatch):
+    """The vector check flags exactly the (q, k) that starter_cofactor
+    refuses and returns its e elsewhere, for every odd q < 2000 and every
+    3 < k < q - 1; the first flagged q raises starter_cofactor's error."""
+    oracle = starter.starter_cofactor
+    flagged = []
+    monkeypatch.setattr(starter, "starter_cofactor", lambda q, k: flagged.append((q, k)))
+    odd = np.arange(7, 2000, 2)
+    pairs = refused = 0
+    for k in range(4, 1998):
+        qs = odd[odd - 1 > k]
+        flagged.clear()
+        want = []
+        for q, e in zip(qs.tolist(), starter._cofactors(k, qs).tolist()):
+            try:
+                assert oracle(q, k) == e, (q, k)
+            except ValueError:
+                want.append((q, k))
+        assert flagged == want, k
+        pairs, refused = pairs + qs.size, refused + len(want)
+    assert pairs == 995006 and 0 < refused < pairs
+    monkeypatch.undo()
+    for k, qs in ((5, [41, 61, 43, 31]), (5, [41, 31, 43]), (3, [41]), (40, [41])):
+        with pytest.raises(ValueError) as want:
+            oracle(next(q for q in qs if not _passes(oracle, q, k)), k)
+        with pytest.raises(ValueError) as got:
+            starter._cofactors(k, np.array(qs))
+        assert str(got.value) == str(want.value)
+
+
+def _passes(check, q, k):
+    try:
+        check(q, k)
+    except ValueError:
+        return False
+    return True
+
+
+# the primes r | k, written out so as not to share gf.factorize
+_PRIME_DIVISORS = {4: (2,), 10: (2, 5), 26: (2, 13), 34: (2, 17), 50: (2, 5), 58: (2, 29)}
+
+
+def test_order_k_elements_have_order_exactly_k():
+    """At every prime q = 1 mod k below 30000, including the rows where
+    x**e has y**(k/2) = 1 and the -1 repair applies."""
+    primes = search.sieve_primes(30000)
+    for k, divisors in _PRIME_DIVISORS.items():
+        qs = np.array([q for q in primes if q % k == 1])
+        e = (qs - 1) // k
+        beta = starter._order_k_elements(k, qs, e).tolist()
+        for q, b in zip(qs.tolist(), beta):
+            assert pow(b, k, q) == 1, (q, k)
+            assert all(pow(b, k // r, q) != 1 for r in divisors), (q, k)
+        repaired = sum(pow(2, (q - 1) // 2, q) == 1 for q in qs.tolist())
+        assert qs.size > 100 and (k == 4 or repaired > 0), k
+
+
+def test_pair_tables_match_prime_tables():
+    """The order-k table taken as the even columns of the order-2k table
+    gives _prime_tables(k)'s signed counts and decisions, and is the
+    character table of beta_2k^2, which has order k."""
+    primes = search.sieve_primes(60000)
+    for k in (5, 13, 17, 25, 29):
+        qs = [q for q in primes if q % (4 * k) == 1]
+        q, beta, tk, t2k = starter._pair_tables(k, qs)
+        assert tk.shape == (len(qs), k)
+        _, _, want = starter._prime_tables(k, qs)
+        assert starter._signed_count(tk).tolist() == starter._signed_count(want).tolist()
+        got = (starter._signed_count(tk) == 0).tolist()
+        assert got == starter.decide_prime_batch(k, qs).tolist()
+        d2k = (starter._signed_count(t2k) == 0).tolist()
+        assert d2k == starter.decide_prime_batch(2 * k, qs).tolist()
+        for p, b, row in zip(qs, beta.tolist(), tk.tolist()):
+            assert pow(b, k, p) == 1 and b != 1  # k is prime or 25
+            assert k != 25 or pow(b, 5, p) != 1
+            chi = [0] + [1 if pow(1 - pow(b, m, p), (p - 1) // 2, p) == 1 else -1
+                         for m in range(1, k)]
+            assert row == chi, (p, k)
+
+
+def test_batched_cornacchia_matches_the_scalar_search():
+    """All 4,466 (p, c) cases with p = 1 mod 20 below 200000 and c in
+    {20, 100}, from either square root of -c, against _has_representation,
+    and thm510_batch's c6/c7 against it too."""
+    from sympy.ntheory import sqrt_mod
+
+    ps = [p for p in search.sieve_primes(200000) if p % 20 == 1]
+    q = np.array(ps)
+    rows = starter.thm510_batch(ps)
+    cases = 0
+    for col, c in ((5, 20), (6, 100)):
+        want = [starter._has_representation(p, c) for p in ps]
+        root = np.array([sqrt_mod(-c % p, p) for p in ps])
+        assert starter._represented(q, root, c).tolist() == want
+        assert starter._represented(q, q - root, c).tolist() == want
+        assert (~rows[:, col]).tolist() == want
+        assert True in want and False in want
+        cases += len(ps)
+    assert cases == 4466
+
+
+def test_batched_cornacchia_matches_sympy_near_the_size_limit():
+    """A seeded sample of primes p = 1 mod 20 up to 2**31 against sympy's
+    cornacchia, through thm510_batch's own roots of -20 and -100."""
+    from sympy import isprime
+    from sympy.solvers.diophantine.diophantine import cornacchia
+
+    rng = random.Random(20)
+    ps = set()
+    while len(ps) < 150:
+        p = rng.randrange(2 * 10**5, 2**31) // 20 * 20 + 1
+        if isprime(p):
+            ps.add(p)
+    ps = sorted(ps)
+    rows = starter.thm510_batch(ps)
+    for col, c in ((5, 20), (6, 100)):
+        want = [not cornacchia(1, c, p) for p in ps]
+        assert rows[:, col].tolist() == want
+        assert True in want and False in want
+    # all seven conditions still agree there
+    assert (rows.all(axis=1) == rows.any(axis=1)).all()

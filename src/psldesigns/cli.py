@@ -218,23 +218,20 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[int, dict]:
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
     spec = gf.field_for_order(args.q)
-    orbits = projline.brute_force_triple_orbits(spec)
-    mismatches = sum(
-        projline.delta_extended(spec, t) != label for t, label in orbits.items()
-    )
-    rng = random.Random(args.seed)
-    pts = list(projline.all_points(spec))
+    labels = projline.brute_force_triple_orbits(spec)
+    tables = projline.field_tables(spec)
+    signs = projline.triple_signs(tables, projline.colex_triples(spec.q + 1))
+    mismatches = int((signs != labels).sum())
     cov_bad = 0
-    for _ in range(args.trials):
-        g = projline.random_element(spec, rng)
-        t = tuple(rng.sample(pts, 3))
-        before = projline.delta_extended(spec, t)
-        image = tuple(projline.apply(spec, g, z) for z in t)
-        cov_bad += before != projline.delta_extended(spec, image)
+    trials = projline.sample_trials(tables, random.Random(args.seed), args.trials)
+    for elems, triples in trials:
+        images = projline.apply_to_points(tables, elems, triples)
+        before = projline.triple_signs(tables, triples)
+        cov_bad += int((before != projline.triple_signs(tables, images)).sum())
     ok = mismatches == 0 and cov_bad == 0
     return (0 if ok else 1), {
         "q": args.q,
-        "triples": len(orbits),
+        "triples": len(labels),
         "classifier_mismatches": mismatches,
         "covariance_trials": args.trials,
         "covariance_failures": cov_bad,

@@ -15,9 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from psldesigns import gf
 
 DEFAULT_ORACLE_LIMIT = 64
+# covariance trials drawn and checked per chunk, so that memory does not
+# grow with the number of trials
+ORACLE_CHUNK_TRIALS = 1 << 12
 
 
 def all_points(spec: gf.FieldSpec) -> range:
@@ -167,41 +172,145 @@ def delta_extended(spec: gf.FieldSpec, triple) -> int:
     return delta_finite(spec, pts)
 
 
+def triple_ranks(rows: np.ndarray) -> np.ndarray:
+    """Colex rank x + C(y,2) + C(z,3) of each row x < y < z, a bijection
+    from the 3-subsets of range(v) onto range(C(v,3))."""
+    x, y, z = rows.T
+    return x + y * (y - 1) // 2 + z * (z - 1) * (z - 2) // 6
+
+
+def colex_triples(v: int) -> np.ndarray:
+    """Every 3-subset of range(v) as an increasing row, row r the subset of
+    colex rank r: z is the largest point with C(z,3) <= r, and y the
+    largest with C(y,2) <= r - C(z,3)."""
+    pts = np.arange(v)
+    r = np.arange(math.comb(v, 3))
+    z = np.searchsorted(pts * (pts - 1) * (pts - 2) // 6, r, side="right") - 1
+    r -= z * (z - 1) * (z - 2) // 6
+    y = np.searchsorted(pts * (pts - 1) // 2, r, side="right") - 1
+    return np.stack([r - y * (y - 1) // 2, y, z], axis=1)
+
+
 def brute_force_triple_orbits(
     spec: gf.FieldSpec, limit: int = DEFAULT_ORACLE_LIMIT
-) -> dict[tuple[int, int, int], int]:
+) -> np.ndarray:
     """Classify every 3-subset of PG(1,q) by explicit orbit closure.
 
-    Returns {sorted triple: +1 or -1}, where +1 marks the orbit of
-    {inf, 0, 1} and -1 the orbit of {inf, 0, alpha}. The two closures must
-    partition all C(q+1, 3) triples or this raises. Exponential-ish in
-    spirit and capped by `limit`; it exists to check delta_extended, not to
-    be fast.
+    Returns an int8 label per triple, indexed by colex rank (see
+    triple_ranks): +1 on the orbit of {inf, 0, 1} and -1 on the orbit of
+    {inf, 0, alpha}. Each orbit is closed breadth-first under the
+    generators' point permutations, one level of triples at a time. The
+    two closures must partition all C(q+1, 3) triples or this raises.
+    Capped by `limit`, since the labels take C(q+1, 3) bytes; it exists to
+    check delta_extended and triple_signs.
     """
     q = spec.q
     if q > limit:
         raise ValueError(f"q = {q} exceeds the oracle limit {limit}")
     _require_two_orbit_regime(spec)
-    perms = [point_permutation(spec, g) for g in psl_generators(spec)]
-
-    def closure(start):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for pm in perms:
-                    u = tuple(sorted((pm[t[0]], pm[t[1]], pm[t[2]])))
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        return seen
-
-    plus = closure((0, 1, q))
-    minus = closure(tuple(sorted((0, spec.alpha, q))))
-    if plus & minus or len(plus) + len(minus) != math.comb(q + 1, 3):
-        raise RuntimeError("closure did not split the triples into two orbits")
-    labels = dict.fromkeys(plus, 1)
-    labels.update(dict.fromkeys(minus, -1))
+    perms = np.array([point_permutation(spec, g) for g in psl_generators(spec)])
+    labels = np.zeros(math.comb(q + 1, 3), dtype=np.int8)
+    split = "closure did not split the triples into two orbits"
+    for sign, start in ((1, (0, 1, q)), (-1, (0, spec.alpha, q))):
+        level = np.array([start])
+        while len(level):
+            ranks, first = np.unique(triple_ranks(level), return_index=True)
+            found = labels[ranks]
+            if (found == -sign).any():
+                raise RuntimeError(split)
+            new = found == 0
+            labels[ranks[new]] = sign
+            level = np.sort(perms[:, level[first[new]]].reshape(-1, 3), axis=1)
+    if not labels.all():
+        raise RuntimeError(split)
     return labels
+
+
+# ---------------------------------------------------------------------------
+# the orbit sign and the action on arrays, through lookup tables (small q)
+
+
+@dataclass(frozen=True, eq=False)
+class FieldTables:
+    """GF(q) as lookup arrays: add, sub and mul are (q, q), inv and chi
+    (q,), with inv[0] = chi[0] = 0 standing in for the undefined values."""
+
+    q: int
+    add: np.ndarray
+    sub: np.ndarray
+    mul: np.ndarray
+    inv: np.ndarray
+    chi: np.ndarray
+
+
+def field_tables(spec: gf.FieldSpec) -> FieldTables:
+    """The tables of GF(q), one scalar gf op per entry: 3q^2 + 2q calls, so
+    meant for q up to the oracle limit."""
+    els = range(spec.q)
+
+    def table(op) -> np.ndarray:
+        return np.array([[op(spec, a, b) for b in els] for a in els], dtype=np.intp)
+
+    nonzero = els[1:]
+    return FieldTables(
+        q=spec.q,
+        add=table(gf.add),
+        sub=table(gf.sub),
+        mul=table(gf.mul),
+        inv=np.array([0] + [gf.inv(spec, a) for a in nonzero], dtype=np.intp),
+        chi=np.array([0] + [gf.chi(spec, a) for a in nonzero], dtype=np.int8),
+    )
+
+
+def triple_signs(tables: FieldTables, rows: np.ndarray) -> np.ndarray:
+    """delta_extended of each row of three distinct points, from the
+    tables. Like delta_extended it is the orbit sign only for q = 1
+    (mod 4); unlike it, it does not check that."""
+    x, y, z = np.sort(rows, axis=1).T
+    sub, mul = tables.sub, tables.mul
+    at_inf = z == tables.q
+    z = np.where(at_inf, 0, z)  # any finite index; the sign is chi(x - y)
+    prod = mul[mul[sub[x, y], sub[y, z]], sub[z, x]]
+    return tables.chi[np.where(at_inf, sub[x, y], prod)]
+
+
+def apply_to_points(
+    tables: FieldTables, elems: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """apply on arrays: row i of points mapped by the matrix (a, b, c, d)
+    in row i of elems."""
+    q = tables.q
+    a, b, c, d = (elems[:, i, None] for i in range(4))
+    at_inf = points == q
+    z = np.where(at_inf, 0, points)
+    # inf -> a/c, z -> (az + b)/(cz + d), and a zero denominator -> inf
+    num = np.where(at_inf, a, tables.add[tables.mul[a, z], b])
+    den = np.where(at_inf, c, tables.add[tables.mul[c, z], d])
+    return np.where(den == 0, q, tables.mul[num, tables.inv[den]])
+
+
+def sample_trials(tables: FieldTables, rng, trials: int):
+    """The covariance trials of the oracle, ORACLE_CHUNK_TRIALS at a time,
+    as pairs of an (m, 4) array of matrices (a, b, c, d) with nonzero
+    square determinant and an (m, 3) array of distinct points.
+
+    It makes the rng calls that random_element and then
+    rng.sample(points, 3) make, in the same order, so a seed draws the
+    same trials; the matrices are the drawn ones, not their canonical
+    forms.
+    """
+    q = tables.q
+    mul, sub, chi = tables.mul.tolist(), tables.sub.tolist(), tables.chi.tolist()
+    pts = list(range(q + 1))
+    randrange, chunk = rng.randrange, ORACLE_CHUNK_TRIALS
+    for lo in range(0, trials, chunk):
+        elems, triples = [], []
+        for _ in range(min(chunk, trials - lo)):
+            while True:
+                a, b, c, d = randrange(q), randrange(q), randrange(q), randrange(q)
+                det = sub[mul[a][d]][mul[b][c]]
+                if det != 0 and chi[det] == 1:
+                    break
+            elems.append((a, b, c, d))
+            triples.append(rng.sample(pts, 3))
+        yield np.array(elems).reshape(-1, 4), np.array(triples).reshape(-1, 3)

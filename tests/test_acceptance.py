@@ -20,6 +20,7 @@ Both criteria assert these brute-force sums (`CORRECTION_SUMS`) as well as
 the sweep, so each corrected entry is checked by two routes.
 """
 
+import itertools
 import math
 import random
 
@@ -223,7 +224,9 @@ def test_criterion_10_oracle_agreement():
     mismatches = 0
     for q in (13, 17, 29):
         spec = gf.make_prime_field(q)
-        for t, label in projline.brute_force_triple_orbits(spec).items():
+        labels = projline.brute_force_triple_orbits(spec)
+        for t in itertools.combinations(range(q + 1), 3):
+            label = labels[t[0] + math.comb(t[1], 2) + math.comb(t[2], 3)]
             if projline.delta_extended(spec, t) != label:
                 mismatches += 1
     pairs = 0

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -417,6 +418,32 @@ def test_oracle_rejects_negative_trials(capsys):
     assert err.startswith("error:") and "--trials" in err
     code, out, _ = _run(capsys, "oracle", "13", "--trials", "0")
     assert code == 0 and "covariance failures: 0/0" in out
+
+
+def test_oracle_errors_come_in_order(capsys):
+    """A negative --trials first, then q over the limit, then q = 3 mod 4."""
+    for argv, message in (
+        (("97", "--trials", "-5"), "--trials"),
+        (("67", "--trials", "-5"), "--trials"),
+        (("67",), "oracle limit"),
+        (("19",), "1 mod 4"),
+    ):
+        code, out, err = _run(capsys, "oracle", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and message in err, argv
+
+
+def test_oracle_memory_does_not_grow_with_trials(capsys):
+    """The trials are drawn and checked a chunk at a time: 20,000 of them
+    peak under 3 MiB, where holding them all at once takes about 7 MiB."""
+    tracemalloc.start()
+    try:
+        code, out, _ = _run(capsys, "oracle", "13", "--trials", "20000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "covariance failures: 0/20000" in out
+    assert peak < 3 * 2**20, peak
 
 
 def test_sweep_rejects_options_its_mode_ignores(capsys):

@@ -144,6 +144,11 @@ CASES: dict[str, list] = {
     "oracle-13": [["oracle", "13"], ["oracle", "13", "--trials", "40", "--json"]],
     "oracle-25": [["oracle", "25", "--trials", "30", "--seed", "5"]],
     "oracle-errors": [["oracle", "11"], ["oracle", "97", "--json"]],
+    # every other q = 1 mod 4 up to the oracle limit, with the default trials
+    **{
+        f"oracle-{q}": [["oracle", str(q)], ["oracle", str(q), "--json"]]
+        for q in (5, 9, 17, 29, 37, 41, 49, 53, 61)
+    },
     # size limits and usage errors
     "size-limits": [
         ["check", BIG, "5"],

@@ -1,16 +1,58 @@
 """Tests for the PSL(2,q) action on the projective line."""
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from psldesigns import gf, projline
+
+# every q = 1 mod 4 up to the oracle limit
+ORACLE_QS = (5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61)
 
 
 def _apply_to_triple(spec, g, triple):
     pm = projline.point_permutation(spec, g)
     return tuple(sorted(pm[z] for z in triple))
+
+
+def _by_triple(labels, v):
+    """(triple, label) for every 3-subset of range(v), reading labels at the
+    colex rank x + C(y,2) + C(z,3) of each triple."""
+    for t in itertools.combinations(range(v), 3):
+        yield t, labels[t[0] + math.comb(t[1], 2) + math.comb(t[2], 3)]
+
+
+# --- oracle: the tuple-and-set orbit closure that the label array replaced
+
+
+def _scalar_triple_orbits(spec):
+    """{sorted triple: +1 or -1} by breadth-first closure over sets of
+    tuples, +1 on the orbit of {inf, 0, 1} and -1 on that of
+    {inf, 0, alpha}."""
+    q = spec.q
+    perms = [projline.point_permutation(spec, g) for g in projline.psl_generators(spec)]
+
+    def closure(start):
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for t in frontier:
+                for pm in perms:
+                    u = tuple(sorted((pm[t[0]], pm[t[1]], pm[t[2]])))
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+            frontier = nxt
+        return seen
+
+    plus = closure((0, 1, q))
+    minus = closure((0, spec.alpha, q))
+    assert not plus & minus and len(plus) + len(minus) == math.comb(q + 1, 3)
+    return {**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1)}
 
 
 def test_canonicalize_scalar_invariance(f41):
@@ -168,7 +210,7 @@ def test_brute_force_orbits_q13(f13):
     labels = projline.brute_force_triple_orbits(f13)
     assert len(labels) == math.comb(14, 3)
     sizes = {1: 0, -1: 0}
-    for t, sign in labels.items():
+    for t, sign in _by_triple(labels, 14):
         sizes[sign] += 1
         assert projline.delta_extended(f13, t) == sign
     assert sizes == {1: 182, -1: 182}
@@ -177,14 +219,14 @@ def test_brute_force_orbits_q13(f13):
 def test_brute_force_orbits_extension_field(f9):
     labels = projline.brute_force_triple_orbits(f9)
     assert len(labels) == math.comb(10, 3)
-    for t, sign in labels.items():
+    for t, sign in _by_triple(labels, 10):
         assert projline.delta_extended(f9, t) == sign
 
 
 def test_brute_force_orbits_q29(f29):
     labels = projline.brute_force_triple_orbits(f29)
     assert len(labels) == math.comb(30, 3)
-    assert all(projline.delta_extended(f29, t) == s for t, s in labels.items())
+    assert all(projline.delta_extended(f29, t) == s for t, s in _by_triple(labels, 30))
 
 
 def test_brute_force_orbits_rejects():
@@ -194,3 +236,77 @@ def test_brute_force_orbits_rejects():
     f97 = gf.make_prime_field(97)
     with pytest.raises(ValueError, match="oracle limit"):
         projline.brute_force_triple_orbits(f97)
+
+
+@pytest.fixture(scope="module", params=ORACLE_QS, ids=str)
+def small_field(request):
+    return gf.field_for_order(request.param)
+
+
+def test_closure_labels_match_the_scalar_closure(small_field):
+    labels = projline.brute_force_triple_orbits(small_field)
+    assert labels.dtype == np.int8
+    want = _scalar_triple_orbits(small_field)
+    assert dict(_by_triple(labels.tolist(), small_field.q + 1)) == want
+
+
+def test_colex_triples_are_ranked_in_order():
+    for v in (3, 4, 10, 62):
+        rows = projline.colex_triples(v)
+        ranks = [t[0] + math.comb(t[1], 2) + math.comb(t[2], 3) for t in rows.tolist()]
+        assert ranks == list(range(math.comb(v, 3)))
+        assert sorted(map(tuple, rows.tolist())) == list(itertools.combinations(range(v), 3))
+        assert np.array_equal(projline.triple_ranks(rows), np.arange(len(rows)))
+
+
+def test_field_tables_match_the_scalar_ops(f13, f9, f25, f61):
+    for spec in (f13, f9, f25, f61):
+        tab = projline.field_tables(spec)
+        for a, b in itertools.product(range(spec.q), repeat=2):
+            assert tab.add[a, b] == gf.add(spec, a, b)
+            assert tab.sub[a, b] == gf.sub(spec, a, b)
+            assert tab.mul[a, b] == gf.mul(spec, a, b)
+        for a in range(1, spec.q):
+            assert tab.inv[a] == gf.inv(spec, a)
+            assert tab.chi[a] == gf.chi(spec, a)
+
+
+def test_triple_signs_match_delta_extended_on_every_triple(small_field):
+    spec = small_field
+    tab = projline.field_tables(spec)
+    rows = projline.colex_triples(spec.q + 1)
+    want = [projline.delta_extended(spec, t) for t in rows.tolist()]
+    assert projline.triple_signs(tab, rows).tolist() == want
+    # the sign of a triple does not depend on the order of its points
+    shuffled = np.random.default_rng(spec.q).permuted(rows, axis=1)
+    assert projline.triple_signs(tab, shuffled).tolist() == want
+
+
+@pytest.mark.parametrize("seed", [20250841, 7])
+def test_sampled_trials_are_those_of_random_element(f29, f25, seed, monkeypatch):
+    monkeypatch.setattr(projline, "ORACLE_CHUNK_TRIALS", 64)
+    for spec in (f29, f25):
+        tab = projline.field_tables(spec)
+        chunks = list(projline.sample_trials(tab, random.Random(seed), 200))
+        assert [len(elems) for elems, _ in chunks] == [64, 64, 64, 8]
+        elems, triples = (np.concatenate(part) for part in zip(*chunks))
+        assert elems.shape == (200, 4) and triples.shape == (200, 3)
+        rng = random.Random(seed)
+        pts = list(projline.all_points(spec))
+        for row, t in zip(elems.tolist(), triples.tolist()):
+            assert projline.canonicalize(spec, *row) == projline.random_element(spec, rng)
+            assert t == rng.sample(pts, 3)
+
+
+def test_apply_to_points_matches_apply(f13, f9, f25):
+    rng = random.Random(3)
+    for spec in (f13, f9, f25):
+        tab = projline.field_tables(spec)
+        elems = [projline.random_element(spec, rng) for _ in range(30)]
+        # a map fixing infinity (c = 0) and z -> -1/z, which swaps it with 0
+        minus_one = gf.neg(spec, 1)
+        elems += [projline.identity(spec), projline.canonicalize(spec, 0, 1, minus_one, 0)]
+        mats = np.array([(g.a, g.b, g.c, g.d) for g in elems])
+        points = np.tile(np.arange(spec.q + 1), (len(elems), 1))
+        images = projline.apply_to_points(tab, mats, points)
+        assert images.tolist() == [projline.point_permutation(spec, g) for g in elems]

@@ -18,7 +18,6 @@ from psldesigns.starter import (
     admissible_k,
     char_sequence,
     delta_sum,
-    dihedral_orbit_reps,
     gives_design,
     lambda_formula,
     make_starter_context,
@@ -38,7 +37,6 @@ __all__ = [
     "admissible_k",
     "char_sequence",
     "delta_sum",
-    "dihedral_orbit_reps",
     "gives_design",
     "lambda_formula",
     "make_starter_context",

@@ -213,125 +213,10 @@ def verify_t_design(
 
 
 # ---------------------------------------------------------------------------
-# stabilizers and flag transitivity
-
-
-@dataclass(frozen=True)
-class StabilizerInfo:
-    """Setwise stabilizer of a starter block in PSL(2,q).
-
-    order is exact (orbit counting). claimed_structure names the dihedral
-    group predicted by the cofactor parity when the k < p hypothesis
-    holds; otherwise it is None and warning says why the structural check
-    was skipped.
-    """
-
-    order: int
-    claimed_structure: str | None
-    elements: tuple[projline.GroupElem, ...]
-    warning: str | None = None
-
-
-def _setwise_candidates(
-    spec: gf.FieldSpec, block: tuple[int, ...]
-) -> list[projline.GroupElem]:
-    """Dihedral-type stabilizer elements of a subgroup block of GF(q)*:
-    scalings z -> c z and inversions z -> c / z with c in the block, kept
-    when the determinant (c, resp. -c) is a square."""
-    out = []
-    for c in block:
-        if gf.chi(spec, c) == 1:
-            out.append(projline.canonicalize(spec, c, 0, 0, 1))
-        if gf.chi(spec, gf.neg(spec, c)) == 1:
-            out.append(projline.canonicalize(spec, 0, c, 1, 0))
-    return out
-
-
-def stabilizer_order(
-    spec: gf.FieldSpec,
-    block: tuple[int, ...],
-    b: int | None = None,
-) -> StabilizerInfo:
-    """Setwise stabilizer of the order-k subgroup block.
-
-    The order is |PSL(2,q)| / b; b comes from expand_orbit unless given.
-    Every scaling/inversion candidate is verified to stabilize the block,
-    and for k < p the candidates must account for the whole stabilizer
-    (the dihedral claim), else a RuntimeError. For k >= p the structural
-    check is skipped and a warning attached.
-    """
-    k = len(block)
-    if b is None:
-        b = len(expand_orbit(spec, block))
-    g_order = projline.group_order(spec)
-    if g_order % b:
-        raise RuntimeError(f"orbit length {b} does not divide |G| = {g_order}")
-    order = g_order // b
-    elems = sorted(
-        set(_setwise_candidates(spec, block)),
-        key=lambda g: (g.a, g.b, g.c, g.d),
-    )
-    blockset = frozenset(block)
-    for g in elems:
-        image = frozenset(projline.apply(spec, g, z) for z in block)
-        if image != blockset:
-            raise RuntimeError(f"candidate {g} does not stabilize the block")
-    if k >= spec.p:
-        return StabilizerInfo(
-            order=order,
-            claimed_structure=None,
-            elements=tuple(elems),
-            warning=f"k = {k} >= p = {spec.p}: dihedral structure not checked",
-        )
-    e = (spec.q - 1) // k
-    claimed = k if e % 2 else 2 * k
-    if len(elems) != claimed or order != claimed:
-        raise RuntimeError(
-            f"stabilizer order {order} with {len(elems)} dihedral elements, "
-            f"expected {claimed}"
-        )
-    return StabilizerInfo(
-        order=order,
-        claimed_structure=f"dihedral of order {claimed}",
-        elements=tuple(elems),
-    )
-
-
-def check_flag_transitive(
-    spec: gf.FieldSpec,
-    block: tuple[int, ...],
-    blocks: np.ndarray,
-) -> bool:
-    """Whether the setwise stabilizer of the block is transitive on its
-    points (with block-transitivity, that is flag-transitivity).
-
-    Decided by closing the point 1 under the explicit scaling/inversion
-    stabilizer elements; blocks must be the expand_orbit output for the
-    same block (it fixes the stabilizer order).
-    """
-    info = stabilizer_order(spec, tuple(sorted(block)), b=len(blocks))
-    orbit = {1}
-    frontier = [1]
-    while frontier:
-        z = frontier.pop()
-        for g in info.elements:
-            w = projline.apply(spec, g, z)
-            if w not in orbit:
-                orbit.add(w)
-                frontier.append(w)
-    return orbit == set(block)
-
-
-# ---------------------------------------------------------------------------
 # building and serializing
 
 
-def build_design(
-    spec: gf.FieldSpec,
-    k: int,
-    alpha: int | None = None,
-    budget: int | None = None,
-) -> Design:
+def build_design(spec: gf.FieldSpec, k: int, alpha: int | None = None) -> Design:
     """Expand the orbit of the order-k subgroup and attach its parameters.
 
     The design decision comes from the starter criterion; lam is the
@@ -339,7 +224,7 @@ def build_design(
     verify_design to confirm both against the explicit blocks.
     """
     ctx = starter.make_starter_context(spec, k, alpha=alpha)
-    blocks = expand_orbit(spec, ctx.block, budget=budget)
+    blocks = expand_orbit(spec, ctx.block)
     is_design = starter.gives_design(ctx)
     lam = starter.lambda_formula(k, ctx.e) if is_design else 0
     return Design(q=spec.q, k=k, lam=lam, blocks=blocks, is_design=is_design)

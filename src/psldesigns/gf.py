@@ -381,9 +381,8 @@ def make_extension_field(p: int, n: int) -> FieldSpec:
     if cached is not None:
         return cached
     modulus = None
-    for cs in itertools.product(range(p), repeat=n):
-        if cs[0] == 0:
-            continue  # divisible by x
+    # c0 starts at 1: a zero constant term makes the polynomial divisible by x
+    for cs in itertools.product(range(1, p), *[range(p)] * (n - 1)):
         f = list(cs) + [1]
         if _is_irreducible(f, p):
             modulus = tuple(f)

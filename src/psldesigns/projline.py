@@ -7,7 +7,10 @@ serialize as themselves in design files.
 
 Group elements are 2x2 matrices with square determinant acting by
 z -> (a*z + b)/(c*z + d), held in a canonical form so that equal maps
-compare equal.
+compare equal. The package only applies elements, singly (apply,
+point_permutation) or on arrays through GF(q)'s lookup tables
+(apply_to_points); the group law itself (compose, inverse, identity) and
+random_element are test oracles, in tests/scalar_oracles.py.
 """
 
 from __future__ import annotations
@@ -55,25 +58,6 @@ def canonicalize(spec: gf.FieldSpec, a: int, b: int, c: int, d: int) -> GroupEle
     return GroupElem(*(gf.mul(spec, s, x) for x in (a, b, c, d)))
 
 
-def identity(spec: gf.FieldSpec) -> GroupElem:
-    return GroupElem(1, 0, 0, 1)
-
-
-def compose(spec: gf.FieldSpec, g: GroupElem, h: GroupElem) -> GroupElem:
-    """Canonical product, so apply(compose(g,h), z) == apply(g, apply(h, z))."""
-    return canonicalize(
-        spec,
-        gf.add(spec, gf.mul(spec, g.a, h.a), gf.mul(spec, g.b, h.c)),
-        gf.add(spec, gf.mul(spec, g.a, h.b), gf.mul(spec, g.b, h.d)),
-        gf.add(spec, gf.mul(spec, g.c, h.a), gf.mul(spec, g.d, h.c)),
-        gf.add(spec, gf.mul(spec, g.c, h.b), gf.mul(spec, g.d, h.d)),
-    )
-
-
-def inverse(spec: gf.FieldSpec, g: GroupElem) -> GroupElem:
-    return canonicalize(spec, g.d, gf.neg(spec, g.b), gf.neg(spec, g.c), g.a)
-
-
 def apply(spec: gf.FieldSpec, g: GroupElem, z: int) -> int:
     """Image of a point under the linear fractional transformation g."""
     q = spec.q
@@ -106,22 +90,6 @@ def psl_generators(spec: gf.FieldSpec) -> list[GroupElem]:
         gens.append(canonicalize(spec, 1, x, 0, 1))
         gens.append(canonicalize(spec, 1, 0, x, 1))
     return gens
-
-
-def group_order(spec: gf.FieldSpec) -> int:
-    """|PSL(2,q)| = q(q^2 - 1)/2 for odd q."""
-    q = spec.q
-    return (q + 1) * q * (q - 1) // 2
-
-
-def random_element(spec: gf.FieldSpec, rng) -> GroupElem:
-    """Random canonical element by rejection sampling on the determinant."""
-    q = spec.q
-    while True:
-        a, b, c, d = (rng.randrange(q) for _ in range(4))
-        det = gf.sub(spec, gf.mul(spec, a, d), gf.mul(spec, b, c))
-        if det != 0 and gf.chi(spec, det) == 1:
-            return canonicalize(spec, a, b, c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +159,7 @@ def colex_triples(v: int) -> np.ndarray:
     return np.stack([r - y * (y - 1) // 2, y, z], axis=1)
 
 
-def brute_force_triple_orbits(
-    spec: gf.FieldSpec, limit: int = DEFAULT_ORACLE_LIMIT
-) -> np.ndarray:
+def brute_force_triple_orbits(spec: gf.FieldSpec) -> np.ndarray:
     """Classify every 3-subset of PG(1,q) by explicit orbit closure.
 
     Returns an int8 label per triple, indexed by colex rank (see
@@ -201,12 +167,14 @@ def brute_force_triple_orbits(
     {inf, 0, alpha}. Each orbit is closed breadth-first under the
     generators' point permutations, one level of triples at a time. The
     two closures must partition all C(q+1, 3) triples or this raises.
-    Capped by `limit`, since the labels take C(q+1, 3) bytes; it exists to
-    check delta_extended and triple_signs.
+    Capped at DEFAULT_ORACLE_LIMIT, since the labels take C(q+1, 3) bytes;
+    it exists to check delta_extended and triple_signs.
     """
     q = spec.q
-    if q > limit:
-        raise ValueError(f"q = {q} exceeds the oracle limit {limit}")
+    if q > DEFAULT_ORACLE_LIMIT:
+        raise ValueError(
+            f"q = {q} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}"
+        )
     _require_two_orbit_regime(spec)
     perms = np.array([point_permutation(spec, g) for g in psl_generators(spec)])
     labels = np.zeros(math.comb(q + 1, 3), dtype=np.int8)
@@ -294,10 +262,11 @@ def sample_trials(tables: FieldTables, rng, trials: int):
     as pairs of an (m, 4) array of matrices (a, b, c, d) with nonzero
     square determinant and an (m, 3) array of distinct points.
 
-    It makes the rng calls that random_element and then
-    rng.sample(points, 3) make, in the same order, so a seed draws the
-    same trials; the matrices are the drawn ones, not their canonical
-    forms.
+    Each matrix is drawn by rejection sampling on the determinant, four
+    rng.randrange(q) calls per attempt, then its points by
+    rng.sample(points, 3); the tests hold this to a scalar random_element
+    drawing from the same seed. The matrices are the drawn ones, not their
+    canonical forms.
     """
     q = tables.q
     mul, sub, chi = tables.mul.tolist(), tables.sub.tolist(), tables.chi.tolist()

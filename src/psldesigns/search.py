@@ -23,9 +23,6 @@ import numpy as np
 
 from psldesigns import gf, starter
 
-# Bounds behind the "no further coincident (k, 2k) pair" report.
-PAIR_SCAN_K_MAX = 60
-PAIR_SCAN_Q_MAX = 2 * 10**5
 # primes per batched starter call; a chunk holds a few int64 arrays of
 # DECIDE_CHUNK_ROWS * k entries
 DECIDE_CHUNK_ROWS = 2048
@@ -264,20 +261,6 @@ def verify_pair_coincidence(k1: int, k2: int, q_max: int) -> PairScan:
         hits2=h2,
         first_divergence=min(diff) if diff else None,
     )
-
-
-def coincident_pair_report(
-    k_max: int = PAIR_SCAN_K_MAX,
-    q_max: int = PAIR_SCAN_Q_MAX,
-) -> list[PairScan]:
-    """Scan every admissible pair (k, 2k) with 2k <= k_max for hit-set
-    coincidence up to q_max. A bounded observation, not a proof: the
-    report states its bounds and nothing beyond them."""
-    scans = []
-    for k in range(4, k_max // 2 + 1):
-        if starter.admissible_k(k) and starter.admissible_k(2 * k):
-            scans.append(verify_pair_coincidence(k, 2 * k, q_max))
-    return scans
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,18 @@ count of 3-subsets of B vanishes. The sign of a triple
 {beta^a, beta^b, beta^c} is the product of chi(1 - beta^m) over the three
 cyclic exponent gaps, so everything reduces to the character table
 t[m] = chi(1 - beta^m), m = 1..k-1: the signed count is one
-self-convolution of t (delta_sum). The dihedral orbit decomposition of
-the 3-subsets of a cyclic group (dihedral_orbit_reps, delta_of_rep) and
-the direct sum over all triples (delta_sum_brute) are its test oracles.
+self-convolution of t (delta_sum). Its oracles, the direct sum over all
+triples and the sum over the dihedral orbits of 3-subsets of a cyclic
+group, live in the tests (tests/scalar_oracles.py).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from psldesigns import gf, projline
+from psldesigns import gf
 
 # A design-giving k with even cofactor must fall in these classes mod 24.
 # One-directional: membership never replaces the signed count.
@@ -98,62 +97,6 @@ def make_starter_context(
     )
 
 
-# ---------------------------------------------------------------------------
-# dihedral orbits of 3-subsets of a cyclic group
-
-
-@dataclass(frozen=True)
-class OrbitRep:
-    """Representative {1, beta^i, beta^j} of a dihedral orbit of 3-subsets.
-
-    kind 'A': three distinct exponent gaps, orbit length 2k.
-    kind 'B': exactly two equal gaps ({1, beta^i, beta^2i}), length k.
-    kind 'C': three equal gaps (only when 3 | k), length k/3.
-    """
-
-    kind: str
-    i: int
-    j: int
-    length: int
-
-
-def dihedral_orbit_reps(k: int) -> list[OrbitRep]:
-    """Orbit representatives of the dihedral group of order 2k acting on
-    3-subsets of exponents mod k. Lengths always sum to C(k, 3)."""
-    if k < 4:
-        raise ValueError(f"k = {k} is too small")
-    reps = []
-    # gaps d1 < d2 < d3 with d1 + d2 + d3 = k; rep exponents (0, d1, d1+d2)
-    for d1 in range(1, (k - 3) // 3 + 1):
-        for d2 in range(d1 + 1, (k - d1 - 1) // 2 + 1):
-            reps.append(OrbitRep("A", d1, d1 + d2, 2 * k))
-    for i in range(1, (k + 1) // 2):
-        if 3 * i != k:
-            reps.append(OrbitRep("B", i, 2 * i, k))
-    if k % 3 == 0:
-        reps.append(OrbitRep("C", k // 3, 2 * k // 3, k // 3))
-    return reps
-
-
-def rep_gaps(rep: OrbitRep, k: int) -> tuple[int, int, int]:
-    """The cyclic exponent gaps (i, j-i, k-j) of a representative."""
-    return (rep.i, rep.j - rep.i, k - rep.j)
-
-
-def delta_of_rep(ctx: StarterContext, rep: OrbitRep) -> int:
-    """Triple sign of a representative, constant on its dihedral orbit.
-
-    The sign of {1, beta^i, beta^j} factors as the product of
-    chi(1 - beta^g) over the three exponent gaps g. Only meaningful for an
-    even cofactor, where the sign does not depend on the representative.
-    """
-    if ctx.e % 2:
-        raise ValueError("triple signs are not orbit invariants for odd e")
-    t = ctx.chi_table
-    d1, d2, d3 = rep_gaps(rep, ctx.k)
-    return t[d1] * t[d2] * t[d3]
-
-
 def _signed_count(t: np.ndarray) -> np.ndarray:
     """Signed count of all C(k,3) 3-subsets of the block, per row of a
     2-D int64 array of character tables with k columns (t[:, 0] = 0).
@@ -182,16 +125,6 @@ def delta_sum(ctx: StarterContext) -> int:
     if ctx.e % 2:
         raise ValueError("the signed count is only defined for even e")
     return int(_signed_count(np.asarray(ctx.chi_table, dtype=np.int64)[None, :])[0])
-
-
-def delta_sum_brute(ctx: StarterContext) -> int:
-    """O(k^3) oracle for delta_sum: direct sign sum over all triples."""
-    if ctx.e % 2:
-        raise ValueError("the signed count is only defined for even e")
-    return sum(
-        projline.delta_finite(ctx.spec, t)
-        for t in itertools.combinations(ctx.block, 3)
-    )
 
 
 def gives_design(ctx: StarterContext) -> bool:
@@ -306,7 +239,7 @@ def _pair_tables(k: int, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 def decide_prime_batch(k: int, qs) -> np.ndarray:
     """gives_design for the order-k subgroup of GF(q) at every prime q of
     qs at once, as a bool array. Any generator of the subgroup will do:
-    the signed count is the generator-free delta_sum_brute. The scalar
+    the signed count is the generator-free sum over all triples. The scalar
     make_starter_context with gives_design is this kernel's oracle."""
     e, _, t = _prime_tables(k, qs)
     return (e % 2 == 1) | (_signed_count(t) == 0)

@@ -1,6 +1,19 @@
+import importlib
+from pathlib import Path
+
 import pytest
 
 from psldesigns import gf
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    """perfbench/tracing.py, whose tables name the functions it wraps."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        yield importlib.import_module("tracing")
 
 
 @pytest.fixture(scope="session")

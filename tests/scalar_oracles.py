@@ -1,0 +1,121 @@
+"""Scalar oracles that the package's fast paths are checked against.
+
+None of this is reached by the command line or the library. It is kept
+here, in the tests, as the independent second route of the "checked
+twice" rule:
+
+- delta_sum_brute sums the orbit sign over all C(k,3) triples of the
+  block, against the convolution starter.delta_sum;
+- dihedral_orbit_reps, rep_gaps and delta_of_rep sum the sign over the
+  dihedral orbits of 3-subsets of a cyclic group, a third route to it;
+- random_element, compose, inverse and identity are the group law on
+  canonical matrices, against which projline.sample_trials, apply and
+  apply_to_points are tested.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+from psldesigns import gf, projline
+from psldesigns.projline import GroupElem, canonicalize
+from psldesigns.starter import StarterContext
+
+# ---------------------------------------------------------------------------
+# dihedral orbits of 3-subsets of a cyclic group, and the brute-force sum
+
+
+@dataclass(frozen=True)
+class OrbitRep:
+    """Representative {1, beta^i, beta^j} of a dihedral orbit of 3-subsets.
+
+    kind 'A': three distinct exponent gaps, orbit length 2k.
+    kind 'B': exactly two equal gaps ({1, beta^i, beta^2i}), length k.
+    kind 'C': three equal gaps (only when 3 | k), length k/3.
+    """
+
+    kind: str
+    i: int
+    j: int
+    length: int
+
+
+def dihedral_orbit_reps(k: int) -> list[OrbitRep]:
+    """Orbit representatives of the dihedral group of order 2k acting on
+    3-subsets of exponents mod k. Lengths always sum to C(k, 3)."""
+    if k < 4:
+        raise ValueError(f"k = {k} is too small")
+    reps = []
+    # gaps d1 < d2 < d3 with d1 + d2 + d3 = k; rep exponents (0, d1, d1+d2)
+    for d1 in range(1, (k - 3) // 3 + 1):
+        for d2 in range(d1 + 1, (k - d1 - 1) // 2 + 1):
+            reps.append(OrbitRep("A", d1, d1 + d2, 2 * k))
+    for i in range(1, (k + 1) // 2):
+        if 3 * i != k:
+            reps.append(OrbitRep("B", i, 2 * i, k))
+    if k % 3 == 0:
+        reps.append(OrbitRep("C", k // 3, 2 * k // 3, k // 3))
+    return reps
+
+
+def rep_gaps(rep: OrbitRep, k: int) -> tuple[int, int, int]:
+    """The cyclic exponent gaps (i, j-i, k-j) of a representative."""
+    return (rep.i, rep.j - rep.i, k - rep.j)
+
+
+def delta_of_rep(ctx: StarterContext, rep: OrbitRep) -> int:
+    """Triple sign of a representative, constant on its dihedral orbit.
+
+    The sign of {1, beta^i, beta^j} factors as the product of
+    chi(1 - beta^g) over the three exponent gaps g. Only meaningful for an
+    even cofactor, where the sign does not depend on the representative.
+    """
+    if ctx.e % 2:
+        raise ValueError("triple signs are not orbit invariants for odd e")
+    t = ctx.chi_table
+    d1, d2, d3 = rep_gaps(rep, ctx.k)
+    return t[d1] * t[d2] * t[d3]
+
+
+def delta_sum_brute(ctx: StarterContext) -> int:
+    """O(k^3) oracle for delta_sum: direct sign sum over all triples."""
+    if ctx.e % 2:
+        raise ValueError("the signed count is only defined for even e")
+    return sum(
+        projline.delta_finite(ctx.spec, t)
+        for t in itertools.combinations(ctx.block, 3)
+    )
+
+
+# ---------------------------------------------------------------------------
+# the group law on canonical elements of PSL(2,q)
+
+
+def identity(spec: gf.FieldSpec) -> GroupElem:
+    return GroupElem(1, 0, 0, 1)
+
+
+def compose(spec: gf.FieldSpec, g: GroupElem, h: GroupElem) -> GroupElem:
+    """Canonical product, so apply(compose(g,h), z) == apply(g, apply(h, z))."""
+    return canonicalize(
+        spec,
+        gf.add(spec, gf.mul(spec, g.a, h.a), gf.mul(spec, g.b, h.c)),
+        gf.add(spec, gf.mul(spec, g.a, h.b), gf.mul(spec, g.b, h.d)),
+        gf.add(spec, gf.mul(spec, g.c, h.a), gf.mul(spec, g.d, h.c)),
+        gf.add(spec, gf.mul(spec, g.c, h.b), gf.mul(spec, g.d, h.d)),
+    )
+
+
+def inverse(spec: gf.FieldSpec, g: GroupElem) -> GroupElem:
+    return canonicalize(spec, g.d, gf.neg(spec, g.b), gf.neg(spec, g.c), g.a)
+
+
+def random_element(spec: gf.FieldSpec, rng) -> GroupElem:
+    """Random canonical element by rejection sampling on the determinant."""
+    q = spec.q
+    while True:
+        a, b, c, d = (rng.randrange(q) for _ in range(4))
+        det = gf.sub(spec, gf.mul(spec, a, d), gf.mul(spec, b, c))
+        if det != 0 and gf.chi(spec, det) == 1:
+            return canonicalize(spec, a, b, c, d)

@@ -134,6 +134,13 @@ CASES: dict[str, list] = {
     "thm-errors": [["thm510", "--pmax", "-3"], ["thm1326"]],
     # lift
     "lift": [["lift", "29", "13", "3"], ["lift", "29", "13", "3", "--json"]],
+    # lifts to GF(3^19) and GF(3^18), extension fields near the size limit
+    "lift-large-modulus": [
+        ["lift", "3", "4", "19"],
+        ["lift", "3", "4", "19", "--json"],
+        ["lift", "729", "14", "3"],
+        ["lift", "729", "14", "3", "--json"],
+    ],
     "lift-errors": [
         ["lift", "41", "5", "0"],
         ["lift", "41", "5", "0", "--json"],

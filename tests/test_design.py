@@ -266,58 +266,52 @@ def test_verify_design_catches_tampering(d13):
     assert not design.verify_design(twice)
 
 
-def test_stabilizer_order_frozen(f13, f17, f41, d13):
-    info = design.stabilizer_order(f13, _block(f13, 4), b=d13.b)
-    assert info.order == 4
-    assert info.claimed_structure == "dihedral of order 4"
-    assert len(info.elements) == 4 and info.warning is None
-
-    info = design.stabilizer_order(f41, _block(f41, 5), b=3444)
-    assert (info.order, info.claimed_structure) == (10, "dihedral of order 10")
-    info = design.stabilizer_order(f41, _block(f41, 10), b=1722)
-    assert (info.order, info.claimed_structure) == (20, "dihedral of order 20")
-    info = design.stabilizer_order(f17, _block(f17, 4))  # b recomputed
-    assert (info.order, info.claimed_structure) == (8, "dihedral of order 8")
-
-    f19 = gf.make_prime_field(19)
-    info = design.stabilizer_order(f19, _block(f19, 6), b=570)
-    assert (info.order, info.claimed_structure) == (6, "dihedral of order 6")
+# (q, k) -> the order of the order-k subgroup block's stabilizer in
+# PSL(2,q), |PSL(2,q)| / b by orbit counting
+STABILIZER_ORDERS = {
+    (13, 4): 4,
+    (17, 4): 8,
+    (41, 5): 10,
+    (41, 10): 20,
+    (19, 6): 6,
+    (9, 4): 24,
+}
 
 
-def test_stabilizer_elements_stabilize(f41):
-    block = _block(f41, 10)
-    info = design.stabilizer_order(f41, block, b=1722)
-    blockset = set(block)
-    for g in info.elements:
-        assert {projline.apply(f41, g, z) for z in block} == blockset
+@pytest.mark.parametrize(("q", "k"), list(STABILIZER_ORDERS))
+def test_block_stabilizer(q, k):
+    """|PSL(2,q)| = q(q^2 - 1)/2 is b, the length of the expanded orbit,
+    times the recorded stabilizer order. The scalings z -> cz and inversions
+    z -> c/z with c in the block, kept when their determinant (c, resp.
+    -c) is a square, stabilize the block; for k < p they are the whole
+    stabilizer, dihedral of order k (odd cofactor) or 2k (even). They are
+    transitive on the block's points, which with block-transitivity makes
+    the design flag-transitive, except at (13, 4)."""
+    spec = gf.field_for_order(q)
+    block = _block(spec, k)
+    b = len(design.expand_orbit(spec, block))
+    assert q * (q * q - 1) // 2 == b * STABILIZER_ORDERS[q, k]
 
+    elems = set()
+    for c in block:
+        if gf.chi(spec, c) == 1:
+            elems.add(projline.canonicalize(spec, c, 0, 0, 1))
+        if gf.chi(spec, gf.neg(spec, c)) == 1:
+            elems.add(projline.canonicalize(spec, 0, c, 1, 0))
+    perms = [projline.point_permutation(spec, g) for g in elems]
+    for pm in perms:
+        assert {pm[z] for z in block} == set(block)
+    if k < spec.p:
+        assert len(elems) == STABILIZER_ORDERS[q, k]
 
-def test_stabilizer_k_at_least_p_warning(f9):
-    block = _block(f9, 4)
-    info = design.stabilizer_order(f9, block)
-    assert info.order == 24
-    assert info.claimed_structure is None
-    assert len(info.elements) == 8
-    assert "not checked" in info.warning
-
-
-def test_stabilizer_rejects_bad_orbit_length(f13):
-    with pytest.raises(RuntimeError, match="does not divide"):
-        design.stabilizer_order(f13, _block(f13, 4), b=5)
-
-
-def test_check_flag_transitive(f13, f17, f41, f9, d13, d17):
-    assert not design.check_flag_transitive(f13, _block(f13, 4), d13.blocks)
-    assert design.check_flag_transitive(f17, _block(f17, 4), d17.blocks)
-    d = design.build_design(f41, 5)
-    assert design.check_flag_transitive(f41, _block(f41, 5), d.blocks)
-    d = design.build_design(f41, 10)
-    assert design.check_flag_transitive(f41, _block(f41, 10), d.blocks)
-    f19 = gf.make_prime_field(19)
-    d = design.build_design(f19, 6)
-    assert design.check_flag_transitive(f19, _block(f19, 6), d.blocks)
-    d9 = design.build_design(f9, 4)
-    assert design.check_flag_transitive(f9, _block(f9, 4), d9.blocks)
+    orbit, frontier = {1}, [1]
+    while frontier:
+        z = frontier.pop()
+        for pm in perms:
+            if pm[z] not in orbit:
+                orbit.add(pm[z])
+                frontier.append(pm[z])
+    assert (orbit == set(block)) == ((q, k) != (13, 4))
 
 
 def test_format_parse_round_trip(d13, d17):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import product
 
 import pytest
@@ -94,7 +95,8 @@ def test_extension_field_spec(f9, f25, f49):
 
 def test_extension_modulus_is_minimal_irreducible(f9, f25):
     # no lex-smaller monic polynomial of the same degree is irreducible
-    for spec in (f9, f25):
+    more = [gf.make_extension_field(p, n) for p, n in ((3, 5), (5, 3), (7, 3), (3, 7))]
+    for spec in (f9, f25, *more):
         p, n = spec.p, spec.n
         assert len(spec.modulus) == n + 1 and spec.modulus[-1] == 1
         for cs in product(range(p), repeat=n):
@@ -102,6 +104,31 @@ def test_extension_modulus_is_minimal_irreducible(f9, f25):
                 break
             assert not gf._is_irreducible(list(cs) + [1], p)
         assert gf._is_irreducible(list(spec.modulus), p)
+
+
+# (p, n) -> the modulus and generator of GF(p^n), recorded from the walk
+# that stepped through every modulus with a zero constant term as well
+LARGE_FIELDS = {
+    (3, 19): ((1,) + (0,) * 16 + (1, 2, 1), 3),
+    (5, 13): ((1,) + (0,) * 10 + (2, 3, 1), 8),
+    (7, 11): ((1,) + (0,) * 9 + (4, 1), 8),
+}
+
+
+@pytest.mark.parametrize(("p", "n"), list(LARGE_FIELDS))
+def test_large_extension_field_is_unchanged_and_fast(p, n, monkeypatch):
+    """Fields near the size limit keep their modulus and generator, and
+    build in well under 2 s. The modulus walk starts at constant term 1:
+    starting at 0 it stepped through p^(n-1) tuples divisible by x first,
+    about 40 s for GF(3^19) against tens of milliseconds now."""
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    start = time.perf_counter()
+    spec = gf.make_extension_field(p, n)
+    assert time.perf_counter() - start < 2
+    assert (spec.modulus, spec.alpha) == LARGE_FIELDS[p, n]
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly(spec.modulus[::-1], sympy.Symbol("x"), modulus=p)
+    assert poly.is_irreducible
 
 
 def test_alpha_is_smallest_generator(f9, f25, f49):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from psldesigns import cli, gf, search
+from psldesigns import cli, gf, search, starter
 
 
 def test_sieve_primes_against_naive():
@@ -200,18 +200,12 @@ def test_pair_coincidence_frozen():
     scan = search.verify_pair_coincidence(13, 26, 5000)
     assert scan.coincide
     assert scan.hits1 == (3121, 3797, 4993)
-
-
-def test_coincident_pair_report():
-    report = search.coincident_pair_report(k_max=60, q_max=3000)
-    summary = [(s.k1, s.k2, s.coincide, s.first_divergence) for s in report]
-    assert summary == [
-        (5, 10, True, None),
-        (13, 26, True, None),
-        (17, 34, False, 613),
-        (25, 50, False, 1601),
-        (29, 58, False, 1973),
-    ]
+    # every pair (k, 2k) with k <= 30 that passes the mod-24 filter, to 3000
+    admissible = starter.admissible_k
+    ks = [k for k in range(4, 31) if admissible(k) and admissible(2 * k)]
+    assert ks == [5, 13, 17, 25, 29]
+    scans = [search.verify_pair_coincidence(k, 2 * k, 3000) for k in ks]
+    assert [s.first_divergence for s in scans] == [None, None, 613, 1601, 1973]
 
 
 def test_lift_check_frozen():

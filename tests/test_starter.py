@@ -10,6 +10,14 @@ import pytest
 
 from psldesigns import gf, search, starter
 
+from scalar_oracles import (
+    OrbitRep,
+    delta_of_rep,
+    delta_sum_brute,
+    dihedral_orbit_reps,
+    rep_gaps,
+)
+
 
 def _ctx(q, k, alpha=None):
     return starter.make_starter_context(gf.field_for_order(q), k, alpha=alpha)
@@ -72,22 +80,22 @@ def test_reflection_identity(f41, f61, f25):
 
 def test_dihedral_orbit_reps_small():
     with pytest.raises(ValueError):
-        starter.dihedral_orbit_reps(3)
-    r5 = starter.dihedral_orbit_reps(5)
+        dihedral_orbit_reps(3)
+    r5 = dihedral_orbit_reps(5)
     assert [(r.kind, r.i, r.j, r.length) for r in r5] == [
         ("B", 1, 2, 5),
         ("B", 2, 4, 5),
     ]
-    r6 = starter.dihedral_orbit_reps(6)
+    r6 = dihedral_orbit_reps(6)
     assert [(r.kind, r.length) for r in r6] == [("A", 12), ("B", 6), ("C", 2)]
-    r10 = starter.dihedral_orbit_reps(10)
+    r10 = dihedral_orbit_reps(10)
     kinds = [r.kind for r in r10]
     assert kinds.count("A") == 4 and kinds.count("B") == 4 and len(r10) == 8
 
 
 def test_orbit_rep_lengths_cover_all_triples():
     for k in range(4, 61):
-        reps = starter.dihedral_orbit_reps(k)
+        reps = dihedral_orbit_reps(k)
         assert sum(r.length for r in reps) == math.comb(k, 3)
 
 
@@ -106,7 +114,7 @@ def test_orbit_reps_match_explicit_closure():
             for u in orbit:
                 orbits[u] = orbit
         distinct = {id(o): o for o in orbits.values()}
-        reps = starter.dihedral_orbit_reps(k)
+        reps = dihedral_orbit_reps(k)
         assert len(reps) == len(distinct)
         for rep in reps:
             orbit = orbits[(0, rep.i, rep.j)]
@@ -114,28 +122,28 @@ def test_orbit_reps_match_explicit_closure():
 
 
 def test_rep_gaps():
-    rep = starter.OrbitRep("A", 1, 5, 20)
-    assert starter.rep_gaps(rep, 10) == (1, 4, 5)
+    rep = OrbitRep("A", 1, 5, 20)
+    assert rep_gaps(rep, 10) == (1, 4, 5)
     for k in (7, 12, 26):
-        for r in starter.dihedral_orbit_reps(k):
-            assert sum(starter.rep_gaps(r, k)) == k
+        for r in dihedral_orbit_reps(k):
+            assert sum(rep_gaps(r, k)) == k
 
 
 def test_delta_of_rep_frozen(f41):
     ctx5 = starter.make_starter_context(f41, 5)
-    b1, b2 = starter.dihedral_orbit_reps(5)
-    assert starter.delta_of_rep(ctx5, b1) == -1
-    assert starter.delta_of_rep(ctx5, b2) == 1
+    b1, b2 = dihedral_orbit_reps(5)
+    assert delta_of_rep(ctx5, b1) == -1
+    assert delta_of_rep(ctx5, b2) == 1
     ctx10 = starter.make_starter_context(f41, 10)
-    rep = starter.OrbitRep("A", 1, 5, 20)
-    assert starter.delta_of_rep(ctx10, rep) == 1
+    rep = OrbitRep("A", 1, 5, 20)
+    assert delta_of_rep(ctx10, rep) == 1
 
 
 def test_delta_requires_even_cofactor(f13):
     ctx = starter.make_starter_context(f13, 4)  # e = 3
-    rep = starter.dihedral_orbit_reps(4)[0]
+    rep = dihedral_orbit_reps(4)[0]
     with pytest.raises(ValueError):
-        starter.delta_of_rep(ctx, rep)
+        delta_of_rep(ctx, rep)
     with pytest.raises(ValueError):
         starter.delta_sum(ctx)
 
@@ -156,9 +164,9 @@ def test_delta_sum_matches_brute(f41, f17, f25, f49):
     cases = [(f41, 5), (f41, 10), (f17, 4), (f25, 6), (f25, 12), (f49, 24)]
     for spec, k in cases:
         ctx = starter.make_starter_context(spec, k)
-        assert starter.delta_sum(ctx) == starter.delta_sum_brute(ctx)
+        assert starter.delta_sum(ctx) == delta_sum_brute(ctx)
     ctx = _ctx(101, 5)
-    assert starter.delta_sum(ctx) == starter.delta_sum_brute(ctx) == -10
+    assert starter.delta_sum(ctx) == delta_sum_brute(ctx) == -10
 
 
 def test_delta_sum_three_routes():
@@ -176,13 +184,13 @@ def test_delta_sum_three_routes():
             ctx = starter.make_starter_context(spec, k)
             want = starter.delta_sum(ctx)
             by_orbits = sum(
-                rep.length * starter.delta_of_rep(ctx, rep)
-                for rep in starter.dihedral_orbit_reps(k)
+                rep.length * delta_of_rep(ctx, rep)
+                for rep in dihedral_orbit_reps(k)
             )
             assert by_orbits == want, (q, k)
             pairs += 1
             if k <= 30:
-                assert starter.delta_sum_brute(ctx) == want, (q, k)
+                assert delta_sum_brute(ctx) == want, (q, k)
                 brute += 1
     assert (pairs, brute) == (478, 287)
 
@@ -393,7 +401,7 @@ def test_decide_prime_batch_matches_scalar_and_brute():
             ctx = _ctx(q, k)
             assert ok == starter.gives_design(ctx), (q, k)
             if k <= 30:
-                assert ok == (starter.delta_sum_brute(ctx) == 0), (q, k)
+                assert ok == (delta_sum_brute(ctx) == 0), (q, k)
                 brute += 1
         rows += len(qs)
     assert (rows, brute) == (1200, 924)

@@ -4,18 +4,6 @@ renaming one of them would break `perfbench/run.py --trace 1`; this test
 fails first."""
 
 import importlib
-from pathlib import Path
-
-import pytest
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def tracing():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(PERFBENCH))
-        yield importlib.import_module("tracing")
 
 
 def test_every_traced_name_is_a_callable_of_its_module(tracing):

@@ -278,19 +278,25 @@ STABILIZER_ORDERS = {
 }
 
 
+def test_stabilizer_order_frozen():
+    """|PSL(2,q)| = q(q^2 - 1)/2 is b, the length of the expanded orbit,
+    times the recorded stabilizer order."""
+    for (q, k), order in STABILIZER_ORDERS.items():
+        spec = gf.field_for_order(q)
+        b = len(design.expand_orbit(spec, _block(spec, k)))
+        assert q * (q * q - 1) // 2 == b * order
+
+
 @pytest.mark.parametrize(("q", "k"), list(STABILIZER_ORDERS))
 def test_block_stabilizer(q, k):
-    """|PSL(2,q)| = q(q^2 - 1)/2 is b, the length of the expanded orbit,
-    times the recorded stabilizer order. The scalings z -> cz and inversions
-    z -> c/z with c in the block, kept when their determinant (c, resp.
-    -c) is a square, stabilize the block; for k < p they are the whole
-    stabilizer, dihedral of order k (odd cofactor) or 2k (even). They are
+    """The scalings z -> cz and inversions z -> c/z with c in the block,
+    kept when their determinant (c, resp. -c) is a square, stabilize the
+    block; for k < p they are the whole stabilizer, dihedral of order k
+    (odd cofactor) or 2k (even), of the order recorded above. They are
     transitive on the block's points, which with block-transitivity makes
     the design flag-transitive, except at (13, 4)."""
     spec = gf.field_for_order(q)
     block = _block(spec, k)
-    b = len(design.expand_orbit(spec, block))
-    assert q * (q * q - 1) // 2 == b * STABILIZER_ORDERS[q, k]
 
     elems = set()
     for c in block:

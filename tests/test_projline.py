@@ -133,6 +133,17 @@ def test_point_permutation_is_bijection(f29, f25):
             assert sorted(pm) == list(projline.all_points(spec))
 
 
+def test_group_order(f13):
+    # square-determinant matrices up to scalars: q(q^2 - 1)/2 = 1092 of them,
+    # acting faithfully on the 14 points
+    mats = itertools.product(range(13), repeat=4)
+    squares = {x * x % 13 for x in range(1, 13)}
+    square = [m for m in mats if (m[0] * m[3] - m[1] * m[2]) % 13 in squares]
+    group = {projline.canonicalize(f13, *m) for m in square}
+    assert len(group) == 1092
+    assert len({tuple(projline.point_permutation(f13, g)) for g in group}) == 1092
+
+
 def test_delta_finite_frozen(f41):
     assert projline.delta_finite(f41, (1, 10, 18)) == -1
     assert projline.delta_finite(f41, (1, 18, 37)) == 1

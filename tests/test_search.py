@@ -200,6 +200,9 @@ def test_pair_coincidence_frozen():
     scan = search.verify_pair_coincidence(13, 26, 5000)
     assert scan.coincide
     assert scan.hits1 == (3121, 3797, 4993)
+
+
+def test_coincident_pair_report():
     # every pair (k, 2k) with k <= 30 that passes the mod-24 filter, to 3000
     admissible = starter.admissible_k
     ks = [k for k in range(4, 31) if admissible(k) and admissible(2 * k)]

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
+import numpy as np
+
 DEFAULT_Q_LIMIT = 2**31
 
 
@@ -105,15 +107,15 @@ def _pmulmod(a: list, b: list, f, p: int) -> list:
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
+                prod[i + j] += ai * bj
+    # each coefficient is reduced mod p once: as the leading term it is
+    # cleared, and the n low ones at the end (Python ints do not overflow)
     for i in range(len(prod) - 1, n - 1, -1):
-        c = prod[i]
+        c = prod[i] % p
         if c:
-            prod[i] = 0
             for j in range(n):
-                prod[i - n + j] = (prod[i - n + j] - c * f[j]) % p
-    del prod[n:]
-    return _ptrim(prod)
+                prod[i - n + j] -= c * f[j]
+    return _ptrim([c % p for c in prod[:n]])
 
 
 def _ppowmod(a: list, e: int, f, p: int) -> list:
@@ -271,19 +273,14 @@ def inv(spec: FieldSpec, a: int) -> int:
 
 
 def power(spec: FieldSpec, a: int, e: int) -> int:
-    """a**e by square-and-multiply; negative e inverts first."""
+    """a**e by square-and-multiply on the coefficients, decoded and encoded
+    once; negative e inverts first."""
     if e < 0:
         return power(spec, inv(spec, a), -e)
     if spec.n == 1:
         return pow(a, e, spec.p)
-    result, base = 1, a
-    while e:
-        if e & 1:
-            result = mul(spec, result, base)
-        e >>= 1
-        if e:
-            base = mul(spec, base, base)
-    return result
+    ca = _ptrim(element_coeffs(spec, a))
+    return element_from_coeffs(spec, _ppowmod(ca, e, spec.modulus, spec.p))
 
 
 def element_order(spec: FieldSpec, a: int) -> int:
@@ -311,6 +308,78 @@ def chi(spec: FieldSpec, a: int) -> int:
         return 1
     assert r == p - 1  # the only other square root of 1
     return -1
+
+
+# ---------------------------------------------------------------------------
+# coefficient arrays on GF(p^n), n >= 2: one element per row of an int64
+# array, its coefficients low degree first, each in [0, p). p**n <= 2**31
+# with n >= 2 gives p**2 < 2**31, so every sum of n products of entries
+# stays below 2**63 and the arithmetic is exact.
+
+
+def _x_multiples(spec: FieldSpec, row: list, count: int) -> np.ndarray:
+    """(count, n) int64: the coefficient row of an element y, then those
+    of x*y, x**2*y, ... mod the modulus, each a shift of the one before."""
+    p, f = spec.p, spec.modulus
+    rows = [row]
+    for _ in range(count - 1):
+        lead = row[-1]
+        row = [(lo - lead * c) % p for lo, c in zip([0] + row[:-1], f)]
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+def _mulmod_rows(
+    spec: FieldSpec, a: np.ndarray, b: np.ndarray, red: np.ndarray
+) -> np.ndarray:
+    """The row-wise products of two (rows, n) coefficient arrays: the
+    polynomial products, reduced mod p and then mod the modulus by one
+    matrix product with red, the rows of x**n, ..., x**(2n-2)."""
+    p, n = spec.p, spec.n
+    prod = np.zeros((len(a), 2 * n - 1), dtype=np.int64)
+    for i in range(n):
+        prod[:, i : i + n] += a[:, i : i + 1] * b
+    prod %= p
+    return (prod[:, :n] + prod[:, n:] @ red) % p
+
+
+def power_rows(spec: FieldSpec, a: int, k: int) -> np.ndarray:
+    """a**0, ..., a**(k-1) as a (k, n) coefficient array. Multiplication
+    by a**h is the n x n matrix whose row j is x**j * a**h, so rows
+    [h, 2h) are rows [0, h) times it, and squaring it doubles h."""
+    p = spec.p
+    m = _x_multiples(spec, element_coeffs(spec, a), spec.n)
+    out = np.zeros((k, spec.n), dtype=np.int64)
+    out[0, 0] = 1
+    h = 1
+    while h < k:
+        out[h : 2 * h] = out[: min(h, k - h)] @ m % p
+        h *= 2
+        if h < k:
+            m = m @ m % p
+    return out
+
+
+def encode_rows(spec: FieldSpec, rows: np.ndarray) -> list[int]:
+    """The encodings of the rows of a coefficient array, as Python ints."""
+    return (rows @ spec.p ** np.arange(spec.n, dtype=np.int64)).tolist()
+
+
+def chi_rows(spec: FieldSpec, rows: np.ndarray) -> list[int]:
+    """chi of every row of a coefficient array of nonzero elements, as
+    Python ints: the norms of all rows at once, from the n - 1 Frobenius
+    conjugates (row times the stored matrix), then Euler's criterion in
+    GF(p) per row, as chi does one element at a time."""
+    p, n = spec.p, spec.n
+    frob = np.array(spec.frobenius, dtype=np.int64)
+    red = _x_multiples(spec, [-c % p for c in spec.modulus[:n]], n - 1)
+    conj = full = rows
+    for _ in range(n - 1):
+        conj = conj @ frob % p
+        full = _mulmod_rows(spec, full, conj, red)
+    assert not full[:, 1:].any(), "the norm lies in GF(p)"
+    half = (p - 1) // 2
+    return [1 if pow(x, half, p) == 1 else -1 for x in full[:, 0].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +468,10 @@ def make_extension_field(p: int, n: int) -> FieldSpec:
     return spec
 
 
-def field_for_order(q: int) -> FieldSpec:
-    """The field of order q (q an odd prime power). A q over the size
+def order_parts(q: int) -> tuple[int, int]:
+    """(p, n) with q = p**n, for an odd prime power q within the size
+    limit, without building the field; any other q raises what
+    make_prime_field or make_extension_field would. A q over the size
     limit is refused before it is factorised, which takes up to isqrt(q)
     trial divisions."""
     check_size(q)
@@ -408,6 +479,14 @@ def field_for_order(q: int) -> FieldSpec:
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     p, n = fac[0]
+    if p == 2:  # as make_prime_field and make_extension_field refuse it
+        raise ValueError("the field order must be odd" if n == 1 else "2 is not an odd prime")
+    return p, n
+
+
+def field_for_order(q: int) -> FieldSpec:
+    """The field of order q (q an odd prime power, see order_parts)."""
+    p, n = order_parts(q)
     if n == 1:
         return make_prime_field(p)
     return make_extension_field(p, n)

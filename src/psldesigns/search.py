@@ -288,13 +288,14 @@ class LiftCheck:
 def _pair_gives_design(q: int, k: int) -> bool:
     """Criterion outcome for (q, k); False (not an error) when the pair
     is not a valid starter configuration in GF(q). A q that names no
-    field, or one over the size limit, raises."""
-    spec = gf.field_for_order(q)
+    field, or one over the size limit, raises. The field is built only
+    for a valid pair."""
+    gf.order_parts(q)
     try:
-        ctx = starter.make_starter_context(spec, k)
+        starter.starter_cofactor(q, k)
     except ValueError:
         return False
-    return starter.gives_design(ctx)
+    return starter.gives_design(starter.make_starter_context(gf.field_for_order(q), k))
 
 
 def lift_check(q: int, k: int, n: int) -> LiftCheck:

@@ -228,7 +228,8 @@ def test_inv_zero_raises(f41):
 
 
 def test_power(f41, f25):
-    for spec in (f41, f25):
+    higher = [gf.make_extension_field(p, n) for p, n in ((3, 3), (5, 3), (3, 5), (7, 4))]
+    for spec in (f41, f25, *higher):
         rng = random.Random(3)
         for _ in range(100):
             a = rng.randrange(1, spec.q)
@@ -240,6 +241,31 @@ def test_power(f41, f25):
                 direct = gf.inv(spec, direct)
             assert gf.power(spec, a, e) == direct
     assert gf.power(f41, 0, 0) == 1
+    for spec in (f25, *higher):
+        assert gf.power(spec, 0, 0) == 1 and gf.power(spec, 0, 5) == 0
+
+
+def test_power_fermat_in_gf_3_11():
+    """a^(q-1) = 1, a^q = a and Euler's criterion on a seeded sample of
+    GF(3^11)*."""
+    spec = gf.make_extension_field(3, 11)
+    rng = random.Random(11)
+    for a in rng.sample(range(1, spec.q), 40):
+        assert gf.power(spec, a, spec.q - 1) == 1
+        assert gf.power(spec, a, spec.q) == a
+        euler = gf.power(spec, a, (spec.q - 1) // 2)
+        assert euler == (1 if gf.chi(spec, a) == 1 else gf.neg(spec, 1))
+
+
+def test_order_parts_refuses_as_field_for_order():
+    assert gf.order_parts(41) == (41, 1)
+    assert gf.order_parts(3**19) == (3, 19)
+    for bad in (12, 2, 8, 1, 2**31 + 1):
+        with pytest.raises(ValueError) as parts:
+            gf.order_parts(bad)
+        with pytest.raises(ValueError) as field:
+            gf.field_for_order(bad)
+        assert str(parts.value) == str(field.value)
 
 
 def _naive_order(spec, a):

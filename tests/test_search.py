@@ -236,6 +236,26 @@ def test_lift_check_frozen():
         search.lift_check(41, 5, 0)
 
 
+def test_lift_check_refuses_a_pair_before_building_its_field(monkeypatch):
+    """(3^19, 4) fails 4 | q - 1, so lift 3 4 19 answers False without
+    GF(3^19): a build of that field fails the test."""
+    build = gf.make_extension_field
+
+    def guarded(p, n):
+        if (p, n) == (3, 19):
+            raise AssertionError("built GF(3^19)")
+        return build(p, n)
+
+    monkeypatch.setattr(gf, "make_extension_field", guarded)
+    want = search.LiftCheck(3, 4, 19, base=False, lifted_q=3**19, lifted=False)
+    assert search.lift_check(3, 4, 19) == want
+    # a q that names no odd field still raises, as before
+    with pytest.raises(ValueError, match="must be odd"):
+        search.lift_check(2, 5, 3)
+    with pytest.raises(ValueError, match="not a prime power"):
+        search.lift_check(12, 5, 2)
+
+
 def test_thm510_equivalence_sweep():
     rep = search.thm_equivalence_sweep("thm510", 1000)
     assert rep.checked == 19

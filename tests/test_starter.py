@@ -69,6 +69,76 @@ def test_alpha_override_changes_table_not_block(f41):
     assert a.chi_table != b.chi_table
 
 
+def _assert_matches_element_route(spec, k, alpha=None):
+    """make_starter_context against the per-element mul/sub/chi loop (the
+    prime-field route, run here on any field), entry by entry, with every
+    entry a Python int."""
+    ctx = starter.make_starter_context(spec, k, alpha=alpha)
+    block, table = starter._element_tables(spec, k, ctx.beta)
+    assert ctx.block == tuple(block), (spec.q, k, alpha)
+    assert ctx.chi_table == tuple(table), (spec.q, k, alpha)
+    assert all(type(x) is int for x in ctx.block + ctx.chi_table)
+
+
+def _valid_ks(q, ks):
+    out = []
+    for k in ks:
+        try:
+            starter.starter_cofactor(q, k)
+        except ValueError:
+            continue
+        out.append(k)
+    return out
+
+
+def test_array_context_matches_the_element_route_to_2000():
+    """Every odd p^n <= 2000 with n >= 2, at every k that starter_cofactor
+    accepts, with the canonical alpha and with alpha^j for the least j > 1
+    prime to q - 1."""
+    pairs = 0
+    for q in range(9, 2001, 2):
+        fac = gf.factorize(q)
+        if len(fac) != 1 or fac[0][1] < 2:
+            continue
+        spec = gf.field_for_order(q)
+        j = next(j for j in range(2, q) if math.gcd(j, q - 1) == 1)
+        other = gf.power(spec, spec.alpha, j)
+        for k in _valid_ks(q, range(4, q - 1)):
+            _assert_matches_element_route(spec, k)
+            _assert_matches_element_route(spec, k, alpha=other)
+            pairs += 1
+    assert pairs == 271
+
+
+def test_array_context_matches_the_element_route_in_larger_fields():
+    """Sampled k in GF(3^11), GF(509^2) and GF(13^5), and every valid
+    k <= 64 in GF(46337^2), whose p^2 is the largest the int64 arithmetic
+    meets below the size limit. The two long tables, k = 7702 in GF(3^11)
+    and k = 30941 in GF(13^5), are checked at sampled exponents m by the
+    power route: block[m] = beta^m and chi_table[m] = chi(1 - beta^m)."""
+    rng = random.Random(12)
+    cases = {
+        (3, 11): [46],  # q = 3 mod 4 wants e odd: k = 46 or 7702
+        (509, 2): rng.sample(_valid_ks(509**2, range(4, 3000)), 8),
+        (13, 5): [4, 6, 12],  # q - 1 = 4 * 3 * 30941
+        (46337, 2): _valid_ks(46337**2, range(4, 65)),
+    }
+    assert cases[46337, 2] == [4, 6, 8, 12, 16, 24, 32, 48, 64]
+    for (p, n), ks in cases.items():
+        spec = gf.make_extension_field(p, n)
+        for k in ks:
+            _assert_matches_element_route(spec, k)
+    for (p, n), k in (((3, 11), 7702), ((13, 5), 30941)):
+        spec = gf.make_extension_field(p, n)
+        ctx = starter.make_starter_context(spec, k)
+        assert len(set(ctx.block)) == k
+        assert all(type(x) is int for x in ctx.block + ctx.chi_table)
+        for m in [1, k // 2, k - 1] + rng.sample(range(1, k), 100):
+            b = gf.power(spec, ctx.beta, m)
+            assert ctx.block[m] == b, (spec.q, k, m)
+            assert ctx.chi_table[m] == gf.chi(spec, gf.sub(spec, 1, b)), (spec.q, k, m)
+
+
 def test_reflection_identity(f41, f61, f25):
     """chi(1 - beta^m) == chi(1 - beta^(k-m)) whenever the cofactor is even."""
     for spec, k in [(f41, 5), (f41, 10), (f61, 10), (f25, 6)]:
@@ -575,7 +645,7 @@ def test_batched_cornacchia_matches_the_scalar_search():
     """All 4,466 (p, c) cases with p = 1 mod 20 below 200000 and c in
     {20, 100}, from either square root of -c, against _has_representation,
     and thm510_batch's c6/c7 against it too."""
-    from sympy.ntheory import sqrt_mod
+    sqrt_mod = pytest.importorskip("sympy.ntheory").sqrt_mod
 
     ps = [p for p in search.sieve_primes(200000) if p % 20 == 1]
     q = np.array(ps)
@@ -595,8 +665,8 @@ def test_batched_cornacchia_matches_the_scalar_search():
 def test_batched_cornacchia_matches_sympy_near_the_size_limit():
     """A seeded sample of primes p = 1 mod 20 up to 2**31 against sympy's
     cornacchia, through thm510_batch's own roots of -20 and -100."""
-    from sympy import isprime
-    from sympy.solvers.diophantine.diophantine import cornacchia
+    isprime = pytest.importorskip("sympy").isprime
+    cornacchia = pytest.importorskip("sympy.solvers.diophantine.diophantine").cornacchia
 
     rng = random.Random(20)
     ps = set()

@@ -4,15 +4,16 @@ Subcommands: check, build, verify, seq, sweep, thm510, thm1326, lift,
 oracle. Exit codes are a stable contract: 0 for success / condition true,
 1 for a verified-false or mismatch outcome, 2 for usage or input errors.
 
-Each cmd_* handler returns (exit code, answer), where the answer is what
---json prints. Without --json, main() passes the answer to the text_*
-renderer of the same name, which reads nothing else.
+Each cmd_* handler returns (exit code, answer). main() passes the answer
+to a renderer of the same name, which reads nothing else: text_* without
+--json; with it, json_* where there is one and json.dumps otherwise. A
+sweep's rows are an answer of per-k blocks, which the JSON and CSV
+renderers write one k at a time.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import random
@@ -21,7 +22,12 @@ import sys
 from psldesigns import design, gf, projline, search, starter
 
 DEFAULT_SEED = 20250841
-_ROW_FIELDS = ("k", "k_mod_24", "q", "p", "n", "e_parity", "lambda", "gives_design")
+_CSV_HEADER = "k,k_mod_24,q,p,n,e_parity,lambda,gives_design\r\n"
+_NO_LAMBDA = '""'
+
+
+def _print_json(answer) -> None:
+    print(json.dumps(answer))
 
 
 def _or(value, missing: str):
@@ -133,9 +139,10 @@ def text_seq(a: dict) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[int, object]:
-    """--pair: the pair scan. --csv or --json: one row per candidate q.
-    Otherwise the hits of each k, taken from search.sweep, which builds no
-    row per candidate."""
+    """--pair: the pair scan. --csv or --json: the search.sweep_rows
+    blocks, one list of entries per k, each decided when the renderer
+    reaches it. Otherwise the hits of each k, taken from search.sweep,
+    which builds no row per candidate."""
     if args.pair:
         scan = search.verify_pair_coincidence(*args.pair, args.qmax)
         return (0 if scan.coincide else 1), {
@@ -155,11 +162,54 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[int, object]:
     return 0, {"table": args.table, "hits": hits}
 
 
+def _json_rows(block: list[search.SweepEntry]) -> list[str]:
+    """One k's entries as JSON row objects, in the bytes that json.dumps
+    gives their row dicts."""
+    k = block[0].k
+    head = f'{{"k": {k}, "k_mod_24": {k % 24}, "q": '
+    return [
+        f'{head}{q}, "p": {p}, "n": {n}, "e_parity": "{"odd" if e % 2 else "even"}", '
+        f'"lambda": {_NO_LAMBDA if lam is None else lam}, '
+        f'"gives_design": {"true" if ok else "false"}}}'
+        for _, q, p, n, e, ok, lam in block
+    ]
+
+
+def _csv_rows(block: list[search.SweepEntry]) -> list[str]:
+    """One k's entries as CSV lines, in the bytes that csv.DictWriter
+    gives their row dicts."""
+    k = block[0].k
+    head = f"{k},{k % 24},"
+    return [
+        f"{head}{q},{p},{n},{'odd' if e % 2 else 'even'},"
+        f"{'' if lam is None else lam},{ok}\r\n"
+        for _, q, p, n, e, ok, lam in block
+    ]
+
+
+def _write_blocks(blocks, rows, head: str, sep: str, tail: str) -> None:
+    """head, the rows of every non-empty block with sep between two rows,
+    and tail. Each block is written before the next one is decided."""
+    write, between = sys.stdout.write, ""
+    write(head)
+    for block in blocks:
+        if block:
+            write(between)
+            write(sep.join(rows(block)))
+            between = sep
+    write(tail)
+
+
+def json_sweep(a) -> None:
+    if isinstance(a, dict):  # --pair
+        _print_json(a)
+    else:  # the per-k blocks
+        _write_blocks(a, _json_rows, "[", ", ", "]\n")
+
+
 def text_sweep(a) -> None:
-    if isinstance(a, list):  # --csv
-        w = csv.DictWriter(sys.stdout, fieldnames=_ROW_FIELDS)
-        w.writeheader()
-        w.writerows(a)
+    if not isinstance(a, dict):  # --csv: the per-k blocks
+        _write_blocks(a, _csv_rows, _CSV_HEADER, "", "")
     elif "coincide" in a:  # --pair
         print(f"k={a['k1']}: {_ints(a['hits1'])}")
         print(f"k={a['k2']}: {_ints(a['hits2'])}")
@@ -331,10 +381,11 @@ def main(argv: list[str] | None = None) -> int:
         _check_sweep_mode(parser, args)
     try:
         code, answer = globals()[args.handler](args)
+        name = args.handler.removeprefix("cmd_")
         if getattr(args, "json", False):
-            print(json.dumps(answer))
+            globals().get("json_" + name, _print_json)(answer)
         else:
-            globals()["text_" + args.handler.removeprefix("cmd_")](answer)
+            globals()["text_" + name](answer)
         return code
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

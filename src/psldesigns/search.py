@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from math import isqrt, lcm
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -109,6 +109,11 @@ def _check_bound(bound: int) -> None:
         )
 
 
+def _check_k(k: int) -> None:
+    if k <= 3:
+        raise ValueError(f"k = {k} is outside the range k > 3")
+
+
 def sweep_modulus(k: int) -> int:
     """q must be 1 mod this for the order-k subgroup to have even cofactor
     in a q = 1 mod 4 field: lcm(4, 2k)."""
@@ -162,8 +167,7 @@ def sweep_entries(
     from the progression sieve and go through the batched kernel
     DECIDE_CHUNK_ROWS at a time; extension fields go through the scalar
     context."""
-    if k <= 3:
-        raise ValueError(f"k = {k} is outside the range k > 3")
+    _check_k(k)
     _check_bound(q_max)
     m = sweep_modulus(k)
     # the primes from 1 + m > k + 1 on
@@ -204,24 +208,15 @@ def sweep_rows(
     ks: tuple[int, ...] | list[int],
     q_max: int,
     include_prime_powers: bool = False,
-) -> list[dict[str, object]]:
-    """Flat dict rows for CSV/JSON emission, one per candidate q."""
-    rows = []
+) -> Iterator[list[SweepEntry]]:
+    """The sweep_entries list of each k in turn, one block per k, each
+    decided only when it is asked for. Every k and the bound are checked
+    here, before the first block, so a refused sweep has produced
+    nothing."""
     for k in ks:
-        for ent in sweep_entries(k, q_max, include_prime_powers):
-            rows.append(
-                {
-                    "k": ent.k,
-                    "k_mod_24": ent.k % 24,
-                    "q": ent.q,
-                    "p": ent.p,
-                    "n": ent.n,
-                    "e_parity": "even" if ent.e % 2 == 0 else "odd",
-                    "lambda": ent.lam if ent.lam is not None else "",
-                    "gives_design": ent.gives_design,
-                }
-            )
-    return rows
+        _check_k(k)
+    _check_bound(q_max)
+    return (sweep_entries(k, q_max, include_prime_powers) for k in ks)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,21 @@ twice" rule:
   dihedral orbits of 3-subsets of a cyclic group, a third route to it;
 - random_element, compose, inverse and identity are the group law on
   canonical matrices, against which projline.sample_trials, apply and
-  apply_to_points are tested.
+  apply_to_points are tested;
+- sweep_row_dicts, sweep_json and sweep_csv render sweep rows through
+  one dict per row, json.dumps and csv.DictWriter, against which the
+  CLI's streamed `sweep --json` and `--csv` output is tested.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 from dataclasses import dataclass
 
-from psldesigns import gf, projline
+from psldesigns import gf, projline, search
 from psldesigns.projline import GroupElem, canonicalize
 from psldesigns.starter import StarterContext
 
@@ -119,3 +125,43 @@ def random_element(spec: gf.FieldSpec, rng) -> GroupElem:
         det = gf.sub(spec, gf.mul(spec, a, d), gf.mul(spec, b, c))
         if det != 0 and gf.chi(spec, det) == 1:
             return canonicalize(spec, a, b, c, d)
+
+
+# ---------------------------------------------------------------------------
+# sweep rows through dicts, json.dumps and csv.DictWriter
+
+ROW_FIELDS = ("k", "k_mod_24", "q", "p", "n", "e_parity", "lambda", "gives_design")
+
+
+def sweep_row_dicts(ks, q_max: int, include_prime_powers: bool = False) -> list[dict]:
+    """One dict per candidate q, in the column order of ROW_FIELDS."""
+    rows = []
+    for k in ks:
+        for ent in search.sweep_entries(k, q_max, include_prime_powers):
+            rows.append(
+                {
+                    "k": ent.k,
+                    "k_mod_24": ent.k % 24,
+                    "q": ent.q,
+                    "p": ent.p,
+                    "n": ent.n,
+                    "e_parity": "even" if ent.e % 2 == 0 else "odd",
+                    "lambda": ent.lam if ent.lam is not None else "",
+                    "gives_design": ent.gives_design,
+                }
+            )
+    return rows
+
+
+def sweep_json(rows: list[dict]) -> str:
+    """What `sweep --json` prints for the rows."""
+    return json.dumps(rows) + "\n"
+
+
+def sweep_csv(rows: list[dict]) -> str:
+    """What `sweep --csv` prints for the rows."""
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=ROW_FIELDS)
+    w.writeheader()
+    w.writerows(rows)
+    return buf.getvalue()

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import contextlib
 import json
 import time
 import tracemalloc
 
 import pytest
+from scalar_oracles import sweep_csv, sweep_json, sweep_row_dicts
 
 from psldesigns import cli, design, gf, search
 
@@ -319,6 +321,12 @@ def test_sweep_rejects_bad_arguments(capsys):
         ["sweep", "--k", "3", "--qmax", "1000"],
         ["sweep", "--k", "5", "--qmax", "-5"],
         ["sweep", "--pair", "5", "3", "--qmax", "1000"],
+        ["sweep", "--k", "3", "--qmax", "1000", "--json"],
+        ["sweep", "--k", "3", "--qmax", "1000", "--csv"],
+        ["sweep", "--k", "5", "--qmax", "-5", "--json"],
+        ["sweep", "--k", "5", "--qmax", "-5", "--csv"],
+        ["sweep", "--table", "--qmax", "0", "--json"],
+        ["sweep", "--k", "13", "--prime-powers", "--qmax", "-1", "--csv"],
         ["thm510", "--pmax", "-3"],
         ["thm1326", "--pmax", "0"],
     ):
@@ -446,6 +454,68 @@ def test_oracle_memory_does_not_grow_with_trials(capsys):
     assert peak < 3 * 2**20, peak
 
 
+_SWEEP_MODES = (
+    (["--table"], search.SWEEP_TABLE_KS, False),
+    *((["--k", str(k)], (k,), False) for k in search.SWEEP_TABLE_KS),
+    (["--k", "13", "--prime-powers"], (13,), True),
+)
+
+
+@pytest.mark.parametrize("bound", [40, 60, 300, 3000, 50000])
+def test_sweep_rows_match_the_reference_renderer(capsys, bound):
+    """The streamed --json and --csv bytes are those of one dict per row
+    passed to json.dumps and csv.DictWriter."""
+    for flags, ks, pp in _SWEEP_MODES:
+        rows = sweep_row_dicts(ks, bound, pp)
+        for fmt, render in (("--json", sweep_json), ("--csv", sweep_csv)):
+            argv = ["sweep", *flags, "--qmax", str(bound), fmt]
+            assert _run(capsys, *argv) == (0, render(rows), ""), argv
+
+
+def test_sweep_rows_empty_and_partly_empty(capsys):
+    """What the reference cases at 40 and 60 cover: at 40 no k has a
+    candidate, which prints an empty list or the CSV header alone; at 60
+    empty k blocks lie between and after non-empty ones, which only the
+    non-empty blocks may separate."""
+    assert _run(capsys, "sweep", "--table", "--qmax", "40", "--json") == (0, "[]\n", "")
+    header = "k,k_mod_24,q,p,n,e_parity,lambda,gives_design\r\n"
+    assert _run(capsys, "sweep", "--table", "--qmax", "40", "--csv") == (0, header, "")
+    sizes = [len(b) for b in search.sweep_rows(search.SWEEP_TABLE_KS, 60)]
+    assert sizes[:4] == [1, 1, 1, 0] and sizes.count(0) > 1
+
+
+class _Discard:
+    """A stdout that keeps only the number of characters written."""
+
+    size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_sweep_rows_stream_in_bounded_memory():
+    """--json and --csv write their rows a k at a time, so memory holds the
+    largest k's entries and not the output: the table to 200,000 peaks
+    under 2.5 MiB, where rendering every row at once takes 7.2 MiB for
+    JSON and 3.5 MiB for CSV."""
+    rows = sweep_row_dicts(search.SWEEP_TABLE_KS, 200000)
+    for fmt, render in (("--json", sweep_json), ("--csv", sweep_csv)):
+        sink = _Discard()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = cli.main(["sweep", "--table", "--qmax", "200000", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, sink.size) == (0, len(render(rows))), fmt
+        assert peak < 2.5 * 2**20, (fmt, peak)
+
+
 def test_sweep_rejects_options_its_mode_ignores(capsys):
     for argv, flag in (
         (["--pair", "5", "10", "--k", "5"], "--k"),
@@ -529,6 +599,9 @@ def test_sweep_bound_over_size_limit(capsys, monkeypatch):
         ["sweep", "--k", "5", "--qmax", big],
         ["sweep", "--table", "--qmax", big],
         ["sweep", "--table", "--qmax", big, "--csv"],
+        ["sweep", "--table", "--qmax", big, "--json"],
+        ["sweep", "--k", "5", "--qmax", big, "--json"],
+        ["sweep", "--k", "13", "--prime-powers", "--qmax", big, "--csv"],
         ["sweep", "--pair", "5", "10", "--qmax", big],
         ["thm1326", "--pmax", big],
     ):

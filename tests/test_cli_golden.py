@@ -123,6 +123,17 @@ CASES: dict[str, list] = {
         ["sweep", "--k", "5", "--qmax", str(2**31 + 1)],
         ["sweep", "--table", "--qmax", str(2**31 + 1), "--csv"],
     ],
+    # rows streamed one k at a time: several k blocks, some of them empty,
+    # prime powers among the rows, and refusals before the first byte
+    "sweep-table-json": [
+        ["sweep", "--table", "--qmax", "300", "--json"],
+        ["sweep", "--table", "--qmax", "60", "--json"],
+    ],
+    "sweep-prime-powers-csv": [["sweep", "--k", "13", "--prime-powers", "--qmax", "4000", "--csv"]],
+    "sweep-errors-json": [
+        ["sweep", "--k", "3", "--qmax", "1000", "--json"],
+        ["sweep", "--table", "--qmax", str(2**31 + 1), "--json"],
+    ],
     # the equivalence scans, including bounds below the first prime
     "thm510": [["thm510", "--pmax", "700"], ["thm510", "--pmax", "700", "--json"]],
     "thm1326": [["thm1326", "--pmax", "4000"], ["thm1326", "--pmax", "4000", "--json"]],

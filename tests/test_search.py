@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from psldesigns import cli, gf, search, starter
+from scalar_oracles import sweep_row_dicts
 
 
 def test_sieve_primes_against_naive():
@@ -170,7 +171,13 @@ def test_sweep_bound_over_size_limit_refused_before_sieving(monkeypatch):
 
 
 def test_sweep_rows_shape():
-    rows = search.sweep_rows([5], 100)
+    """One block per k, each that k's sweep_entries list; the reference
+    renderer turns the blocks into rows of the CSV/JSON columns."""
+    blocks = list(search.sweep_rows([5, 17], 100))
+    assert blocks == [search.sweep_entries(5, 100), search.sweep_entries(17, 100)]
+    assert [len(b) for b in blocks] == [2, 0]
+    assert blocks[0][0] == search.SweepEntry(5, 41, 41, 1, 8, True, 3)
+    rows = sweep_row_dicts([5, 17], 100)
     assert len(rows) == 2
     cols = ["k", "k_mod_24", "q", "p", "n", "e_parity", "lambda", "gives_design"]
     for row in rows:
@@ -179,6 +186,26 @@ def test_sweep_rows_shape():
         "k": 5, "k_mod_24": 5, "q": 41, "p": 41, "n": 1,
         "e_parity": "even", "lambda": 3, "gives_design": True,
     }
+
+
+def test_sweep_rows_checks_every_argument_before_the_first_block(monkeypatch):
+    """A refused sweep_rows call decides nothing: the k and bound checks
+    all run before the first block, and the blocks are decided lazily."""
+    calls = []
+    real = search.sweep_entries
+    monkeypatch.setattr(search, "sweep_entries", lambda *a: calls.append(a) or real(*a))
+    for ks, bound, message in (
+        ([5, 3], 100, "outside the range k > 3"),
+        ([5, 10], -5, "must be positive"),
+        (search.SWEEP_TABLE_KS, gf.DEFAULT_Q_LIMIT + 1, "exceeds the size limit"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            search.sweep_rows(ks, bound)
+    assert calls == []
+    blocks = search.sweep_rows([5, 10], 100)
+    assert calls == []
+    next(blocks)
+    assert calls == [(5, 100, False)]
 
 
 def test_pair_divergences_frozen():

@@ -104,11 +104,11 @@ def _trees():
 def _roots(trees, tracing):
     roots = [("cli", "main"), *README_LIBRARY]
     # main looks its handlers up by the names in its command table, and
-    # each cmd_* handler's text_* renderer by the same suffix
+    # each cmd_* handler's text_* and json_* renderers by the same suffix
     for n in ast.walk(trees["cli"]):
         if isinstance(n, ast.Constant) and str(n.value).startswith("cmd_"):
             suffix = n.value.removeprefix("cmd_")
-            roots += [("cli", "cmd_" + suffix), ("cli", "text_" + suffix)]
+            roots += [("cli", f"{kind}_{suffix}") for kind in ("cmd", "text", "json")]
     reexports = _imports(trees["__init__"])
     for name in importlib.import_module("psldesigns").__all__:
         roots.append(reexports.get(name, ("__init__", name)))

@@ -311,22 +311,28 @@ def chi(spec: FieldSpec, a: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# coefficient arrays on GF(p^n), n >= 2: one element per row of an int64
-# array, its coefficients low degree first, each in [0, p). p**n <= 2**31
-# with n >= 2 gives p**2 < 2**31, so every sum of n products of entries
-# stays below 2**63 and the arithmetic is exact.
+# coefficient arrays on GF(p^n), GF(p) the case n = 1: one element per row
+# of an int64 array, its coefficients low degree first, each in [0, p). The
+# arithmetic is exact: at n = 1 a product of two entries is below 2**62, and
+# at n >= 2 p**2 < 2**31, so every sum of n products stays below 2**63.
 
 
 def _x_multiples(spec: FieldSpec, row: list, count: int) -> np.ndarray:
     """(count, n) int64: the coefficient row of an element y, then those
     of x*y, x**2*y, ... mod the modulus, each a shift of the one before."""
     p, f = spec.p, spec.modulus
-    rows = [row]
-    for _ in range(count - 1):
+    rows = []
+    for _ in range(count):
+        rows.append(row)
         lead = row[-1]
         row = [(lo - lead * c) % p for lo, c in zip([0] + row[:-1], f)]
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    return np.array(rows, dtype=np.int64).reshape(count, spec.n)
+
+
+def _reduction_rows(spec: FieldSpec) -> np.ndarray:
+    """(n - 1, n): x**n, ..., x**(2n-2) mod the modulus; (0, 1) on GF(p)."""
+    low = [-c % spec.p for c in spec.modulus[: spec.n]]
+    return _x_multiples(spec, low, spec.n - 1)
 
 
 def _mulmod_rows(
@@ -334,7 +340,7 @@ def _mulmod_rows(
 ) -> np.ndarray:
     """The row-wise products of two (rows, n) coefficient arrays: the
     polynomial products, reduced mod p and then mod the modulus by one
-    matrix product with red, the rows of x**n, ..., x**(2n-2)."""
+    matrix product with red = _reduction_rows(spec)."""
     p, n = spec.p, spec.n
     prod = np.zeros((len(a), 2 * n - 1), dtype=np.int64)
     for i in range(n):
@@ -372,7 +378,7 @@ def chi_rows(spec: FieldSpec, rows: np.ndarray) -> list[int]:
     GF(p) per row, as chi does one element at a time."""
     p, n = spec.p, spec.n
     frob = np.array(spec.frobenius, dtype=np.int64)
-    red = _x_multiples(spec, [-c % p for c in spec.modulus[:n]], n - 1)
+    red = _reduction_rows(spec)
     conj = full = rows
     for _ in range(n - 1):
         conj = conj @ frob % p
@@ -473,9 +479,9 @@ def order_parts(q: int) -> tuple[int, int]:
     limit, without building the field; any other q raises what
     make_prime_field or make_extension_field would. A q over the size
     limit is refused before it is factorised, which takes up to isqrt(q)
-    trial divisions."""
+    trial divisions, and a q < 1 before factorize can refuse it."""
     check_size(q)
-    fac = factorize(q)
+    fac = factorize(q) if q >= 1 else ()
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     p, n = fac[0]

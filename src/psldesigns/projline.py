@@ -212,21 +212,24 @@ class FieldTables:
 
 
 def field_tables(spec: gf.FieldSpec) -> FieldTables:
-    """The tables of GF(q), one scalar gf op per entry: 3q^2 + 2q calls, so
-    meant for q up to the oracle limit."""
-    els = range(spec.q)
-
-    def table(op) -> np.ndarray:
-        return np.array([[op(spec, a, b) for b in els] for a in els], dtype=np.intp)
-
-    nonzero = els[1:]
+    """The tables of GF(q) from the (q, n) coefficient array of its
+    elements, with no scalar gf op: add and sub digit-wise mod p, mul by
+    the row-wise products of all q^2 pairs, inv by the 1 in each mul row,
+    chi by gf.chi_rows. The mul table holds q^2 entries, so this is meant
+    for q up to the oracle limit."""
+    p, q = spec.p, spec.q
+    weights = p ** np.arange(spec.n)
+    digits = np.arange(q)[:, None] // weights % p
+    pairs = np.repeat(digits, q, axis=0), np.tile(digits, (q, 1))
+    prods = gf._mulmod_rows(spec, *pairs, gf._reduction_rows(spec))
+    mul = (prods @ weights).reshape(q, q)
     return FieldTables(
-        q=spec.q,
-        add=table(gf.add),
-        sub=table(gf.sub),
-        mul=table(gf.mul),
-        inv=np.array([0] + [gf.inv(spec, a) for a in nonzero], dtype=np.intp),
-        chi=np.array([0] + [gf.chi(spec, a) for a in nonzero], dtype=np.int8),
+        q=q,
+        add=(digits[:, None] + digits) % p @ weights,
+        sub=(digits[:, None] - digits) % p @ weights,
+        mul=mul,
+        inv=(mul == 1).argmax(axis=1),  # row 0 has no 1, so inv[0] = 0
+        chi=np.array([0] + gf.chi_rows(spec, digits[1:]), dtype=np.int8),
     )
 
 

@@ -80,8 +80,7 @@ def make_starter_context(
     elif gf.element_order(spec, alpha) != q - 1:
         raise ValueError(f"alpha = {alpha} does not generate GF({q})*")
     beta = gf.power(spec, alpha, e)
-    tables = _element_tables if spec.n == 1 else _array_tables
-    block, table = tables(spec, k, beta)
+    block, table = _array_tables(spec, k, beta)
     return StarterContext(
         spec=spec,
         k=k,
@@ -93,20 +92,10 @@ def make_starter_context(
     )
 
 
-def _element_tables(spec: gf.FieldSpec, k: int, beta: int) -> tuple[list, list]:
-    """(block, chi table) one field op per entry. The route of prime
-    fields, where each op is one builtin; on any field, the oracle of
-    _array_tables."""
-    block = [1]
-    for _ in range(k - 1):
-        block.append(gf.mul(spec, block[-1], beta))
-    return block, [0] + [gf.chi(spec, gf.sub(spec, 1, b)) for b in block[1:]]
-
-
 def _array_tables(spec: gf.FieldSpec, k: int, beta: int) -> tuple[list, list]:
-    """(block, chi table) for n >= 2 from one (k, n) coefficient array of
-    the powers of beta: the block is its encodings, and the table the
-    characters of the rows 1 - beta**m, all normed at once."""
+    """(block, chi table) on any field, GF(p) the case n = 1, from one
+    (k, n) coefficient array of the powers of beta: the block is its
+    encodings, and the table the characters of the rows 1 - beta**m."""
     rows = gf.power_rows(spec, beta, k)
     one_minus = (np.eye(1, spec.n, dtype=np.int64) - rows[1:]) % spec.p
     return gf.encode_rows(spec, rows), [0] + gf.chi_rows(spec, one_minus)

@@ -4,6 +4,9 @@ None of this is reached by the command line or the library. It is kept
 here, in the tests, as the independent second route of the "checked
 twice" rule:
 
+- element_tables builds a starter context's block and chi table one
+  field op per entry, against the coefficient-array route of
+  starter.make_starter_context;
 - delta_sum_brute sums the orbit sign over all C(k,3) triples of the
   block, against the convolution starter.delta_sum;
 - dihedral_orbit_reps, rep_gaps and delta_of_rep sum the sign over the
@@ -27,6 +30,19 @@ from dataclasses import dataclass
 from psldesigns import gf, projline, search
 from psldesigns.projline import GroupElem, canonicalize
 from psldesigns.starter import StarterContext
+
+# ---------------------------------------------------------------------------
+# a starter context one field op per entry
+
+
+def element_tables(spec: gf.FieldSpec, k: int, beta: int) -> tuple[list, list]:
+    """(block, chi table) one field op per entry, on any field: the oracle
+    of the coefficient-array route of starter.make_starter_context."""
+    block = [1]
+    for _ in range(k - 1):
+        block.append(gf.mul(spec, block[-1], beta))
+    return block, [0] + [gf.chi(spec, gf.sub(spec, 1, b)) for b in block[1:]]
+
 
 # ---------------------------------------------------------------------------
 # dihedral orbits of 3-subsets of a cyclic group, and the brute-force sum

@@ -397,6 +397,15 @@ def test_field_commands_refuse_oversize_q_before_factorising(capsys, monkeypatch
         assert err.startswith("error:") and "exceeds the size limit" in err, argv
 
 
+def test_field_commands_refuse_q_below_one_as_not_a_prime_power(capsys):
+    # q = 0 and q < 0 get the message of q = 1, not that of gf.factorize
+    cases = (["check", "0", "5"], ["check", "-7", "5"], ["oracle", "0"], ["lift", "0", "5", "2"])
+    for argv in cases:
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {argv[1]} is not a prime power\n", argv
+
+
 def test_oracle_command(capsys):
     code, out, _ = _run(capsys, "oracle", "13")
     assert code == 0

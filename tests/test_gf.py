@@ -3,6 +3,7 @@ import random
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 
 from psldesigns import gf
@@ -260,12 +261,38 @@ def test_power_fermat_in_gf_3_11():
 def test_order_parts_refuses_as_field_for_order():
     assert gf.order_parts(41) == (41, 1)
     assert gf.order_parts(3**19) == (3, 19)
-    for bad in (12, 2, 8, 1, 2**31 + 1):
+    for bad in (12, 2, 8, 1, 0, -7, 2**31 + 1):
         with pytest.raises(ValueError) as parts:
             gf.order_parts(bad)
         with pytest.raises(ValueError) as field:
             gf.field_for_order(bad)
         assert str(parts.value) == str(field.value)
+    # a q < 1 is refused as q = 1 is, not by factorize
+    for bad in (1, 0, -7):
+        with pytest.raises(ValueError, match=f"^{bad} is not a prime power$"):
+            gf.order_parts(bad)
+
+
+def test_x_multiples_give_exactly_count_rows(f41, f25):
+    """Row i is x**i * y, checked against gf.mul; count 0 gives no row, and
+    the reduction rows x**n, ..., x**(2n-2) are empty on a prime field."""
+    f27 = gf.make_extension_field(3, 3)
+    for spec, count in ((f41, 1), (f25, 2), (f27, 5)):
+        y = spec.alpha
+        for c in range(count + 1):
+            rows = gf._x_multiples(spec, gf.element_coeffs(spec, y), c)
+            assert rows.shape == (c, spec.n) and rows.dtype == np.int64
+            for i, row in enumerate(gf.encode_rows(spec, rows)):
+                assert row == gf.mul(spec, gf.power(spec, spec.p, i), y)
+    assert gf._x_multiples(f25, [3, 4], 0).shape == (0, 2)
+    assert gf._reduction_rows(f41).shape == (0, 1)
+    for spec in (f25, f27):
+        red = gf._reduction_rows(spec)
+        assert red.shape == (spec.n - 1, spec.n)
+        x = spec.p  # the encoding of the element x
+        assert gf.encode_rows(spec, red) == [
+            gf.power(spec, x, spec.n + i) for i in range(spec.n - 1)
+        ]
 
 
 def _naive_order(spec, a):

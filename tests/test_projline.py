@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from psldesigns import gf, projline
+from psldesigns import gf, projline, starter
 
 from scalar_oracles import compose, identity, inverse, random_element
 
@@ -268,9 +268,18 @@ def test_colex_triples_are_ranked_in_order():
         assert np.array_equal(projline.triple_ranks(rows), np.arange(len(rows)))
 
 
-def test_field_tables_match_the_scalar_ops(f13, f9, f25, f61):
-    for spec in (f13, f9, f25, f61):
+# every odd prime power up to the oracle limit, GF(27) among them
+TABLE_QS = tuple(
+    q for q in range(3, projline.DEFAULT_ORACLE_LIMIT + 1, 2) if len(gf.factorize(q)) == 1
+)
+
+
+def test_field_tables_match_the_scalar_ops():
+    assert len(TABLE_QS) == 21 and {9, 25, 27, 49} <= set(TABLE_QS)
+    for q in TABLE_QS:
+        spec = gf.field_for_order(q)
         tab = projline.field_tables(spec)
+        assert tab.inv[0] == tab.chi[0] == 0
         for a, b in itertools.product(range(spec.q), repeat=2):
             assert tab.add[a, b] == gf.add(spec, a, b)
             assert tab.sub[a, b] == gf.sub(spec, a, b)
@@ -278,6 +287,28 @@ def test_field_tables_match_the_scalar_ops(f13, f9, f25, f61):
         for a in range(1, spec.q):
             assert tab.inv[a] == gf.inv(spec, a)
             assert tab.chi[a] == gf.chi(spec, a)
+
+
+def test_tables_and_contexts_make_no_scalar_field_op(monkeypatch):
+    """field_tables and make_starter_context, on prime and extension
+    fields, with the scalar add, sub, mul, inv and chi made to raise: the
+    same tables and contexts as built with them in place."""
+    specs = [gf.field_for_order(q) for q in (25, 27, 61)]
+    pairs = [(gf.field_for_order(q), k) for q, k in ((41, 10), (1009, 42), (2**31 - 1, 14))]
+    tables = [projline.field_tables(spec) for spec in specs]
+    contexts = [starter.make_starter_context(spec, k) for spec, k in pairs]
+
+    def scalar_op(*args):
+        raise AssertionError("a scalar gf op was called")
+
+    for name in ("add", "sub", "mul", "inv", "chi"):
+        monkeypatch.setattr(gf, name, scalar_op)
+    for spec, want in zip(specs, tables):
+        got = projline.field_tables(spec)
+        for name in ("add", "sub", "mul", "inv", "chi"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (spec.q, name)
+    for (spec, k), want in zip(pairs, contexts):
+        assert starter.make_starter_context(spec, k) == want
 
 
 def test_triple_signs_match_delta_extended_on_every_triple(small_field):

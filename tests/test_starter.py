@@ -15,6 +15,7 @@ from scalar_oracles import (
     delta_of_rep,
     delta_sum_brute,
     dihedral_orbit_reps,
+    element_tables,
     rep_gaps,
 )
 
@@ -70,11 +71,10 @@ def test_alpha_override_changes_table_not_block(f41):
 
 
 def _assert_matches_element_route(spec, k, alpha=None):
-    """make_starter_context against the per-element mul/sub/chi loop (the
-    prime-field route, run here on any field), entry by entry, with every
-    entry a Python int."""
+    """make_starter_context against the per-element mul/sub/chi loop,
+    entry by entry, with every entry a Python int."""
     ctx = starter.make_starter_context(spec, k, alpha=alpha)
-    block, table = starter._element_tables(spec, k, ctx.beta)
+    block, table = element_tables(spec, k, ctx.beta)
     assert ctx.block == tuple(block), (spec.q, k, alpha)
     assert ctx.chi_table == tuple(table), (spec.q, k, alpha)
     assert all(type(x) is int for x in ctx.block + ctx.chi_table)
@@ -92,28 +92,31 @@ def _valid_ks(q, ks):
 
 
 def test_array_context_matches_the_element_route_to_2000():
-    """Every odd p^n <= 2000 with n >= 2, at every k that starter_cofactor
-    accepts, with the canonical alpha and with alpha^j for the least j > 1
-    prime to q - 1."""
-    pairs = 0
-    for q in range(9, 2001, 2):
+    """Every odd prime power q <= 2000, at every k that starter_cofactor
+    accepts, with the canonical alpha. Where n >= 2 also with alpha^j for
+    the least j > 1 prime to q - 1."""
+    pairs = {1: 0, 2: 0}  # by n = 1 or n >= 2
+    for q in range(5, 2001, 2):
         fac = gf.factorize(q)
-        if len(fac) != 1 or fac[0][1] < 2:
+        if len(fac) != 1:
             continue
         spec = gf.field_for_order(q)
         j = next(j for j in range(2, q) if math.gcd(j, q - 1) == 1)
         other = gf.power(spec, spec.alpha, j)
         for k in _valid_ks(q, range(4, q - 1)):
             _assert_matches_element_route(spec, k)
-            _assert_matches_element_route(spec, k, alpha=other)
-            pairs += 1
-    assert pairs == 271
+            if spec.n > 1:
+                _assert_matches_element_route(spec, k, alpha=other)
+            pairs[min(spec.n, 2)] += 1
+    assert pairs == {1: 2052, 2: 271}
 
 
 def test_array_context_matches_the_element_route_in_larger_fields():
-    """Sampled k in GF(3^11), GF(509^2) and GF(13^5), and every valid
-    k <= 64 in GF(46337^2), whose p^2 is the largest the int64 arithmetic
-    meets below the size limit. The two long tables, k = 7702 in GF(3^11)
+    """Sampled k in GF(3^11), GF(509^2) and GF(13^5), every valid k <= 64
+    in GF(46337^2), whose p^2 is the largest the int64 arithmetic meets
+    below the size limit at n >= 2, and every valid k <= 200 in the prime
+    fields 2^31 - 1, 2147483629 and 2147483587, where one product of two
+    entries comes near 2^62. The two long tables, k = 7702 in GF(3^11)
     and k = 30941 in GF(13^5), are checked at sampled exponents m by the
     power route: block[m] = beta^m and chi_table[m] = chi(1 - beta^m)."""
     rng = random.Random(12)
@@ -122,8 +125,14 @@ def test_array_context_matches_the_element_route_in_larger_fields():
         (509, 2): rng.sample(_valid_ks(509**2, range(4, 3000)), 8),
         (13, 5): [4, 6, 12],  # q - 1 = 4 * 3 * 30941
         (46337, 2): _valid_ks(46337**2, range(4, 65)),
+        (2**31 - 1, 1): _valid_ks(2**31 - 1, range(4, 201)),
+        (2147483629, 1): _valid_ks(2147483629, range(4, 201)),
+        (2147483587, 1): _valid_ks(2147483587, range(4, 201)),
     }
     assert cases[46337, 2] == [4, 6, 8, 12, 16, 24, 32, 48, 64]
+    assert cases[2**31 - 1, 1] == [6, 14, 18, 22, 42, 62, 66, 126, 154, 186, 198]
+    assert cases[2147483629, 1] == [4, 6, 9, 12, 18, 36]
+    assert cases[2147483587, 1] == [6]
     for (p, n), ks in cases.items():
         spec = gf.make_extension_field(p, n)
         for k in ks:

@@ -142,7 +142,8 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[int, object]:
     """--pair: the pair scan. --csv or --json: the search.sweep_rows
     blocks, one list of entries per k, each decided when the renderer
     reaches it. Otherwise the hits of each k, taken from search.sweep,
-    which builds no row per candidate."""
+    which builds a SweepEntry per candidate through sweep_entries and
+    keeps the q of each hit."""
     if args.pair:
         scan = search.verify_pair_coincidence(*args.pair, args.qmax)
         return (0 if scan.coincide else 1), {

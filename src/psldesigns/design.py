@@ -88,11 +88,7 @@ def _row_keys(rows: np.ndarray, v: int) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * dtype.itemsize))).ravel()
 
 
-def expand_orbit(
-    spec: gf.FieldSpec,
-    block: tuple[int, ...] | list[int],
-    budget: int | None = None,
-) -> np.ndarray:
+def expand_orbit(spec: gf.FieldSpec, block: tuple[int, ...] | list[int]) -> np.ndarray:
     """All distinct images of a block under PSL(2,q), as a (b, k) int64
     array of increasing rows in lexicographic order.
 
@@ -102,8 +98,7 @@ def expand_orbit(
     exceed the budget (default 10**6 blocks, env PSL_DESIGNS_BUDGET
     overrides).
     """
-    if budget is None:
-        budget = _block_budget()
+    budget = _block_budget()
     v = spec.q + 1
     start = np.sort(np.asarray(block, dtype=np.int64))
     if (start[1:] == start[:-1]).any():

@@ -283,17 +283,6 @@ def power(spec: FieldSpec, a: int, e: int) -> int:
     return element_from_coeffs(spec, _ppowmod(ca, e, spec.modulus, spec.p))
 
 
-def element_order(spec: FieldSpec, a: int) -> int:
-    """Least m >= 1 with a**m == 1; divides q - 1."""
-    if a == 0:
-        raise ValueError("0 has no multiplicative order")
-    m = spec.q - 1
-    for f, _ in factorize(m):
-        while m % f == 0 and power(spec, a, m // f) == 1:
-            m //= f
-    return m
-
-
 def chi(spec: FieldSpec, a: int) -> int:
     """Quadratic character: +1 on nonzero squares, -1 on nonsquares.
 
@@ -401,9 +390,12 @@ def check_size(q: int) -> None:
 
 
 def _has_full_order(spec: FieldSpec, a: int) -> bool:
-    """a**((q-1)/f) != 1 for every prime f | q - 1. For f | p - 1 that
-    power is N(a)**((p-1)/f), taken in GF(p); only the primes of
-    (q-1)/(p-1) prime to p - 1 need the field's own power."""
+    """a generates GF(q)*: a != 0 and a**((q-1)/f) != 1 for every prime
+    f | q - 1. For f | p - 1 that power is N(a)**((p-1)/f), taken in
+    GF(p); only the primes of (q-1)/(p-1) prime to p - 1 need the
+    field's own power."""
+    if a == 0:
+        return False
     p, q1 = spec.p, spec.q - 1
     na = norm(spec, a)
     fs = [f for f, _ in factorize(q1)]

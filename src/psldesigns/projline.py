@@ -6,11 +6,12 @@ canonical point order (finite points by encoding, infinity last) and points
 serialize as themselves in design files.
 
 Group elements are 2x2 matrices with square determinant acting by
-z -> (a*z + b)/(c*z + d), held in a canonical form so that equal maps
-compare equal. The package only applies elements, singly (apply,
-point_permutation) or on arrays through GF(q)'s lookup tables
-(apply_to_points); the group law itself (compose, inverse, identity) and
-random_element are test oracles, in tests/scalar_oracles.py.
+z -> (a*z + b)/(c*z + d), held in a canonical form, scaled so that the
+first nonzero entry is 1, so that equal maps compare equal. The package
+only applies elements, singly (apply, point_permutation) or on arrays
+through GF(q)'s lookup tables (apply_to_points); canonicalize, the group
+law itself (compose, inverse, identity) and random_element are test
+oracles, in tests/scalar_oracles.py.
 """
 
 from __future__ import annotations
@@ -42,22 +43,6 @@ class GroupElem:
     d: int
 
 
-def canonicalize(spec: gf.FieldSpec, a: int, b: int, c: int, d: int) -> GroupElem:
-    """Canonical form of a matrix with nonzero square determinant.
-
-    Scales so the first nonzero entry of (a, b, c, d) is 1. Two matrices
-    induce the same map of the projective line exactly when they are
-    proportional, so they canonicalize identically iff their maps agree.
-    """
-    det = gf.sub(spec, gf.mul(spec, a, d), gf.mul(spec, b, c))
-    if det == 0:
-        raise ValueError("matrix is singular")
-    if gf.chi(spec, det) != 1:
-        raise ValueError("determinant is not a square, so not in PSL(2,q)")
-    s = gf.inv(spec, a or b)  # a = b = 0 would make the matrix singular
-    return GroupElem(*(gf.mul(spec, s, x) for x in (a, b, c, d)))
-
-
 def apply(spec: gf.FieldSpec, g: GroupElem, z: int) -> int:
     """Image of a point under the linear fractional transformation g."""
     q = spec.q
@@ -78,17 +63,18 @@ def point_permutation(spec: gf.FieldSpec, g: GroupElem) -> list[int]:
 
 
 def psl_generators(spec: gf.FieldSpec) -> list[GroupElem]:
-    """Transvections generating PSL(2,q).
+    """Transvections generating PSL(2,q), z -> z + x and z -> z/(xz + 1).
 
     For prime fields the two unit transvections suffice; for GF(p^n) the
-    shears by alpha**t for t < n are added, since 1, alpha, ...,
-    alpha**(n-1) span the field over GF(p).
+    shears by x = alpha**t for t < n are added, since 1, alpha, ...,
+    alpha**(n-1) span the field over GF(p). Each has determinant 1 and
+    first entry 1, so it is built in canonical form.
     """
     gens = []
     for t in range(spec.n):
         x = gf.power(spec, spec.alpha, t)
-        gens.append(canonicalize(spec, 1, x, 0, 1))
-        gens.append(canonicalize(spec, 1, 0, x, 1))
+        gens.append(GroupElem(1, x, 0, 1))
+        gens.append(GroupElem(1, 0, x, 1))
     return gens
 
 

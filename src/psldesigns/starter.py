@@ -77,7 +77,7 @@ def make_starter_context(
     e = starter_cofactor(q, k, alpha)
     if alpha is None:
         alpha = spec.alpha
-    elif gf.element_order(spec, alpha) != q - 1:
+    elif not gf._has_full_order(spec, alpha):
         raise ValueError(f"alpha = {alpha} does not generate GF({q})*")
     beta = gf.power(spec, alpha, e)
     block, table = _array_tables(spec, k, beta)

@@ -4,6 +4,9 @@ None of this is reached by the command line or the library. It is kept
 here, in the tests, as the independent second route of the "checked
 twice" rule:
 
+- element_order is the least m with a**m == 1 by the power route,
+  against which gf._has_full_order, the norm-route generator test of the
+  generator search and of an explicit alpha, is tested;
 - element_tables builds a starter context's block and chi table one
   field op per entry, against the coefficient-array route of
   starter.make_starter_context;
@@ -11,9 +14,11 @@ twice" rule:
   block, against the convolution starter.delta_sum;
 - dihedral_orbit_reps, rep_gaps and delta_of_rep sum the sign over the
   dihedral orbits of 3-subsets of a cyclic group, a third route to it;
-- random_element, compose, inverse and identity are the group law on
-  canonical matrices, against which projline.sample_trials, apply and
-  apply_to_points are tested;
+- canonicalize scales a matrix with square determinant to its canonical
+  form, against which projline.psl_generators, built canonical, is
+  tested; random_element, compose, inverse and identity are the group
+  law on canonical matrices, against which projline.sample_trials,
+  apply and apply_to_points are tested;
 - sweep_row_dicts, sweep_json and sweep_csv render sweep rows through
   one dict per row, json.dumps and csv.DictWriter, against which the
   CLI's streamed `sweep --json` and `--csv` output is tested.
@@ -28,8 +33,23 @@ import json
 from dataclasses import dataclass
 
 from psldesigns import gf, projline, search
-from psldesigns.projline import GroupElem, canonicalize
+from psldesigns.projline import GroupElem
 from psldesigns.starter import StarterContext
+
+# ---------------------------------------------------------------------------
+# the multiplicative order by the power route
+
+
+def element_order(spec: gf.FieldSpec, a: int) -> int:
+    """Least m >= 1 with a**m == 1; divides q - 1."""
+    if a == 0:
+        raise ValueError("0 has no multiplicative order")
+    m = spec.q - 1
+    for f, _ in gf.factorize(m):
+        while m % f == 0 and gf.power(spec, a, m // f) == 1:
+            m //= f
+    return m
+
 
 # ---------------------------------------------------------------------------
 # a starter context one field op per entry
@@ -112,6 +132,22 @@ def delta_sum_brute(ctx: StarterContext) -> int:
 
 # ---------------------------------------------------------------------------
 # the group law on canonical elements of PSL(2,q)
+
+
+def canonicalize(spec: gf.FieldSpec, a: int, b: int, c: int, d: int) -> GroupElem:
+    """Canonical form of a matrix with nonzero square determinant.
+
+    Scales so the first nonzero entry of (a, b, c, d) is 1. Two matrices
+    induce the same map of the projective line exactly when they are
+    proportional, so they canonicalize identically iff their maps agree.
+    """
+    det = gf.sub(spec, gf.mul(spec, a, d), gf.mul(spec, b, c))
+    if det == 0:
+        raise ValueError("matrix is singular")
+    if gf.chi(spec, det) != 1:
+        raise ValueError("determinant is not a square, so not in PSL(2,q)")
+    s = gf.inv(spec, a or b)  # a = b = 0 would make the matrix singular
+    return GroupElem(*(gf.mul(spec, s, x) for x in (a, b, c, d)))
 
 
 def identity(spec: gf.FieldSpec) -> GroupElem:

@@ -8,6 +8,8 @@ import pytest
 
 from psldesigns import design, gf, projline, search, starter
 
+from scalar_oracles import canonicalize
+
 
 @pytest.fixture(scope="module")
 def d13(f13):
@@ -170,9 +172,15 @@ def test_expand_orbit_rejects_repeats(f13):
 
 
 def test_expand_orbit_budget(f13, monkeypatch):
+    """PSL_DESIGNS_BUDGET is the one setting of the budget: an orbit of
+    exactly the budget expands, one block more is refused."""
     blk = _block(f13, 4)
-    with pytest.raises(RuntimeError, match="budget"):
-        design.expand_orbit(f13, blk, budget=10)
+    b = len(design.expand_orbit(f13, blk))
+    monkeypatch.setenv("PSL_DESIGNS_BUDGET", str(b))
+    assert len(design.expand_orbit(f13, blk)) == b
+    monkeypatch.setenv("PSL_DESIGNS_BUDGET", str(b - 1))
+    with pytest.raises(RuntimeError, match=f"budget of {b - 1}"):
+        design.expand_orbit(f13, blk)
     monkeypatch.setenv("PSL_DESIGNS_BUDGET", "10")
     with pytest.raises(RuntimeError, match="budget"):
         design.expand_orbit(f13, blk)
@@ -301,9 +309,9 @@ def test_block_stabilizer(q, k):
     elems = set()
     for c in block:
         if gf.chi(spec, c) == 1:
-            elems.add(projline.canonicalize(spec, c, 0, 0, 1))
+            elems.add(canonicalize(spec, c, 0, 0, 1))
         if gf.chi(spec, gf.neg(spec, c)) == 1:
-            elems.add(projline.canonicalize(spec, 0, c, 1, 0))
+            elems.add(canonicalize(spec, 0, c, 1, 0))
     perms = [projline.point_permutation(spec, g) for g in elems]
     for pm in perms:
         assert {pm[z] for z in block} == set(block)

@@ -9,7 +9,7 @@ import pytest
 
 from psldesigns import gf, projline, starter
 
-from scalar_oracles import compose, identity, inverse, random_element
+from scalar_oracles import canonicalize, compose, identity, inverse, random_element
 
 # every q = 1 mod 4 up to the oracle limit
 ORACLE_QS = (5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61)
@@ -62,7 +62,7 @@ def test_canonicalize_scalar_invariance(f41):
     for _ in range(50):
         g = random_element(f41, rng)
         s = rng.randrange(1, 41)
-        scaled = projline.canonicalize(
+        scaled = canonicalize(
             f41,
             gf.mul(f41, s, g.a),
             gf.mul(f41, s, g.b),
@@ -74,10 +74,10 @@ def test_canonicalize_scalar_invariance(f41):
 
 def test_canonicalize_rejects_bad_determinant(f13, f41):
     with pytest.raises(ValueError):
-        projline.canonicalize(f13, 1, 2, 2, 4)
+        canonicalize(f13, 1, 2, 2, 4)
     # 6 generates GF(41)*, so det = 6 is a nonsquare
     with pytest.raises(ValueError):
-        projline.canonicalize(f41, 6, 0, 0, 1)
+        canonicalize(f41, 6, 0, 0, 1)
 
 
 def test_group_axioms_random(f41, f9):
@@ -98,16 +98,16 @@ def test_group_axioms_random(f41, f9):
 
 def test_apply_examples(f13, f41):
     inf13 = f13.q
-    w = projline.canonicalize(f13, 0, 1, 1, 0)  # z -> 1/z
+    w = canonicalize(f13, 0, 1, 1, 0)  # z -> 1/z
     assert projline.apply(f13, w, 0) == inf13
     assert projline.apply(f13, w, inf13) == 0
     assert projline.apply(f13, w, 5) == gf.inv(f13, 5)
 
-    shear = projline.canonicalize(f13, 1, 1, 0, 1)  # z -> z + 1
+    shear = canonicalize(f13, 1, 1, 0, 1)  # z -> z + 1
     assert projline.apply(f13, shear, inf13) == inf13
     assert projline.apply(f13, shear, 12) == 0
 
-    scale = projline.canonicalize(f41, 36, 0, 0, 1)  # z -> 36 z, 36 a square
+    scale = canonicalize(f41, 36, 0, 0, 1)  # z -> 36 z, 36 a square
     assert projline.apply(f41, scale, 1) == 36
 
 
@@ -139,7 +139,7 @@ def test_group_order(f13):
     mats = itertools.product(range(13), repeat=4)
     squares = {x * x % 13 for x in range(1, 13)}
     square = [m for m in mats if (m[0] * m[3] - m[1] * m[2]) % 13 in squares]
-    group = {projline.canonicalize(f13, *m) for m in square}
+    group = {canonicalize(f13, *m) for m in square}
     assert len(group) == 1092
     assert len({tuple(projline.point_permutation(f13, g)) for g in group}) == 1092
 
@@ -311,6 +311,34 @@ def test_tables_and_contexts_make_no_scalar_field_op(monkeypatch):
         assert starter.make_starter_context(spec, k) == want
 
 
+def test_generators_are_the_canonical_transvections():
+    """psl_generators builds z -> z + x and z -> z/(xz + 1), x = alpha**t
+    for t < n, directly: each is what canonicalize makes of the
+    transvection's matrix, on every odd prime power q <= 64 and on
+    GF(5^3), GF(3^5) and GF(3^6)."""
+    for q in TABLE_QS + (125, 243, 729):
+        spec = gf.field_for_order(q)
+        want = []
+        for t in range(spec.n):
+            x = gf.power(spec, spec.alpha, t)
+            want += [canonicalize(spec, 1, x, 0, 1), canonicalize(spec, 1, 0, x, 1)]
+        assert projline.psl_generators(spec) == want, q
+
+
+def test_generators_make_no_scalar_field_op(monkeypatch):
+    """With the scalar sub, mul, chi and inv made to raise, psl_generators
+    still builds the same generators on GF(61) and GF(125)."""
+    specs = [gf.field_for_order(q) for q in (61, 125)]
+    want = [projline.psl_generators(spec) for spec in specs]
+
+    def scalar_op(*args):
+        raise AssertionError("a scalar gf op was called")
+
+    for name in ("sub", "mul", "chi", "inv"):
+        monkeypatch.setattr(gf, name, scalar_op)
+    assert [projline.psl_generators(spec) for spec in specs] == want
+
+
 def test_triple_signs_match_delta_extended_on_every_triple(small_field):
     spec = small_field
     tab = projline.field_tables(spec)
@@ -334,7 +362,7 @@ def test_sampled_trials_are_those_of_random_element(f29, f25, seed, monkeypatch)
         rng = random.Random(seed)
         pts = list(projline.all_points(spec))
         for row, t in zip(elems.tolist(), triples.tolist()):
-            assert projline.canonicalize(spec, *row) == random_element(spec, rng)
+            assert canonicalize(spec, *row) == random_element(spec, rng)
             assert t == rng.sample(pts, 3)
 
 
@@ -345,7 +373,7 @@ def test_apply_to_points_matches_apply(f13, f9, f25):
         elems = [random_element(spec, rng) for _ in range(30)]
         # a map fixing infinity (c = 0) and z -> -1/z, which swaps it with 0
         minus_one = gf.neg(spec, 1)
-        elems += [identity(spec), projline.canonicalize(spec, 0, 1, minus_one, 0)]
+        elems += [identity(spec), canonicalize(spec, 0, 1, minus_one, 0)]
         mats = np.array([(g.a, g.b, g.c, g.d) for g in elems])
         points = np.tile(np.arange(spec.q + 1), (len(elems), 1))
         images = projline.apply_to_points(tab, mats, points)

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scalar_oracles import (
     delta_of_rep,
     delta_sum_brute,
     dihedral_orbit_reps,
+    element_order,
     element_tables,
     rep_gaps,
 )
@@ -33,7 +35,7 @@ def test_context_fields(f41):
     assert (ctx.k, ctx.e, ctx.alpha) == (5, 8, 6)
     assert ctx.beta == 10
     assert ctx.block == (1, 10, 18, 16, 37)
-    assert gf.element_order(f41, ctx.beta) == 5
+    assert element_order(f41, ctx.beta) == 5
     assert ctx.block[0] == 1 and len(set(ctx.block)) == 5
     assert ctx.chi_table[0] == 0
     assert len(ctx.chi_table) == 5
@@ -55,6 +57,29 @@ def test_context_validation(f41):
     starter.make_starter_context(f19, 6)  # e = 3, fine
     with pytest.raises(ValueError, match="does not generate"):
         starter.make_starter_context(f41, 5, alpha=2)
+
+
+@pytest.mark.parametrize(("q", "k"), [(41, 5), (25, 6), (125, 31)])
+def test_explicit_alpha_is_accepted_exactly_when_it_generates(q, k):
+    """An explicit alpha passes exactly when the power-route oracle gives
+    it order q - 1; every other element is refused with the same message.
+    GF(27) has no valid k (13, the only divisor of 26 in range, leaves
+    an even cofactor with q = 3 mod 4), so GF(125) stands for n = 3."""
+    spec = gf.field_for_order(q)
+    accepted = set()
+    for a in range(1, q):
+        if element_order(spec, a) == q - 1:
+            assert starter.make_starter_context(spec, k, alpha=a).alpha == a
+            accepted.add(a)
+        else:
+            msg = f"alpha = {a} does not generate GF({q})*"
+            with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+                starter.make_starter_context(spec, k, alpha=a)
+    # GF(q)* is cyclic, so it has phi(q - 1) generators
+    assert len(accepted) == sum(math.gcd(j, q - 1) == 1 for j in range(q - 1))
+    for a in (0, q):
+        with pytest.raises(ValueError, match="outside the range"):
+            starter.make_starter_context(spec, k, alpha=a)
 
 
 def test_alpha_override_changes_table_not_block(f41):

@@ -96,13 +96,17 @@ def expand_orbit(spec: gf.FieldSpec, block: tuple[int, ...] | list[int]) -> np.n
     level's images are sorted row by row, and repeats among them and rows
     already found are dropped by exact row key. Aborts if the orbit would
     exceed the budget (default 10**6 blocks, env PSL_DESIGNS_BUDGET
-    overrides).
+    overrides), before any permutation is built when the lower bound
+    C(v, 3) / (2 * C(k, 3)) on its size exceeds it: blocks of k >= 3 points
+    cover a whole PSL(2,q)-orbit of 3-subsets, one of at most two equal ones.
     """
     budget = _block_budget()
     v = spec.q + 1
     start = np.sort(np.asarray(block, dtype=np.int64))
     if (start[1:] == start[:-1]).any():
         raise ValueError("block has repeated points")
+    if len(start) >= 3 and comb(v, 3) > 2 * comb(len(start), 3) * budget:
+        raise RuntimeError(f"orbit exceeds block budget of {budget}")
     perms = np.array(
         [projline.point_permutation(spec, g) for g in projline.psl_generators(spec)],
         dtype=np.min_scalar_type(spec.q),

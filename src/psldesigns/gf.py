@@ -455,12 +455,10 @@ def make_extension_field(p: int, n: int) -> FieldSpec:
             modulus = tuple(f)
             break
     assert modulus is not None  # irreducibles of every degree exist
-    xp = _ppowmod([0, 1], p, modulus, p)
-    cols, col = [], [1]
-    for _ in range(n):
-        cols.append(tuple(col + [0] * (n - len(col))))
-        col = _pmulmod(col, xp, modulus, p)
-    spec = FieldSpec(p=p, n=n, modulus=modulus, q=q, alpha=0, frobenius=tuple(cols))
+    spec = FieldSpec(p=p, n=n, modulus=modulus, q=q, alpha=0)
+    # column i of the Frobenius map is (x**p)**i, and x is encoded as p
+    cols = power_rows(spec, power(spec, p, p), n).tolist()
+    spec = replace(spec, frobenius=tuple(map(tuple, cols)))
     spec = replace(spec, alpha=_smallest_generator(spec))
     _FIELD_CACHE[(p, n)] = spec
     return spec

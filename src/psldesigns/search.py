@@ -31,20 +31,13 @@ DECIDE_CHUNK_ROWS = 2048
 SIEVE_SEGMENT = 2**16
 
 
-def prime_flags(limit: int) -> np.ndarray:
-    """Sieve of Eratosthenes: flags[n] is true exactly for the primes
-    n <= limit (an empty array for limit < 0)."""
-    flags = np.ones(max(limit + 1, 0), dtype=bool)
-    flags[:2] = False
-    for i in range(2, isqrt(max(limit, 0)) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    return flags
-
-
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit."""
-    return np.flatnonzero(prime_flags(limit)).tolist()
+    """All primes <= limit: the progression sieve at m = 1, whose base
+    primes reach isqrt(gf.DEFAULT_Q_LIMIT), so a larger limit is refused."""
+    if limit < 2:
+        return []
+    _check_bound(limit)
+    return np.concatenate(list(_progression_primes(1, limit))).tolist()
 
 
 def _powers_of(primes, limit: int, n_min: int) -> list[tuple[int, int, int]]:

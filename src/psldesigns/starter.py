@@ -328,20 +328,6 @@ class Thm510Conditions:
         return out
 
 
-def _has_representation(m: int, c: int) -> bool:
-    """Does m = x^2 + c*y^2 for integers x, y?"""
-    import math
-
-    y = 0
-    while c * y * y <= m:
-        r = m - c * y * y
-        s = math.isqrt(r)
-        if s * s == r:
-            return True
-        y += 1
-    return False
-
-
 def _isqrt(n: np.ndarray) -> np.ndarray:
     """floor(sqrt(n)) elementwise for int64 0 <= n < 2**52: the float
     root, corrected by one step either way."""
@@ -351,11 +337,11 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
 
 
 def _represented(q: np.ndarray, root: np.ndarray, c: int) -> np.ndarray:
-    """_has_representation(q, c) at every prime q of the int64 array q at
-    once, by Cornacchia's descent (Cohen, Alg. 1.5.2): root is a square
-    root of -c mod q, per row. Euclid's steps on (q, root) run until the
-    remainder r has r^2 < q; q = x^2 + c*y^2 exactly when (q - r^2)/c is
-    then a whole square. Either root of -c gives the same r."""
+    """Whether q = x^2 + c*y^2 for integers x, y, at every prime q of the
+    int64 array q at once, by Cornacchia's descent (Cohen, Alg. 1.5.2):
+    root is a square root of -c mod q, per row. Euclid's steps on (q, root)
+    run until the remainder r has r^2 < q, and q = x^2 + c*y^2 exactly when
+    (q - r^2)/c is then a whole square. Either root of -c gives the same r."""
     a, r = q.copy(), root % q
     live = np.flatnonzero(r * r > q)
     while live.size:
@@ -398,7 +384,7 @@ def thm510_conditions(spec: gf.FieldSpec, alpha: int | None = None) -> Thm510Con
     """Evaluate all seven design characterizations for k in {5, 10}.
 
     Requires q = 1 (mod 20). The outcome does not depend on the choice of
-    generator alpha.
+    generator alpha. On a prime field c6 and c7 are thm510_batch's.
     """
     q = spec.q
     if q % 20 != 1:
@@ -414,8 +400,7 @@ def thm510_conditions(spec: gf.FieldSpec, alpha: int | None = None) -> Thm510Con
     c5 = gf.power(spec, five, (q - 1) // 4) != 1
     c6 = c7 = None
     if spec.n == 1:
-        c6 = not _has_representation(q, 20)
-        c7 = not _has_representation(q, 100)
+        c6, c7 = thm510_batch([q])[0, 5:].tolist()
     return Thm510Conditions(q, c1, c2, c3, c4, c5, c6, c7)
 
 

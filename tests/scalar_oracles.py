@@ -21,7 +21,13 @@ twice" rule:
   apply and apply_to_points are tested;
 - sweep_row_dicts, sweep_json and sweep_csv render sweep rows through
   one dict per row, json.dumps and csv.DictWriter, against which the
-  CLI's streamed `sweep --json` and `--csv` output is tested.
+  CLI's streamed `sweep --json` and `--csv` output is tested;
+- prime_flags is the full sieve of Eratosthenes, a flag per integer,
+  against which the progression sieve search._progression_primes, and
+  search.sieve_primes on top of it, are tested;
+- has_representation searches y for m = x^2 + c*y^2, against which the
+  batched Cornacchia descent starter._represented, and with it c6/c7 of
+  starter.thm510_batch and thm510_conditions, is tested.
 """
 
 from __future__ import annotations
@@ -30,7 +36,10 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from psldesigns import gf, projline, search
 from psldesigns.projline import GroupElem
@@ -217,3 +226,30 @@ def sweep_csv(rows: list[dict]) -> str:
     w.writeheader()
     w.writerows(rows)
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the full sieve, and the representation search by y
+
+
+def prime_flags(limit: int) -> np.ndarray:
+    """Sieve of Eratosthenes: flags[n] is true exactly for the primes
+    n <= limit (an empty array for limit < 0)."""
+    flags = np.ones(max(limit + 1, 0), dtype=bool)
+    flags[:2] = False
+    for i in range(2, math.isqrt(max(limit, 0)) + 1):
+        if flags[i]:
+            flags[i * i :: i] = False
+    return flags
+
+
+def has_representation(m: int, c: int) -> bool:
+    """Does m = x^2 + c*y^2 for integers x, y?"""
+    y = 0
+    while c * y * y <= m:
+        r = m - c * y * y
+        s = math.isqrt(r)
+        if s * s == r:
+            return True
+        y += 1
+    return False

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from scalar_oracles import sweep_csv, sweep_json, sweep_row_dicts
 
-from psldesigns import cli, design, gf, search
+from psldesigns import cli, design, gf, projline, search
 
 
 def _run(capsys, *argv):
@@ -256,6 +256,20 @@ def test_build_budget_exceeded(capsys, tmp_path, monkeypatch):
     code, _, err = _run(capsys, "build", "41", "10", "--out", path)
     assert code == 2
     assert "budget" in err
+
+
+def test_build_over_budget_refused_before_permutations(capsys, tmp_path, monkeypatch):
+    """An orbit that cannot fit the default budget is refused before the
+    O(q) point permutations are built, with the same message."""
+    def no_permutation(spec, g):
+        raise AssertionError("built a point permutation")
+
+    monkeypatch.delenv("PSL_DESIGNS_BUDGET", raising=False)
+    monkeypatch.setattr(projline, "point_permutation", no_permutation)
+    path = tmp_path / "never.txt"
+    code, out, err = _run(capsys, "build", "1000003", "6", "--out", str(path))
+    assert (code, out, err) == (2, "", "error: orbit exceeds block budget of 1000000\n")
+    assert not path.exists()
 
 
 def test_seq(capsys):
@@ -600,7 +614,6 @@ def test_sweep_bound_over_size_limit(capsys, monkeypatch):
     def no_sieve(limit):
         raise AssertionError(f"sieved up to {limit}")
 
-    monkeypatch.setattr(search, "prime_flags", no_sieve)
     monkeypatch.setattr(search, "sieve_primes", no_sieve)
     monkeypatch.setattr(search, "_progression_primes", lambda m, bound: no_sieve(bound))
     big = str(gf.DEFAULT_Q_LIMIT + 1)

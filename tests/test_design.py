@@ -189,6 +189,23 @@ def test_expand_orbit_budget(f13, monkeypatch):
         design.expand_orbit(f13, blk)
 
 
+def test_expand_orbit_budget_lower_bound(monkeypatch):
+    """The orbit of (9, 4) has 15 blocks, exactly the lower bound
+    C(10, 3) / (2 * C(4, 3)) that the early refusal uses: a budget of 15
+    builds it, and 14 refuses it before any permutation is built."""
+    spec = gf.field_for_order(9)
+    monkeypatch.setenv("PSL_DESIGNS_BUDGET", "15")
+    assert design.build_design(spec, 4).b == 15
+    monkeypatch.setenv("PSL_DESIGNS_BUDGET", "14")
+
+    def no_permutation(spec, g):
+        raise AssertionError("built a point permutation")
+
+    monkeypatch.setattr(projline, "point_permutation", no_permutation)
+    with pytest.raises(RuntimeError, match="budget of 14$"):
+        design.build_design(spec, 4)
+
+
 def test_verify_t_design_frozen(d13, d17):
     assert design.verify_t_design(d13.blocks, 3) == 3
     assert design.verify_t_design(d13.blocks, 2) == 18

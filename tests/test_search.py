@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from psldesigns import cli, gf, search, starter
-from scalar_oracles import sweep_row_dicts
+from scalar_oracles import prime_flags, sweep_row_dicts
 
 
 def test_sieve_primes_against_naive():
@@ -16,6 +16,15 @@ def test_sieve_primes_against_naive():
     ]
     assert search.sieve_primes(300) == naive
     assert search.sieve_primes(1) == []
+
+
+def test_sieve_primes_is_the_progression_sieve_at_m_1():
+    """sieve_primes is empty below 2, equals the full sieve up to 10**6,
+    and refuses a limit its base primes cannot sieve."""
+    assert [search.sieve_primes(n) for n in (-1, 0, 1, 2)] == [[], [], [], [2]]
+    assert search.sieve_primes(10**6) == np.flatnonzero(prime_flags(10**6)).tolist()
+    with pytest.raises(ValueError, match="exceeds the size limit"):
+        search.sieve_primes(2**31 + 1)
 
 
 def _progression(m, bound):
@@ -27,7 +36,7 @@ def test_progression_sieve_matches_prime_flags(monkeypatch):
     full sieve, at bounds past the square of the smallest prime
     p = 1 mod m (17, 41, 53, 101, 233 and 1061), which must not strike
     itself, and for segments of 1, 7 and 1000 values of j."""
-    flags = search.prime_flags(1_200_000)
+    flags = prime_flags(1_200_000)
     moduli = (8, 20, 52, 100, 116, 212)
     for bound in (1682, 60_000, 1_200_000):
         primes = np.flatnonzero(flags[: bound + 1])
@@ -70,7 +79,8 @@ def test_largest_bound_holds_one_segment(monkeypatch, capsys):
         assert cli.main(argv) == 0, argv
         assert "Traceback" not in capsys.readouterr().err
     end = 1 + 20 * search.SIEVE_SEGMENT
-    want = [q for q in search.sieve_primes(end) if q % 20 == 1]
+    primes = np.flatnonzero(prime_flags(end))
+    want = primes[primes % 20 == 1].tolist()
     assert len(segments) == 4 and all(seg.tolist() == want for seg in segments)
     assert (rep.checked, rep.all_consistent) == (len(want), True)
     monkeypatch.undo()
@@ -153,7 +163,6 @@ def test_sweep_bound_over_size_limit_refused_before_sieving(monkeypatch):
     def no_sieve(limit):
         raise AssertionError(f"sieved up to {limit}")
 
-    monkeypatch.setattr(search, "prime_flags", no_sieve)
     monkeypatch.setattr(search, "sieve_primes", no_sieve)
     monkeypatch.setattr(search, "_progression_primes", lambda m, bound: no_sieve(bound))
     big = gf.DEFAULT_Q_LIMIT + 1

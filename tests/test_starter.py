@@ -18,6 +18,7 @@ from scalar_oracles import (
     dihedral_orbit_reps,
     element_order,
     element_tables,
+    has_representation,
     rep_gaps,
 )
 
@@ -677,7 +678,7 @@ def test_pair_tables_match_prime_tables():
 
 def test_batched_cornacchia_matches_the_scalar_search():
     """All 4,466 (p, c) cases with p = 1 mod 20 below 200000 and c in
-    {20, 100}, from either square root of -c, against _has_representation,
+    {20, 100}, from either square root of -c, against has_representation,
     and thm510_batch's c6/c7 against it too."""
     sqrt_mod = pytest.importorskip("sympy.ntheory").sqrt_mod
 
@@ -686,7 +687,7 @@ def test_batched_cornacchia_matches_the_scalar_search():
     rows = starter.thm510_batch(ps)
     cases = 0
     for col, c in ((5, 20), (6, 100)):
-        want = [starter._has_representation(p, c) for p in ps]
+        want = [has_representation(p, c) for p in ps]
         root = np.array([sqrt_mod(-c % p, p) for p in ps])
         assert starter._represented(q, root, c).tolist() == want
         assert starter._represented(q, q - root, c).tolist() == want

@@ -1,11 +1,12 @@
 """Explicit block orbits on the projective line and their verification.
 
 A design here is the PSL(2,q)-orbit of a starter block, stored as one
-(b, k) int64 array with a block per row: its points in increasing order
-(finite points by field encoding, q for the point at infinity), the rows
-in lexicographic order. Verification recounts t-subset coverage from
-scratch and never trusts the orbit-transitivity argument that produced
-the blocks.
+(b, k) array with a block per row, in the narrowest unsigned dtype that
+holds the points range(v) (uint8 up to v = 256, then uint16): its points
+in increasing order (finite points by field encoding, q for the point at
+infinity), the rows in lexicographic order. Verification recounts
+t-subset coverage from scratch and never trusts the orbit-transitivity
+argument that produced the blocks.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ class Design:
 
     lam is the 3-subset coverage count when the orbit is a 3-design and 0
     when it is not (is_design records which case applies). blocks is a
-    (b, k) int64 array, one block per row: build_design gives increasing
-    rows in lexicographic order, parse_design the file's rows in file
-    order. Designs compare by identity; compare the fields, and the blocks
-    with np.array_equal.
+    (b, k) array, one block per row, in _point_dtype(v): build_design
+    gives increasing rows in lexicographic order, parse_design the file's
+    rows in file order. Designs compare by identity; compare the fields,
+    and the blocks with np.array_equal.
     """
 
     q: int
@@ -68,29 +69,33 @@ def _block_budget() -> int:
     if raw is None:
         return DEFAULT_BLOCK_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"PSL_DESIGNS_BUDGET is not an integer: {raw!r}")
+    if budget < 1:
+        raise ValueError(f"PSL_DESIGNS_BUDGET is not a positive integer: {raw!r}")
+    return budget
 
 
 def _point_dtype(v: int) -> np.dtype:
-    """The narrowest big-endian unsigned dtype that holds every point of
-    range(v); points are int64, so 64 bits always suffice."""
-    return np.min_scalar_type(min(v, 2**63) - 1).newbyteorder(">")
+    """The narrowest native unsigned dtype that holds every point of
+    range(v), one byte when range(v) is empty; points are int64, so 64
+    bits always suffice."""
+    return np.min_scalar_type(min(max(v, 1), 2**63) - 1)
 
 
 def _row_keys(rows: np.ndarray, v: int) -> np.ndarray:
     """One exact key per row of points in range(v): the row's big-endian
     bytes as a single void scalar. Equal keys are equal rows, and keys
     sort as the rows do lexicographically."""
-    dtype = _point_dtype(v)
+    dtype = _point_dtype(v).newbyteorder(">")
     rows = np.ascontiguousarray(rows, dtype=dtype)
     return rows.view(np.dtype((np.void, rows.shape[1] * dtype.itemsize))).ravel()
 
 
 def expand_orbit(spec: gf.FieldSpec, block: tuple[int, ...] | list[int]) -> np.ndarray:
-    """All distinct images of a block under PSL(2,q), as a (b, k) int64
-    array of increasing rows in lexicographic order.
+    """All distinct images of a block under PSL(2,q), as a (b, k) array
+    in _point_dtype(q + 1) of increasing rows in lexicographic order.
 
     Breadth-first over the standard generators, one level at a time: the
     level's images are sorted row by row, and repeats among them and rows
@@ -109,7 +114,7 @@ def expand_orbit(spec: gf.FieldSpec, block: tuple[int, ...] | list[int]) -> np.n
         raise RuntimeError(f"orbit exceeds block budget of {budget}")
     perms = np.array(
         [projline.point_permutation(spec, g) for g in projline.psl_generators(spec)],
-        dtype=np.min_scalar_type(spec.q),
+        dtype=_point_dtype(v),
     )
     frontier = start.astype(perms.dtype)[None, :]
     seen = _row_keys(frontier, v)
@@ -124,7 +129,8 @@ def expand_orbit(spec: gf.FieldSpec, block: tuple[int, ...] | list[int]) -> np.n
             raise RuntimeError(f"orbit exceeds block budget of {budget}")
         seen = np.insert(seen, at[new], keys[new])
         frontier = images[first[new]]
-    return seen.view(_point_dtype(v)).reshape(-1, len(start)).astype(np.int64)
+    rows = seen.view(perms.dtype.newbyteorder(">")).reshape(-1, len(start))
+    return rows.astype(perms.dtype, copy=False)
 
 
 def _coverage_counts(
@@ -176,21 +182,24 @@ def verify_t_design(
     """The common coverage count lambda if every t-subset of the point set
     lies in equally many blocks, else None.
 
-    blocks is a (b, k) array of increasing rows of points in range(v),
-    counted as a multiset: a repeated block counts each time. v defaults
-    to one past the largest point seen (exact for any orbit of a
-    transitive action, such as these). A v with no t-subsets, or with more
-    than MAX_RECOUNT_SUBSETS of them, is refused before anything is
-    allocated, and so are blocks of fewer than t points, which cover no
-    t-subset.
+    blocks is a (b, k) array of any integer dtype, read without a copy,
+    of increasing rows of points in range(v), counted as a multiset: a
+    repeated block counts each time. v defaults to one past the largest
+    point seen (exact for any orbit of a transitive action, such as
+    these). A v with no t-subsets, or with more than MAX_RECOUNT_SUBSETS
+    of them, is refused before anything is allocated, and so are blocks
+    of fewer than t points, which cover no t-subset, and blocks that are
+    not integers.
     """
     if t not in (2, 3):
         raise ValueError(f"only t = 2 and t = 3 are supported, got {t}")
-    blocks = np.asarray(blocks, dtype=np.int64)
+    blocks = np.asarray(blocks)
     if blocks.ndim != 2 and blocks.size:
         raise ValueError(f"expected a (b, k) array of blocks, got shape {blocks.shape}")
     if not len(blocks):
         raise ValueError("no blocks")
+    if blocks.dtype.kind not in "iu":
+        raise ValueError(f"blocks must be integer points, got dtype {blocks.dtype}")
     if v is None:
         v = int(blocks.max()) + 1
     n = comb(v, t)
@@ -290,10 +299,11 @@ def format_design(design: Design) -> str:
     """Serialize: header `v k lambda b`, an extra flag line for
     non-designs, then one block per line, rows in lexicographic order.
 
-    The rows are written a chunk at a time, gathered from a table of the
-    chunk's distinct points as decimal text, with no Python object per
-    point.
+    The blocks must pass check_blocks. The rows are written a chunk at a
+    time, gathered from one table of the points up to the largest as
+    decimal text, indexed by the points themselves.
     """
+    check_blocks(design)
     head = f"{design.v} {design.k} {design.lam} {design.b}\n"
     if not design.is_design:
         head += NON_DESIGN_FLAG + "\n"
@@ -302,21 +312,21 @@ def format_design(design: Design) -> str:
         return head + "\n" * len(blocks)
     if not _in_lex_order(blocks):
         blocks = blocks[np.lexsort(blocks.T[::-1])]
-    # the longest label is the smallest or the largest point's, and one
-    # separator follows each label
-    width = 1 + max(len(str(blocks.min())), len(str(blocks.max())))
+    # the rows are increasing, so the last column holds the largest point,
+    # which has the longest label; one separator follows each label
+    top = int(blocks[:, -1].max())
+    width = 1 + len(str(top))
+    spaced, ended = (
+        np.array([f"{z}{end}" for z in range(top + 1)], dtype=f"S{width}")
+        .view(np.uint8)
+        .reshape(-1, width)
+        for end in (" ", "\n")
+    )
     chunk_rows = max(1, TEXT_CHUNK_CHARS // (width * blocks.shape[1]))
     parts = [head]
     for lo in range(0, len(blocks), chunk_rows):
-        points, index = np.unique(blocks[lo : lo + chunk_rows], return_inverse=True)
-        spaced, ended = (
-            np.array([f"{z}{end}" for z in points.tolist()], dtype=f"S{width}")
-            .view(np.uint8)
-            .reshape(-1, width)
-            for end in (" ", "\n")
-        )
-        index = index.reshape(-1, blocks.shape[1])
-        cells = np.concatenate([spaced[index[:, :-1]], ended[index[:, -1:]]], axis=1)
+        chunk = blocks[lo : lo + chunk_rows]
+        cells = np.concatenate([spaced[chunk[:, :-1]], ended[chunk[:, -1:]]], axis=1)
         parts.append(cells[cells != 0].tobytes().decode())
     return "".join(parts)
 
@@ -352,21 +362,32 @@ def _tokens_per_line(piece: str) -> np.ndarray:
     return np.diff(np.searchsorted(starts, line_ends), prepend=0)
 
 
-def _refuse_block_text(piece: str, done: np.ndarray, k: int, v: int) -> None:
-    """Raise the error for piece, text whose lines numpy could not read as
-    blocks of k int64 points; done holds the blocks before it. Python's
-    int reads the lines, and the error is the one the parse and then
-    check_blocks would give on Python integers: the first line that is not
-    k integers, else the first block that is out of order or out of range
-    (a point beyond int64 is out of every range)."""
-    lines = [ln for ln in (raw.strip() for raw in piece.splitlines()) if ln]
+def _exact_blocks(piece: str, k: int) -> list[list[int]]:
+    """The non-blank lines of piece as blocks of Python ints, refusing the
+    first line that is not k integers."""
     blocks = []
-    for ln in lines:
-        blk = [int(x) for x in ln.split()]
-        if len(blk) != k:
-            raise ValueError(f"block of size {len(blk)}, expected {k}: {ln!r}")
-        blocks.append(blk)
-    exact = np.array(done.tolist() + blocks, dtype=object).reshape(-1, k)
+    for ln in (raw.strip() for raw in piece.splitlines()):
+        if ln:
+            blk = [int(x) for x in ln.split()]
+            if len(blk) != k:
+                raise ValueError(f"block of size {len(blk)}, expected {k}: {ln!r}")
+            blocks.append(blk)
+    return blocks
+
+
+def _refuse_block_text(bad: tuple | None, outside: tuple | None, k: int, v: int) -> None:
+    """Raise the error for the chunks the parse could not keep, each a
+    (text, rows before it) pair: bad, the first chunk numpy could not read
+    as blocks of k int64 points, and outside, the first chunk before it
+    with a point outside range(v). Python's int reads them, and the error
+    is the one the parse of bad and then check_blocks give on Python
+    integers: the first line of bad that is not k integers, else the first
+    block out of order or out of range (a point beyond int64 is out of
+    every range), which is in or before outside when there is one."""
+    if bad is not None:
+        _exact_blocks(bad[0], k)
+    piece, done = outside or bad
+    exact = np.array(done.tolist() + _exact_blocks(piece, k), dtype=object).reshape(-1, k)
     check_blocks(Design(q=v - 1, k=k, lam=0, blocks=exact, is_design=False))
     raise ValueError(
         f"blocks {len(done) + 1}..{len(exact)} are not whitespace-separated "
@@ -375,19 +396,21 @@ def _refuse_block_text(piece: str, done: np.ndarray, k: int, v: int) -> None:
 
 
 def _parse_blocks(text: str, pos: int, k: int, v: int, b: int) -> np.ndarray:
-    """The non-blank lines of text from pos on as a (b, k) int64 array.
+    """The non-blank lines of text from pos on as a (b, k) array in
+    _point_dtype(v).
 
     TEXT_CHUNK_CHARS of lines at a time, numpy counts each line's tokens
-    and reads the integers. The first chunk it cannot read exactly, or
-    that has a point at the int64 limits (where an overflowing token
-    saturates), goes to _refuse_block_text once the block count has been
+    and reads the integers as int64. The first chunk it cannot read
+    exactly, or that has a point at the int64 limits (where an overflowing
+    token saturates), and the first one before it with a point the rows
+    cannot hold go to _refuse_block_text once the block count has been
     checked against b.
     """
     # room for b rows only if the text can hold them (2k characters a
     # row), so that a header cannot make the parse allocate more than that
     fits = b >= 0 and k >= 0 and 2 * max(b, 1) * max(k, 1) <= len(text) - pos + 1
-    rows = np.empty((b, k) if fits else (0, 0), dtype=np.int64)
-    found, bad = 0, None
+    rows = np.empty((b, k) if fits else (0, 0), dtype=_point_dtype(v))
+    found, bad, outside = 0, None, None
     while pos < len(text):
         end = _line_end(text, pos + TEXT_CHUNK_CHARS)
         piece = text[pos:end]
@@ -399,28 +422,31 @@ def _parse_blocks(text: str, pos: int, k: int, v: int, b: int) -> np.ndarray:
             except ValueError:
                 values = None
             if (
-                values is not None
-                and found + len(tokens) <= len(rows)
-                and (tokens == k).all()
-                and values.size == k * len(tokens)
-                and not np.isin(values, (_INT64.min, _INT64.max)).any()
+                values is None
+                or found + len(tokens) > len(rows)
+                or (tokens != k).any()
+                or values.size != k * len(tokens)
+                or np.isin(values, (_INT64.min, _INT64.max)).any()
             ):
-                rows[found : found + len(tokens)] = values.reshape(-1, k)
-            else:
                 bad = (piece, rows[:found])
+            elif values.min() < 0 or values.max() >= v:
+                outside = outside or (piece, rows[:found])
+            elif outside is None:
+                rows[found : found + len(tokens)] = values.reshape(-1, k)
         found += len(tokens)
         pos = end
     if found != b:
         raise ValueError(f"expected {b} blocks, found {found}")
-    if bad is not None:
-        _refuse_block_text(*bad, k, v)
+    if bad is not None or outside is not None:
+        _refuse_block_text(bad, outside, k, v)
     return rows
 
 
 def parse_design(text: str) -> Design:
     """Read a design file's text: the header, the optional flag line and
-    one block per non-blank line. Each block must be k integers; order and
-    range are check_blocks's concern."""
+    one block per non-blank line. Each block must be k integers of
+    range(v), else check_blocks's message names the first bad block;
+    order is otherwise check_blocks's concern."""
     head, pos = _next_line(text, 0)
     if not head:
         raise ValueError("empty design file")

@@ -258,6 +258,16 @@ def test_build_budget_exceeded(capsys, tmp_path, monkeypatch):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("raw", ["0", "-5"])
+def test_build_non_positive_budget_is_bad_input(capsys, tmp_path, monkeypatch, raw):
+    monkeypatch.setenv("PSL_DESIGNS_BUDGET", raw)
+    path = tmp_path / "never.txt"
+    code, out, err = _run(capsys, "build", "13", "4", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: PSL_DESIGNS_BUDGET is not a positive integer: '{raw}'\n"
+    assert not path.exists()
+
+
 def test_build_over_budget_refused_before_permutations(capsys, tmp_path, monkeypatch):
     """An orbit that cannot fit the default budget is refused before the
     O(q) point permutations are built, with the same message."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,7 +107,8 @@ def test_array_path_matches_oracles(q, k):
     block = _block(spec, k)
     want = _oracle_orbit(spec, block)
     blocks = design.expand_orbit(spec, block)
-    assert blocks.dtype == np.int64 and blocks.flags.c_contiguous
+    # every small pair has v <= 256, so its points fit in uint8
+    assert blocks.dtype == np.uint8 and blocks.flags.c_contiguous
     assert blocks.tolist() == [list(blk) for blk in want]
     for t in (2, 3):
         counts = _oracle_counts(q + 1, want, t)
@@ -187,6 +189,11 @@ def test_expand_orbit_budget(f13, monkeypatch):
     monkeypatch.setenv("PSL_DESIGNS_BUDGET", "not-a-number")
     with pytest.raises(ValueError):
         design.expand_orbit(f13, blk)
+    # a budget below one block is bad input, not a budget every orbit exceeds
+    for raw in ("0", "-5"):
+        monkeypatch.setenv("PSL_DESIGNS_BUDGET", raw)
+        with pytest.raises(ValueError, match=f"^PSL_DESIGNS_BUDGET is not a positive integer: '{raw}'$"):
+            design.expand_orbit(f13, blk)
 
 
 def test_expand_orbit_budget_lower_bound(monkeypatch):
@@ -234,6 +241,23 @@ def test_verify_t_design_validation(d13):
         design.verify_t_design([(0, 1, 4)], 3, v=4)
     # the largest orbits the benchmark builds (q = 181) stay under the cap
     assert math.comb(182, 3) <= design.MAX_RECOUNT_SUBSETS
+
+
+def test_verify_t_design_refuses_non_integer_blocks(d13):
+    """Points are integers: a float, bool, complex or object array is
+    refused by its dtype, never truncated to points it does not hold."""
+    floats = [[0.5, 1.7, 2.2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    with pytest.raises(ValueError, match="got dtype float64$"):
+        design.verify_t_design(floats, 3)
+    for dtype in (bool, np.complex128, object, np.float32):
+        with pytest.raises(ValueError, match=f"got dtype {np.dtype(dtype)}$"):
+            design.verify_t_design(np.array(floats).astype(dtype), 2)
+    # the same four blocks as Python ints, and as every integer dtype
+    ints = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    assert design.verify_t_design(ints, 3) == 1
+    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64):
+        assert design.verify_t_design(np.array(ints, dtype=dtype), 3) == 1
+        assert design.verify_t_design(d13.blocks.astype(dtype), 3) == 3
 
 
 def test_build_design_13_4(d13):
@@ -359,6 +383,53 @@ def test_format_parse_round_trip(d13, d17):
     assert design.format_design(d17).splitlines()[1] == design.NON_DESIGN_FLAG
 
 
+@pytest.mark.parametrize(("q", "k"), [(13, 4), (17, 4), (41, 10), (49, 8)])
+def test_build_format_parse_keeps_dtype_and_bytes(q, k):
+    """Blocks stay in the narrowest point type from the orbit to the file
+    and back, and the file text survives a parse and a second format."""
+    d = design.build_design(gf.field_for_order(q), k)
+    assert d.blocks.dtype == np.uint8
+    text = design.format_design(d)
+    back = design.parse_design(text)
+    assert back.blocks.dtype == np.uint8 and _same_design(back, d)
+    assert design.format_design(back) == text
+    # each line is its row's points as decimal text, one space apart
+    lines = text.splitlines()[1 + (not d.is_design) :]
+    assert lines[:50] == [" ".join(map(str, row)) for row in d.blocks[:50].tolist()]
+
+
+def test_points_past_256_are_uint16():
+    """q = 257 is the first field whose points need two bytes: its blocks
+    are native uint16 from the orbit through the file, and they verify.
+    PSL(2,q) is 2-transitive on the projective line, so every orbit is a
+    2-design, with b C(k, 2) = lambda_2 C(v, 2)."""
+    d = design.build_design(gf.field_for_order(257), 8)
+    native = np.dtype(np.uint16)
+    assert d.blocks.dtype == native and d.blocks.dtype.isnative
+    assert d.blocks.max() == 257
+    back = design.parse_design(design.format_design(d))
+    assert back.blocks.dtype == native and back.blocks.dtype.isnative
+    assert _same_design(back, d)
+    assert design.verify_design(back)
+    lam2 = design.verify_t_design(back.blocks, 2)
+    assert d.b * math.comb(8, 2) == lam2 * math.comb(258, 2)
+
+
+def test_format_design_refuses_malformed_blocks(d13):
+    """format_design indexes its label table by the points, so a Design
+    that fails check_blocks is refused with check_blocks's message."""
+    for row, defect in (
+        ([3, 2, 1, 0], "is not 4 distinct points in increasing order: 3 2 1 0"),
+        ([0, 1, 2, 14], "has a point outside the range 0..13: 0 1 2 14"),
+    ):
+        blocks = d13.blocks.astype(np.int64)
+        blocks[5] = row
+        with pytest.raises(ValueError, match=f"^block 6 {defect}$"):
+            design.format_design(dataclasses.replace(d13, blocks=blocks))
+    with pytest.raises(ValueError, match="^block 1 is not 4 distinct points"):
+        design.format_design(dataclasses.replace(d13, blocks=d13.blocks[:, :3]))
+
+
 def test_write_read_round_trip(tmp_path, d13):
     path = tmp_path / "out.txt"
     design.write_design(d13, str(path))
@@ -405,3 +476,54 @@ def test_text_chunks_do_not_change_format_or_parse(d13, d17, monkeypatch):
             assert _same_design(design.parse_design(text), d)
         with pytest.raises(ValueError, match="block 100 has a point outside"):
             design.parse_design(bad)
+
+
+@pytest.mark.parametrize("size", [64, 1 << 18])
+@pytest.mark.parametrize(
+    ("early", "late", "message"),
+    [
+        # the first bad block in file order, whichever chunk holds it
+        ("3 2 1 0", "0 1 2 14", "block 3 is not 4 distinct points in increasing order: 3 2 1 0"),
+        ("0 1 2 14", "3 2 1 0", "block 3 has a point outside the range 0..13: 0 1 2 14"),
+        # a line that is not k integers comes before any block's defect
+        ("0 1 2 14", "0 1 x 3", "invalid literal for int() with base 10: 'x'"),
+        ("0 1 2 14", "0 1 2", "block of size 3, expected 4: '0 1 2'"),
+    ],
+)
+def test_parse_refuses_in_the_order_of_parse_then_check_blocks(d13, monkeypatch, size, early, late, message):
+    """A point outside range(v) does not fit the narrow rows, so the parse
+    refuses it; the refusal is the one the parse and then check_blocks
+    gave when the rows were int64, bytes and precedence alike."""
+    lines = design.format_design(d13).splitlines()
+    lines[3], lines[250] = early, late
+    monkeypatch.setattr(design, "TEXT_CHUNK_CHARS", size)
+    with pytest.raises(ValueError) as refused:
+        design.parse_design("\n".join(lines) + "\n")
+    assert str(refused.value) == message
+
+
+def test_build_and_verify_peaks_at_181_10(tmp_path):
+    """The traced heap peaks of the build op (build_design, write_design)
+    and the verify op (read_design, check_blocks, verify_t_design) at
+    (181, 10), the largest orbit the benchmark builds: 148,239 blocks of
+    10 points that fit in 1.4 MiB as uint8, and 11.3 MiB as int64. The
+    file text is one 4.8 MiB string, and the recount's counters are
+    7.5 MiB of int64, so a whole-design int64 copy breaks the bounds."""
+    spec = gf.field_for_order(181)
+    path = str(tmp_path / "d.txt")
+    tracemalloc.start()
+    try:
+        d = design.build_design(spec, 10)
+        design.write_design(d, path)
+        del d
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        d = design.read_design(path)
+        design.check_blocks(d)
+        assert design.verify_t_design(d.blocks, 3, v=d.v) is None
+        verify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.b == 148239
+    assert build_peak <= 13 * 2**20, build_peak
+    assert verify_peak <= 15 * 2**20, verify_peak

@@ -185,34 +185,32 @@ def verify_t_design(
     blocks is a (b, k) array of any integer dtype, read without a copy,
     of increasing rows of points in range(v), counted as a multiset: a
     repeated block counts each time. v defaults to one past the largest
-    point seen (exact for any orbit of a transitive action, such as
-    these). A v with no t-subsets, or with more than MAX_RECOUNT_SUBSETS
-    of them, is refused before anything is allocated, and so are blocks
-    of fewer than t points, which cover no t-subset, and blocks that are
-    not integers.
+    point seen, if any (exact for any orbit of a transitive action, such
+    as these). Blocks that are not integers are refused, then rows that
+    fail check_blocks, then a v with no t-subsets or with more than
+    MAX_RECOUNT_SUBSETS of them, and blocks of fewer than t points, which
+    cover no t-subset, all before the counts are allocated.
     """
     if t not in (2, 3):
         raise ValueError(f"only t = 2 and t = 3 are supported, got {t}")
     blocks = np.asarray(blocks)
-    if blocks.ndim != 2 and blocks.size:
+    if blocks.ndim != 2 and blocks.shape[:1] != (0,):  # no rows: "no blocks"
         raise ValueError(f"expected a (b, k) array of blocks, got shape {blocks.shape}")
     if not len(blocks):
         raise ValueError("no blocks")
     if blocks.dtype.kind not in "iu":
         raise ValueError(f"blocks must be integer points, got dtype {blocks.dtype}")
-    if v is None:
-        v = int(blocks.max()) + 1
-    n = comb(v, t)
-    if not 0 < n <= MAX_RECOUNT_SUBSETS:
-        raise ValueError(
-            f"v = {v} has C({v}, {t}) = {n} {t}-subsets, outside the range "
-            f"1..{MAX_RECOUNT_SUBSETS} of the recount cap"
-        )
     k = blocks.shape[1]
+    if v is None and blocks.size:
+        v = int(blocks.max()) + 1
+    check_blocks(blocks, k, v)
+    if v is not None and not 0 < comb(v, t) <= MAX_RECOUNT_SUBSETS:
+        raise ValueError(
+            f"v = {v} has C({v}, {t}) = {comb(v, t)} {t}-subsets, outside the "
+            f"range 1..{MAX_RECOUNT_SUBSETS} of the recount cap"
+        )
     if k < t:
         raise ValueError(f"blocks of {k} points contain no {t}-subsets")
-    if blocks.min() < 0 or blocks.max() >= v:
-        raise ValueError(f"a block has a point outside the range 0..{v - 1}")
     chunk_rows = max(1, RECOUNT_CHUNK_SUBSETS // comb(k, t))
     counts = _coverage_counts(blocks, t, v, chunk_rows)
     if (counts == counts[0]).all():
@@ -238,26 +236,29 @@ def build_design(spec: gf.FieldSpec, k: int, alpha: int | None = None) -> Design
     return Design(q=spec.q, k=k, lam=lam, blocks=blocks, is_design=is_design)
 
 
-def check_blocks(design: Design) -> None:
-    """Raise ValueError naming the first block that is not k distinct
-    points of range(v) in increasing order, the form the coverage
-    recount relies on."""
-    blocks = design.blocks
-    if blocks.shape[1] != design.k:
+def check_blocks(blocks: np.ndarray, k: int, v: int) -> None:
+    """Raise ValueError naming the first row of the (b, k) array blocks
+    that is not k distinct points of range(v) in increasing order, the
+    form the coverage recount relies on. Only bool temporaries are made,
+    and rows are reduced one by one only to name a bad one."""
+    if blocks.shape[1] != k:
         unordered = np.ones(len(blocks), dtype=bool)
         outside = unordered
     elif not blocks.size:
         return
     else:
-        unordered = ~(blocks[:, 1:] > blocks[:, :-1]).all(axis=1)
-        outside = (blocks[:, 0] < 0) | (blocks[:, -1] >= design.v)
+        increasing = blocks[:, 1:] > blocks[:, :-1]
+        outside = (blocks[:, 0] < 0) | (blocks[:, -1] >= v)
+        if increasing.all() and not outside.any():
+            return
+        unordered = ~increasing.all(axis=1)
     bad = np.flatnonzero(unordered | outside)
     if bad.size:
         n = bad[0]
         if unordered[n]:
-            defect = f"is not {design.k} distinct points in increasing order"
+            defect = f"is not {k} distinct points in increasing order"
         else:
-            defect = f"has a point outside the range 0..{design.v - 1}"
+            defect = f"has a point outside the range 0..{v - 1}"
         points = " ".join(map(str, blocks[n].tolist()))
         raise ValueError(f"block {n + 1} {defect}: {points}")
 
@@ -272,7 +273,7 @@ def verify_design(design: Design) -> bool:
     """
     v = design.v
     try:
-        check_blocks(design)
+        check_blocks(design.blocks, design.k, v)
     except ValueError:
         return False
     if len(np.unique(_row_keys(design.blocks, v))) != design.b:
@@ -303,7 +304,7 @@ def format_design(design: Design) -> str:
     time, gathered from one table of the points up to the largest as
     decimal text, indexed by the points themselves.
     """
-    check_blocks(design)
+    check_blocks(design.blocks, design.k, design.v)
     head = f"{design.v} {design.k} {design.lam} {design.b}\n"
     if not design.is_design:
         head += NON_DESIGN_FLAG + "\n"
@@ -388,7 +389,7 @@ def _refuse_block_text(bad: tuple | None, outside: tuple | None, k: int, v: int)
         _exact_blocks(bad[0], k)
     piece, done = outside or bad
     exact = np.array(done.tolist() + _exact_blocks(piece, k), dtype=object).reshape(-1, k)
-    check_blocks(Design(q=v - 1, k=k, lam=0, blocks=exact, is_design=False))
+    check_blocks(exact, k, v)
     raise ValueError(
         f"blocks {len(done) + 1}..{len(exact)} are not whitespace-separated "
         "decimal integers that fit in int64"

@@ -190,11 +190,6 @@ def element_from_coeffs(spec: FieldSpec, coeffs) -> int:
     return v
 
 
-def embed(spec: FieldSpec, m: int) -> int:
-    """The image of the rational integer m in the field (a constant)."""
-    return m % spec.p
-
-
 # ---------------------------------------------------------------------------
 # field operations
 

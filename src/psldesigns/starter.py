@@ -14,7 +14,7 @@ group, live in the tests (tests/scalar_oracles.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -42,13 +42,12 @@ class StarterContext:
     chi_table: tuple[int, ...]
 
 
-def starter_cofactor(q: int, k: int, alpha: int | None = None) -> int:
+def starter_cofactor(q: int, k: int) -> int:
     """The validity rule for a starter pair, shared by the scalar context
     and the batched kernel; returns the cofactor e = (q-1)/k.
 
     Requires 3 < k < q-1 and k | q-1. An even cofactor additionally
     requires q = 1 (mod 4); with an odd cofactor any odd q is accepted.
-    An explicit alpha must be an element encoding, 1 <= alpha < q.
     """
     if not 3 < k < q - 1:
         raise ValueError(f"k = {k} is outside the range 3 < k < q - 1 = {q - 1}")
@@ -59,9 +58,19 @@ def starter_cofactor(q: int, k: int, alpha: int | None = None) -> int:
         raise ValueError(
             f"even cofactor e = {e} requires q = 1 mod 4, but q = {q}"
         )
-    if alpha is not None and not 1 <= alpha < q:
-        raise ValueError(f"alpha = {alpha} is outside the range 1 <= alpha < q = {q}")
     return e
+
+
+def _generator(spec: gf.FieldSpec, alpha: int | None) -> int:
+    """The generator of GF(q)* to use: spec.alpha when alpha is None, else
+    alpha, which must be an element encoding 1 <= alpha < q of order q-1."""
+    if alpha is None:
+        return spec.alpha
+    if not 1 <= alpha < spec.q:
+        raise ValueError(f"alpha = {alpha} is outside the range 1 <= alpha < q = {spec.q}")
+    if not gf._has_full_order(spec, alpha):
+        raise ValueError(f"alpha = {alpha} does not generate GF({spec.q})*")
+    return alpha
 
 
 def make_starter_context(
@@ -69,16 +78,12 @@ def make_starter_context(
 ) -> StarterContext:
     """Build the context for the order-k subgroup of GF(q).
 
-    (q, k, alpha) must pass starter_cofactor. `alpha` overrides the
-    canonical generator (it must also have order q-1), which changes the
-    character table but never the design outcome.
+    (q, k) must pass starter_cofactor. `alpha` overrides the canonical
+    generator (see _generator), which changes the character table but
+    never the design outcome.
     """
-    q = spec.q
-    e = starter_cofactor(q, k, alpha)
-    if alpha is None:
-        alpha = spec.alpha
-    elif not gf._has_full_order(spec, alpha):
-        raise ValueError(f"alpha = {alpha} does not generate GF({q})*")
+    e = starter_cofactor(spec.q, k)
+    alpha = _generator(spec, alpha)
     beta = gf.power(spec, alpha, e)
     block, table = _array_tables(spec, k, beta)
     return StarterContext(
@@ -307,7 +312,8 @@ class Thm510Conditions:
 
     c6/c7 are the integer-representation tests, defined for prime q only
     (None otherwise). All applicable values agree for every valid q; a
-    disagreement would falsify the implementation, not the input.
+    disagreement would falsify the implementation, not the input. On
+    GF(p^n), c1..c5 are GF(p)'s for odd n and false for even n.
     """
 
     q: int
@@ -320,12 +326,7 @@ class Thm510Conditions:
     c7: bool | None  # no integers x, y with q = x^2 + 100 y^2
 
     def values(self) -> list[bool]:
-        out = [self.c1, self.c2, self.c3, self.c4, self.c5]
-        if self.c6 is not None:
-            out.append(self.c6)
-        if self.c7 is not None:
-            out.append(self.c7)
-        return out
+        return [c for c in astuple(self)[1:] if c is not None]
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -351,57 +352,34 @@ def _represented(q: np.ndarray, root: np.ndarray, c: int) -> np.ndarray:
     return (rem == 0) & (_isqrt(y2) ** 2 == y2)
 
 
-def _quadratic_root_nonsquare(spec: gf.FieldSpec, beta: int) -> bool:
-    """Whether the roots of x^2 - 4x - 1 are nonsquares.
-
-    The roots are 2 +/- s with s = beta*(1-beta)^2*(1+beta), which
-    squares to 5 when beta has order 5. Both quadratic roots are checked
-    (their characters agree).
-    """
-    five = gf.embed(spec, 5)
-    s = gf.mul(
-        spec,
-        gf.mul(spec, beta, gf.power(spec, gf.sub(spec, 1, beta), 2)),
-        gf.add(spec, 1, beta),
-    )
-    assert gf.mul(spec, s, s) == five
-    two = gf.embed(spec, 2)
-    roots = (gf.add(spec, two, s), gf.sub(spec, two, s))
-    theta0 = gf.add(
-        spec,
-        gf.mul(spec, two, gf.add(spec, gf.power(spec, beta, 4), beta)),
-        gf.embed(spec, 3),
-    )
-    assert theta0 in roots
-    for th in roots:
-        # th^2 - 4*th - 1 == 0
-        val = gf.sub(spec, gf.sub(spec, gf.mul(spec, th, th), gf.mul(spec, gf.embed(spec, 4), th)), 1)
-        assert val == 0
-    return any(gf.chi(spec, th) == -1 for th in roots)
-
-
 def thm510_conditions(spec: gf.FieldSpec, alpha: int | None = None) -> Thm510Conditions:
     """Evaluate all seven design characterizations for k in {5, 10}.
 
-    Requires q = 1 (mod 20). The outcome does not depend on the choice of
-    generator alpha. On a prime field c6 and c7 are thm510_batch's.
+    Requires q = 1 (mod 20). Every value is read off a thm510_batch row;
+    an explicit alpha is checked (_generator), but no value depends on it.
+    On GF(p) the answer is the row of p; on GF(p^n), n >= 2, c1..c5 are
+    the row of p's first five for odd n and all false for even n.
+
+    Why: beta of order 5 lies in GF(p^d), d = ord_5(p) in {1, 2, 4}, and
+    d | n as q = 1 (mod 5). For a in GF(p^d), chi_q(a) = chi_{p^d}(a)^(n/d)
+    by transitivity of the norm (Lidl & Niederreiter, ch. 2). c1..c5 read
+    only such characters; c3, c4 and c5 are each the test
+    chi_q(1 + beta) = -1, since 5^((q-1)/4) = chi_q(s) for the root
+    s = beta(1-beta)^2(1+beta) of 5, and the root 2(beta + beta^4) + 3 of
+    x^2 - 4x - 1 is phi^3, phi = 1 + beta + beta^4 = -beta^2 (1 + beta).
+    If n is odd, then d = 1 and p = 1 (mod 20), so each character is its
+    value in GF(p). If n/d is even, each is +1 and every test fails. If d
+    is 2 or 4, p^(d/2) = -1 (mod 5), the unitary case: the tables are
+    c*u^m with c, u = +-1, so the signed counts are +-C(k,3) != 0, and
+    chi(1 + beta) = beta^(-(p^(d/2)+1)/2) = 1.
     """
-    q = spec.q
-    if q % 20 != 1:
-        raise ValueError(f"q = {q} is not 1 mod 20")
-    ctx5 = make_starter_context(spec, 5, alpha=alpha)
-    ctx10 = make_starter_context(spec, 10, alpha=alpha)
-    beta = ctx5.beta
-    five = gf.embed(spec, 5)
-    c1 = gives_design(ctx5)
-    c2 = gives_design(ctx10)
-    c3 = gf.chi(spec, gf.add(spec, 1, beta)) == -1
-    c4 = _quadratic_root_nonsquare(spec, beta)
-    c5 = gf.power(spec, five, (q - 1) // 4) != 1
-    c6 = c7 = None
+    if spec.q % 20 != 1:
+        raise ValueError(f"q = {spec.q} is not 1 mod 20")
+    _generator(spec, alpha)
     if spec.n == 1:
-        c6, c7 = thm510_batch([q])[0, 5:].tolist()
-    return Thm510Conditions(q, c1, c2, c3, c4, c5, c6, c7)
+        return Thm510Conditions(spec.q, *thm510_batch([spec.q])[0].tolist())
+    c = thm510_batch([spec.p])[0, :5].tolist() if spec.n % 2 else [False] * 5
+    return Thm510Conditions(spec.q, *c, None, None)
 
 
 def thm510_batch(qs) -> np.ndarray:

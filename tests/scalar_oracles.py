@@ -27,7 +27,13 @@ twice" rule:
   search.sieve_primes on top of it, are tested;
 - has_representation searches y for m = x^2 + c*y^2, against which the
   batched Cornacchia descent starter._represented, and with it c6/c7 of
-  starter.thm510_batch and thm510_conditions, is tested.
+  starter.thm510_batch, is tested;
+- thm510_conditions evaluates c1..c5 on any field with two starter
+  contexts and scalar field ops (_quadratic_root_nonsquare checks c4),
+  and takes c6/c7 from thm510_batch on a prime field. It is the oracle
+  of starter.thm510_batch, and of starter.thm510_conditions, which reads
+  every answer off a batch row. It is moved from the package unchanged,
+  except that gf.embed(spec, m), since deleted, is written m % spec.p.
 """
 
 from __future__ import annotations
@@ -43,7 +49,13 @@ import numpy as np
 
 from psldesigns import gf, projline, search
 from psldesigns.projline import GroupElem
-from psldesigns.starter import StarterContext
+from psldesigns.starter import (
+    StarterContext,
+    Thm510Conditions,
+    gives_design,
+    make_starter_context,
+    thm510_batch,
+)
 
 # ---------------------------------------------------------------------------
 # the multiplicative order by the power route
@@ -253,3 +265,60 @@ def has_representation(m: int, c: int) -> bool:
             return True
         y += 1
     return False
+
+
+# ---------------------------------------------------------------------------
+# the k in {5, 10} conditions by scalar field ops
+
+
+def _quadratic_root_nonsquare(spec: gf.FieldSpec, beta: int) -> bool:
+    """Whether the roots of x^2 - 4x - 1 are nonsquares.
+
+    The roots are 2 +/- s with s = beta*(1-beta)^2*(1+beta), which
+    squares to 5 when beta has order 5. Both quadratic roots are checked
+    (their characters agree).
+    """
+    five = 5 % spec.p
+    s = gf.mul(
+        spec,
+        gf.mul(spec, beta, gf.power(spec, gf.sub(spec, 1, beta), 2)),
+        gf.add(spec, 1, beta),
+    )
+    assert gf.mul(spec, s, s) == five
+    two = 2 % spec.p
+    roots = (gf.add(spec, two, s), gf.sub(spec, two, s))
+    theta0 = gf.add(
+        spec,
+        gf.mul(spec, two, gf.add(spec, gf.power(spec, beta, 4), beta)),
+        3 % spec.p,
+    )
+    assert theta0 in roots
+    for th in roots:
+        # th^2 - 4*th - 1 == 0
+        val = gf.sub(spec, gf.sub(spec, gf.mul(spec, th, th), gf.mul(spec, 4 % spec.p, th)), 1)
+        assert val == 0
+    return any(gf.chi(spec, th) == -1 for th in roots)
+
+
+def thm510_conditions(spec: gf.FieldSpec, alpha: int | None = None) -> Thm510Conditions:
+    """Evaluate all seven design characterizations for k in {5, 10}.
+
+    Requires q = 1 (mod 20). The outcome does not depend on the choice of
+    generator alpha. On a prime field c6 and c7 are thm510_batch's.
+    """
+    q = spec.q
+    if q % 20 != 1:
+        raise ValueError(f"q = {q} is not 1 mod 20")
+    ctx5 = make_starter_context(spec, 5, alpha=alpha)
+    ctx10 = make_starter_context(spec, 10, alpha=alpha)
+    beta = ctx5.beta
+    five = 5 % spec.p
+    c1 = gives_design(ctx5)
+    c2 = gives_design(ctx10)
+    c3 = gf.chi(spec, gf.add(spec, 1, beta)) == -1
+    c4 = _quadratic_root_nonsquare(spec, beta)
+    c5 = gf.power(spec, five, (q - 1) // 4) != 1
+    c6 = c7 = None
+    if spec.n == 1:
+        c6, c7 = thm510_batch([q])[0, 5:].tolist()
+    return Thm510Conditions(q, c1, c2, c3, c4, c5, c6, c7)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -239,8 +240,30 @@ def test_verify_t_design_validation(d13):
         design.verify_t_design([(0,), (1,)], 2)
     with pytest.raises(ValueError, match="outside the range 0..3"):
         design.verify_t_design([(0, 1, 4)], 3, v=4)
+    with pytest.raises(ValueError, match=r"got shape \(2, 3, 0\)$"):
+        design.verify_t_design(np.zeros((2, 3, 0), dtype=int), 3)
     # the largest orbits the benchmark builds (q = 181) stay under the cap
     assert math.comb(182, 3) <= design.MAX_RECOUNT_SUBSETS
+
+
+def test_verify_t_design_refuses_rows_that_are_not_increasing():
+    """A row that is not increasing would be ranked as some other triple:
+    refused with check_blocks's message, as are blocks with no columns,
+    before v is read off their points."""
+    cases = [
+        (
+            [[0, 0, 1], [0, 1, 2]],
+            "block 1 is not 3 distinct points in increasing order: 0 0 1",
+        ),
+        (
+            [[0, 1, 2], [0, 1, 3], [0, 2, 3], [3, 2, 1]],
+            "block 4 is not 3 distinct points in increasing order: 3 2 1",
+        ),
+        (np.zeros((3, 0), dtype=int), "blocks of 0 points contain no 3-subsets"),
+    ]
+    for blocks, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            design.verify_t_design(np.asarray(blocks), 3)
 
 
 def test_verify_t_design_refuses_non_integer_blocks(d13):
@@ -504,7 +527,7 @@ def test_parse_refuses_in_the_order_of_parse_then_check_blocks(d13, monkeypatch,
 
 def test_build_and_verify_peaks_at_181_10(tmp_path):
     """The traced heap peaks of the build op (build_design, write_design)
-    and the verify op (read_design, check_blocks, verify_t_design) at
+    and the verify op (read_design, verify_t_design) at
     (181, 10), the largest orbit the benchmark builds: 148,239 blocks of
     10 points that fit in 1.4 MiB as uint8, and 11.3 MiB as int64. The
     file text is one 4.8 MiB string, and the recount's counters are
@@ -519,7 +542,6 @@ def test_build_and_verify_peaks_at_181_10(tmp_path):
         build_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         d = design.read_design(path)
-        design.check_blocks(d)
         assert design.verify_t_design(d.blocks, 3, v=d.v) is None
         verify_peak = tracemalloc.get_traced_memory()[1]
     finally:

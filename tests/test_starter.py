@@ -20,6 +20,7 @@ from scalar_oracles import (
     element_tables,
     has_representation,
     rep_gaps,
+    thm510_conditions,
 )
 
 
@@ -340,7 +341,7 @@ def test_char_sequence_shapes_and_last_entry(f41, f25):
         else:
             assert len(cs.entries) == k // 4 + 1
             # the final entry is chi(2), via beta^(k/2) = -1
-            assert cs.entries[-1] == gf.chi(spec, gf.embed(spec, 2))
+            assert cs.entries[-1] == gf.chi(spec, 2 % spec.p)
 
 
 def test_odd_entries_factor_through_even():
@@ -392,6 +393,54 @@ def test_thm510_alpha_override(f41):
     assert starter.thm510_conditions(f41, alpha=7) == starter.thm510_conditions(f41)
 
 
+def test_thm510_explicit_alpha_on_a_prime_power():
+    """An explicit alpha on GF(81) is refused with the starter context's
+    messages, and another generator gives the same values."""
+    f81 = gf.make_extension_field(3, 4)
+    for alpha, msg in [
+        (0, "alpha = 0 is outside the range 1 <= alpha < q = 81"),
+        (1, "alpha = 1 does not generate GF(81)*"),
+        (81, "alpha = 81 is outside the range 1 <= alpha < q = 81"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(msg) + "$"):
+            starter.thm510_conditions(f81, alpha=alpha)
+    other = gf.power(f81, f81.alpha, 7)  # 7 is prime to 80
+    assert other != f81.alpha
+    assert starter.thm510_conditions(f81, alpha=other) == starter.thm510_conditions(f81)
+
+
+def test_thm510_conditions_match_scalar_oracle_on_prime_powers():
+    """The batch-row answer against the scalar route at every proper prime
+    power q = 1 mod 20 up to 10^6, and at 101^3, 181^3 and 41^5. Each
+    reduction case occurs: p = 1 mod 5 with n odd (hits and non-hits),
+    n even, and p of order 2 or 4 mod 5."""
+    qs = [q for _, n, q in search.enumerate_prime_powers(10**6) if n > 1 and q % 20 == 1]
+    assert len(qs) == 91
+    qs += [101**3, 181**3, 41**5]
+    got = {}
+    for q in qs:
+        spec = gf.field_for_order(q)
+        got[q] = starter.thm510_conditions(spec)
+        assert got[q] == thm510_conditions(spec), q
+    assert all(got[q].values() == [True] * 5 for q in (41**3, 61**3, 41**5))
+    misses = (101**3, 181**3, 41**2, 19**2, 3**4, 7**4)
+    assert all(got[q].values() == [False] * 5 for q in misses)
+
+
+def test_thm510_conditions_make_no_scalar_field_op(monkeypatch):
+    """With the scalar add, sub, mul, inv, power and chi made to raise,
+    thm510_conditions still answers on GF(41), GF(81) and GF(41^3)."""
+    specs = [gf.field_for_order(q) for q in (41, 81, 41**3)]
+    want = [starter.thm510_conditions(spec) for spec in specs]
+
+    def scalar_op(*args):
+        raise AssertionError("a scalar gf op was called")
+
+    for name in ("add", "sub", "mul", "inv", "power", "chi"):
+        monkeypatch.setattr(gf, name, scalar_op)
+    assert [starter.thm510_conditions(spec) for spec in specs] == want
+
+
 def test_thm1326_frozen(f41):
     r = starter.thm1326_condition(gf.make_prime_field(53))
     assert (r.holds, r.sequence.entries) == (False, (1, 1, -1, -1, -1, -1))
@@ -405,6 +454,16 @@ def test_thm1326_frozen(f41):
     assert (r.holds, r.sequence.entries) == (True, (-1, 1, -1, 1, 1, -1))
     with pytest.raises(ValueError):
         starter.thm1326_condition(f41)
+
+
+def test_thm1326_on_degree_3_fields():
+    """On GF(p^3) with p of order 3 mod 13 no subfield decides the pair:
+    the sequence test against the starter contexts at k = 13 and 26."""
+    for q, holds in [(29**3, True), (61**3, False), (113**3, True)]:
+        spec = gf.field_for_order(q)
+        assert starter.thm1326_condition(spec).holds is holds, q
+        for k in (13, 26):
+            assert starter.gives_design(starter.make_starter_context(spec, k)) is holds, (q, k)
 
 
 def test_seq_13_patterns():
@@ -554,11 +613,12 @@ def test_decide_prime_batch_near_the_size_limit():
 
 
 def test_thm510_batch_matches_scalar_conditions():
-    """The batched c1..c7 against thm510_conditions at every prime
-    p = 1 mod 20 below 3000, with hits and non-hits among them."""
+    """The batched c1..c7 against the scalar oracle thm510_conditions at
+    every prime p = 1 mod 20 below 3000, with hits and non-hits among
+    them."""
     ps = [p for p in search.sieve_primes(3000) if p % 20 == 1]
     got = starter.thm510_batch(ps).tolist()
-    want = [starter.thm510_conditions(gf.make_prime_field(p)).values() for p in ps]
+    want = [thm510_conditions(gf.make_prime_field(p)).values() for p in ps]
     assert got == want
     assert len(ps) == 48 and [True] * 7 in got and [False] * 7 in got
 

@@ -7,8 +7,11 @@ succeed. A sweep sieves the progression q = 1 + j*lcm(4, 2k) itself, one
 segment of j at a time, and decides each segment's primes serially in
 row chunks by starter.decide_prime_batch; extension-field candidates go
 through the scalar starter context. The equivalence scans decide their
-primes the same way with batched conditions. Explicit expansion stays in
-the design module.
+primes the same way with batched conditions. A pair (k, 2k) with k odd
+shares its candidates, q = 1 mod 4k, so verify_pair_coincidence decides
+both of its hit lists in one such pass, from one order-2k table per prime
+(starter.decide_pair_batch); any other pair runs two sweeps. Explicit
+expansion stays in the design module.
 """
 
 from __future__ import annotations
@@ -235,11 +238,25 @@ def verify_pair_coincidence(k1: int, k2: int, q_max: int) -> PairScan:
 
     Each k is swept over its own candidate shape, so unrelated k diverge
     quickly: k1 = 5 vs k2 = 13 diverges at q = 41, a hit for 5 that is
-    not even a candidate for 13. first_divergence is the smallest q in
-    the symmetric difference, None if the hit lists agree.
+    not even a candidate for 13. For odd k1 and k2 = 2*k1 both sweep the
+    primes q = 1 (mod 4*k1), and one pass decides both hit lists from one
+    order-k2 table per prime (starter.decide_pair_batch). k1, the bound
+    and k2 are checked, in that order, before either sweep starts.
+    first_divergence is the smallest q in the symmetric difference, None
+    if the hit lists agree.
     """
-    h1 = sweep(k1, q_max).hits
-    h2 = sweep(k2, q_max).hits
+    _check_k(k1)
+    _check_bound(q_max)
+    _check_k(k2)
+    if k1 % 2 and k2 == 2 * k1:
+        h1, h2 = [], []
+        decide = partial(starter.decide_pair_batch, k1)
+        for qs, oks in _decided(decide, sweep_modulus(k1), q_max):
+            h1 += qs[oks[:, 0]].tolist()
+            h2 += qs[oks[:, 1]].tolist()
+        h1, h2 = tuple(h1), tuple(h2)
+    else:
+        h1, h2 = sweep(k1, q_max).hits, sweep(k2, q_max).hits
     diff = set(h1) ^ set(h2)
     return PairScan(
         k1=k1,

@@ -15,6 +15,7 @@ group, live in the tests (tests/scalar_oracles.py).
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -209,27 +210,79 @@ def _cofactors(k: int, qs: np.ndarray) -> np.ndarray:
     return e
 
 
+@lru_cache(maxsize=256)
+def _euler_plan(k: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """How _prime_tables fills the columns 1 <= m < k/2 of an order-k
+    table (m <= k/2 for odd k): Euler's criterion gives the ascending
+    basis columns, then each step (c, a, b) in turn sets t[c] = t[a]*t[b].
+    For odd k every column is in the basis.
+
+    For even k, beta^(k/2) = -1 splits 1 - beta^(2m) into
+    (1 - beta^m)(1 - beta^(m + k/2)), the doubling relation of cyclotomic
+    units (Washington, Cyclotomic Fields, ch. 8). With the symmetry
+    t[k-m] = t[m] it reads t[c] = t[c/2] * t[k/2 - c/2] for every even
+    c < k/2, and no odd column is such a product. So the basis holds the
+    odd columns and, whenever no even column is left with both factors
+    known, the smallest one left: the relations chain the even columns
+    into cycles, each of which needs one Euler column.
+    """
+    half = k // 2
+    if k % 2:
+        return tuple(range(1, half + 1)), ()
+    basis, steps, done = list(range(1, half, 2)), [], set()
+    evens = range(2, half, 2)
+    # the unknown even factors of each even column, and the columns using each
+    factors = {c: {a for a in (c // 2, half - c // 2) if a % 2 == 0} for c in evens}
+    users = {c: [d for d in {2 * c, k - 2 * c} if d < half] for c in evens}
+    ready = [c for c in evens if not factors[c]]
+    spare = iter(evens)
+    while len(done) < len(factors):
+        if ready:
+            c = ready.pop()
+            steps.append((c, c // 2, half - c // 2))
+        else:
+            c = next(s for s in spare if s not in done)
+            basis.append(c)
+        done.add(c)
+        for d in users[c]:
+            factors[d].discard(c)
+            if not factors[d] and d not in done:
+                ready.append(d)
+    return tuple(sorted(basis)), tuple(steps)
+
+
 def _prime_tables(k: int, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per prime q of qs: the cofactor e, an element beta of order k and
     the table t[m] = chi(1 - beta^m) (t[:, 0] = 0), as int64 arrays.
     Each q must pass starter_cofactor and gf.check_size. Primality is not
     checked here: the callers take qs from a sieve.
 
-    Only m <= k/2 is powered: with an even cofactor beta is a square and
+    Only m <= k/2 is decided: with an even cofactor beta is a square and
     chi(-1) = 1 (q = 1 mod 4), so t[k-m] = chi(-beta^-m (1 - beta^m)) =
-    t[m]. Odd-cofactor rows, where this may fail, are true in
-    decide_prime_batch regardless of their table.
+    t[m]. Euler's criterion runs on the basis columns of _euler_plan only,
+    and its steps give the rest; for even k, t[k/2] = chi(1 + 1) = chi(2),
+    which q mod 8 gives. Odd-cofactor rows, where the symmetry may fail,
+    are true in decide_prime_batch regardless of their table.
     """
     qs = np.asarray(qs, dtype=np.int64)
     e = _cofactors(k, qs)
     gf.check_size(qs.max(initial=0))
     beta = _order_k_elements(k, qs, e)
-    half = k // 2 + 1
-    powers = np.ones((qs.size, half), dtype=np.int64)
-    for m in range(1, half):
-        powers[:, m] = powers[:, m - 1] * beta % qs
+    basis, steps = _euler_plan(k)
+    col = {m: j for j, m in enumerate(basis)}
+    x = np.empty((qs.size, len(basis)), dtype=np.int64)  # 1 - beta^m, m in basis
+    power = np.ones_like(qs)
+    for m in range(1, basis[-1] + 1):
+        power = power * beta % qs
+        if m in col:
+            x[:, col[m]] = 1 - power
     t = np.zeros((qs.size, k), dtype=np.int64)  # t[:, 0] = 0 drops zero gaps
-    t[:, 1:half] = np.where(_is_square(1 - powers[:, 1:], qs[:, None]), 1, -1)
+    t[:, basis] = np.where(_is_square(x, qs[:, None]), 1, -1)
+    for c, a, b in steps:
+        t[:, c] = t[:, a] * t[:, b]
+    if k % 2 == 0:
+        t[:, k // 2] = np.where(np.isin(qs % 8, (1, 7)), 1, -1)
+    half = k // 2 + 1
     t[:, half:] = t[:, k - half : 0 : -1]
     return e, beta, t
 
@@ -243,6 +296,14 @@ def _pair_tables(k: int, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     _cofactors(k, q)
     _, beta2, t2 = _prime_tables(2 * k, q)
     return q, beta2 * beta2 % q, t2[:, ::2], t2
+
+
+def decide_pair_batch(k: int, qs) -> np.ndarray:
+    """decide_prime_batch at k and at 2k, as the columns of a (rows, 2)
+    bool array, at every prime q = 1 (mod 4k) of qs at once, from the
+    order-2k table alone (_pair_tables). Both cofactors are even there."""
+    _, _, tk, t2k = _pair_tables(k, qs)
+    return np.column_stack([_signed_count(tk) == 0, _signed_count(t2k) == 0])
 
 
 def decide_prime_batch(k: int, qs) -> np.ndarray:

@@ -1,0 +1,63 @@
+"""Tests for the pure summaries of tools/bench_pairs.py: spread and
+summarize, which turn alternating before/after runs into the medians,
+quartiles and pair wins of a BENCH_*.json file."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+]
+
+
+def _run(work, p50, attempted=10, failed=0):
+    return {
+        "attempted": attempted,
+        "failed": failed,
+        "correct": failed == 0,
+        "metrics": {"work_per_s": work, "op_p50_ms": p50},
+    }
+
+
+def test_spread_is_the_inclusive_median_and_quartiles():
+    assert bench_pairs.spread([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+    assert bench_pairs.spread([3.0, 1.0]) == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert bench_pairs.spread([5, 1, 4, 2, 3]) == {"median": 3, "q1": 2, "q3": 4}
+
+
+def test_summarize_counts_wins_by_each_metrics_better_direction():
+    """A higher work_per_s and a lower op_p50_ms win; a tie counts for
+    neither side; attempted and failed ops are summed per side."""
+    pairs = [
+        {"base": _run(100, 50), "head": _run(120, 40, failed=1)},
+        {"base": _run(100, 50, attempted=12), "head": _run(101, 60)},
+        {"base": _run(130, 45), "head": _run(130, 46, attempted=9, failed=2)},
+    ]
+    out = bench_pairs.summarize(pairs, END_TO_END)
+    work, p50 = out["metrics"]["work_per_s"], out["metrics"]["op_p50_ms"]
+    assert work["pairs_won"] == {"base": 0, "head": 2}
+    assert p50["pairs_won"] == {"base": 2, "head": 1}
+    assert (work["unit"], work["better"], work["bound"]) == ("1/s", "higher", 0.25)
+    assert work["base"] == {"median": 100, "q1": 100, "q3": 115}
+    assert p50["head"] == {"median": 46, "q1": 43, "q3": 53}
+    assert out["ops"] == {
+        "base": {"attempted": 32, "failed": 0},
+        "head": {"attempted": 29, "failed": 3},
+    }
+
+
+def test_summarize_of_a_single_pair():
+    """One pair gives each side its own value as median and both
+    quartiles, and the pair to whichever side reads better."""
+    out = bench_pairs.summarize([{"base": _run(90, 30), "head": _run(80, 30)}], END_TO_END)
+    assert out["metrics"]["work_per_s"]["base"] == {"median": 90, "q1": 90, "q3": 90}
+    assert out["metrics"]["work_per_s"]["head"] == {"median": 80, "q1": 80, "q3": 80}
+    assert out["metrics"]["work_per_s"]["pairs_won"] == {"base": 1, "head": 0}
+    assert out["metrics"]["op_p50_ms"]["pairs_won"] == {"base": 0, "head": 0}
+

@@ -184,6 +184,14 @@ CASES: dict[str, list] = {
         ["oracle", "--json"],
         ["thm510", "--pmax", "x"],
     ],
+    # --pair: (k, 2k) pairs with k odd, which share their candidates, a
+    # pair of unrelated k, and a refused bound
+    "sweep-pair-routes": [
+        ["sweep", "--pair", "13", "26", "--qmax", "5000", "--json"],
+        ["sweep", "--pair", "7", "14", "--qmax", "3000"],
+        ["sweep", "--pair", "5", "13", "--qmax", "100"],
+        ["sweep", "--pair", "5", "10", "--qmax", "0"],
+    ],
 }
 
 

@@ -238,6 +238,74 @@ def test_pair_coincidence_frozen():
     assert scan.hits1 == (3121, 3797, 4993)
 
 
+# odd k whose pair (k, 2k) sweeps one candidate set, the primes q = 1 mod 4k
+ONE_TABLE_KS = (5, 7, 13, 17, 25, 29, 37, 41, 49, 53)
+
+
+def _two_sweeps(k1, k2, q_max):
+    """The pair scan as two independent sweeps give it."""
+    h1, h2 = search.sweep(k1, q_max).hits, search.sweep(k2, q_max).hits
+    diff = set(h1) ^ set(h2)
+    return search.PairScan(k1, k2, q_max, h1, h2, min(diff) if diff else None)
+
+
+def test_one_table_pair_route_equals_two_sweeps(monkeypatch):
+    """An odd k and 2k are decided together from one order-2k table per
+    prime, with no SweepEntry built, and the scan equals two sweeps' for
+    ten odd k up to 20000, also with kernel chunks of 7 rows and sieve
+    segments of 50 values of j, so that hits fall on both sides of
+    their boundaries."""
+    want = {k: _two_sweeps(k, 2 * k, 20000) for k in ONE_TABLE_KS}
+    assert [want[k].first_divergence for k in ONE_TABLE_KS] == [
+        None, None, None, 613, 1601, 1973, 3109, 2789, 1373, 13781,
+    ]
+    assert len(want[5].hits1) == 143 and len(want[49].hits2) == 5
+
+    def no_entries(*args):
+        raise AssertionError(f"sweep_entries{args}")
+
+    monkeypatch.setattr(search, "sweep_entries", no_entries)
+    got = {k: search.verify_pair_coincidence(k, 2 * k, 20000) for k in ONE_TABLE_KS}
+    assert got == want
+    segments = []
+    real = search._progression_primes
+
+    def counted(m, bound):
+        for seg in real(m, bound):
+            segments.append(seg.size)
+            yield seg
+
+    monkeypatch.setattr(search, "DECIDE_CHUNK_ROWS", 7)
+    monkeypatch.setattr(search, "SIEVE_SEGMENT", 50)
+    monkeypatch.setattr(search, "_progression_primes", counted)
+    for k in (5, 13, 17):
+        segments.clear()
+        assert search.verify_pair_coincidence(k, 2 * k, 20000) == want[k], k
+        assert len(segments) > 1 and max(segments) > 7, k
+
+
+def test_pair_refused_before_any_sweep(monkeypatch):
+    """verify_pair_coincidence checks k1, then the bound, then k2, with
+    the sweep's own messages, before it sieves anything, so a refused k2
+    costs no sweep of k1."""
+
+    def no_sieve(m, bound):
+        raise AssertionError(f"sieved 1 mod {m} up to {bound}")
+
+    monkeypatch.setattr(search, "_progression_primes", no_sieve)
+    for args, message in (
+        ((5, 3, 20_000_000), "k = 3 is outside"),
+        ((5, 3, gf.DEFAULT_Q_LIMIT - 1), "k = 3 is outside"),
+        ((3, 5, 20_000_000), "k = 3 is outside"),
+        ((2, 3, 0), "k = 2 is outside"),
+        ((5, 3, 0), "the bound must be positive"),
+        ((5, 3, gf.DEFAULT_Q_LIMIT + 1), "exceeds the size limit"),
+        ((13, 26, gf.DEFAULT_Q_LIMIT + 1), "exceeds the size limit"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            search.verify_pair_coincidence(*args)
+
+
 def test_coincident_pair_report():
     # every pair (k, 2k) with k <= 30 that passes the mod-24 filter, to 3000
     admissible = starter.admissible_k

@@ -736,6 +736,47 @@ def test_pair_tables_match_prime_tables():
             assert row == chi, (p, k)
 
 
+def test_euler_plan_pins_its_basis_and_covers_every_column():
+    """By the doubling relation t[min(2a, k - 2a)] = t[a] * t[k/2 - a],
+    Euler's criterion runs on 3 of the columns m < k/2 at k = 10, on 7 at
+    k = 26 and on 15 at k = 58, where t[k/2] = chi(2) needs none; odd k
+    keeps all (k-1)/2. Every step is that relation on columns known
+    before it, and basis and steps give each column once."""
+    sizes = {k: len(starter._euler_plan(k)[0]) for k in (10, 26, 58, 13)}
+    assert sizes == {10: 3, 26: 7, 58: 15, 13: 6}
+    for k in range(4, 130):
+        basis, steps = starter._euler_plan(k)
+        known = set(basis)
+        assert list(basis) == sorted(known)
+        for c, a, b in steps:
+            assert a + b == k // 2 and c == min(2 * a, k - 2 * a), (k, c)
+            assert {a, b} <= known and c not in known, (k, c)
+            known.add(c)
+        assert sorted(known) == list(range(1, (k + 1) // 2)), k
+
+
+def test_prime_tables_match_euler_at_every_column():
+    """_prime_tables at every even k <= 64, whose tables take most
+    columns from the doubling steps and t[k/2] from q mod 8, against
+    pow(1 - beta^m, (q-1)/2, q) on the batch's own beta at every column:
+    at each prime q = 1 mod lcm(4, 2k) below 20000, and at the three
+    largest below 2**31."""
+    primes = np.array(search.sieve_primes(20000))
+    rows = 0
+    for k in range(4, 65, 2):
+        m = search.sweep_modulus(k)
+        below = range((2**31 - 2) // m * m + 1, 0, -m)
+        top = itertools.islice((q for q in below if gf.factorize(q) == ((q, 1),)), 3)
+        qs = primes[primes % m == 1].tolist() + list(top)
+        _, beta, t = starter._prime_tables(k, qs)
+        for q, b, row in zip(qs, beta.tolist(), t.tolist()):
+            chi = [1 if pow(1 - pow(b, j, q), (q - 1) // 2, q) == 1 else -1
+                   for j in range(1, k)]
+            assert row == [0] + chi, (q, k)
+        rows += len(qs)
+    assert rows == 4253
+
+
 def test_batched_cornacchia_matches_the_scalar_search():
     """All 4,466 (p, c) cases with p = 1 mod 20 below 200000 and c in
     {20, 100}, from either square root of -c, against has_representation,

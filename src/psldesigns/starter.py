@@ -219,35 +219,26 @@ def _euler_plan(k: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ..
 
     For even k, beta^(k/2) = -1 splits 1 - beta^(2m) into
     (1 - beta^m)(1 - beta^(m + k/2)), the doubling relation of cyclotomic
-    units (Washington, Cyclotomic Fields, ch. 8). With the symmetry
-    t[k-m] = t[m] it reads t[c] = t[c/2] * t[k/2 - c/2] for every even
-    c < k/2, and no odd column is such a product. So the basis holds the
-    odd columns and, whenever no even column is left with both factors
-    known, the smallest one left: the relations chain the even columns
-    into cycles, each of which needs one Euler column.
+    units (Washington, Cyclotomic Fields, ch. 8), which the symmetry
+    t[k-m] = t[m] folds into 1 <= m <= k/2. Column 2j is column j of the
+    order-k/2 table of beta^2, so the plan of k/2 with every index doubled
+    gives the even columns. For odd k/2, each odd m has k/2 - m even and
+    t[m] = t[min(2m, k - 2m)] * t[k/2 - m]. For even k/2, k/2 - m is odd
+    too: each odd m <= k/4 joins the basis and t[k/2 - m] = t[2m] * t[m].
+    That is k // 4 Euler columns, the dimension of the tables the two
+    identities allow, less chi(2).
     """
     half = k // 2
     if k % 2:
         return tuple(range(1, half + 1)), ()
-    basis, steps, done = list(range(1, half, 2)), [], set()
-    evens = range(2, half, 2)
-    # the unknown even factors of each even column, and the columns using each
-    factors = {c: {a for a in (c // 2, half - c // 2) if a % 2 == 0} for c in evens}
-    users = {c: [d for d in {2 * c, k - 2 * c} if d < half] for c in evens}
-    ready = [c for c in evens if not factors[c]]
-    spare = iter(evens)
-    while len(done) < len(factors):
-        if ready:
-            c = ready.pop()
-            steps.append((c, c // 2, half - c // 2))
-        else:
-            c = next(s for s in spare if s not in done)
-            basis.append(c)
-        done.add(c)
-        for d in users[c]:
-            factors[d].discard(c)
-            if not factors[d] and d not in done:
-                ready.append(d)
+    sub_basis, sub_steps = _euler_plan(half)
+    basis = [2 * m for m in sub_basis]
+    steps = [(2 * c, 2 * a, 2 * b) for c, a, b in sub_steps]
+    if half % 2:
+        steps += [(m, min(2 * m, k - 2 * m), half - m) for m in range(1, half, 2)]
+    else:
+        basis += range(1, half // 2 + 1, 2)
+        steps += [(half - m, 2 * m, m) for m in range(1, half // 2, 2)]
     return tuple(sorted(basis)), tuple(steps)
 
 
@@ -340,12 +331,13 @@ def lambda_formula(k: int, e: int) -> int:
 
 @dataclass(frozen=True)
 class CharSequence:
-    """The reduced character sequence deciding the design property.
+    """The reduced character sequence deciding the design property: the
+    chi table at the basis of _euler_plan, then chi(2) = t[k/2] for even
+    k, so its entries decide every other column.
 
     convention 'odd' (k odd): entries chi(1-beta^m) for m = 1..(k-1)/2.
     convention 'even2mod4' (k = 2 mod 4): chi(1-beta^m) for even
-    m = 2, 4, ..., k/2-1, then chi(2) (every odd-exponent value factors
-    through these). No sequence exists for k = 0 mod 4.
+    m = 2, 4, ..., k/2-1, then chi(2). No sequence exists for k = 0 mod 4.
     """
 
     entries: tuple[int, ...]
@@ -354,13 +346,12 @@ class CharSequence:
 
 def char_sequence(ctx: StarterContext) -> CharSequence:
     k, t = ctx.k, ctx.chi_table
-    if k % 2 == 1:
-        return CharSequence(tuple(t[m] for m in range(1, (k - 1) // 2 + 1)), "odd")
-    if k % 4 == 2:
-        # beta^(k/2) = -1, so t[k/2] = chi(2)
-        entries = tuple(t[m] for m in range(2, k // 2, 2)) + (t[k // 2],)
-        return CharSequence(entries, "even2mod4")
-    raise ValueError("no character sequence is defined for k = 0 mod 4")
+    if k % 4 == 0:
+        raise ValueError("no character sequence is defined for k = 0 mod 4")
+    entries = [t[m] for m in _euler_plan(k)[0]]
+    if k % 2 == 0:
+        entries.append(t[k // 2])  # beta^(k/2) = -1, so t[k/2] = chi(2)
+    return CharSequence(tuple(entries), "odd" if k % 2 else "even2mod4")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,12 @@ twice" rule:
   and takes c6/c7 from thm510_batch on a prime field. It is the oracle
   of starter.thm510_batch, and of starter.thm510_conditions, which reads
   every answer off a batch row. It is moved from the package unchanged,
-  except that gf.embed(spec, m), since deleted, is written m % spec.p.
+  except that gf.embed(spec, m), since deleted, is written m % spec.p;
+- char_sequence picks the reduced sequence's entries by its two
+  conventions' rules (m = 1..(k-1)/2 for odd k; even m < k/2, then
+  chi(2), for k = 2 mod 4), against starter.char_sequence, which reads
+  them at the basis of starter._euler_plan. It is moved from the package
+  unchanged.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import numpy as np
 from psldesigns import gf, projline, search
 from psldesigns.projline import GroupElem
 from psldesigns.starter import (
+    CharSequence,
     StarterContext,
     Thm510Conditions,
     gives_design,
@@ -322,3 +328,18 @@ def thm510_conditions(spec: gf.FieldSpec, alpha: int | None = None) -> Thm510Con
     if spec.n == 1:
         c6, c7 = thm510_batch([q])[0, 5:].tolist()
     return Thm510Conditions(q, c1, c2, c3, c4, c5, c6, c7)
+
+
+# ---------------------------------------------------------------------------
+# the reduced character sequence by its conventions' rules
+
+
+def char_sequence(ctx: StarterContext) -> CharSequence:
+    k, t = ctx.k, ctx.chi_table
+    if k % 2 == 1:
+        return CharSequence(tuple(t[m] for m in range(1, (k - 1) // 2 + 1)), "odd")
+    if k % 4 == 2:
+        # beta^(k/2) = -1, so t[k/2] = chi(2)
+        entries = tuple(t[m] for m in range(2, k // 2, 2)) + (t[k // 2],)
+        return CharSequence(entries, "even2mod4")
+    raise ValueError("no character sequence is defined for k = 0 mod 4")

@@ -16,11 +16,11 @@ END_TO_END = [
 ]
 
 
-def _run(work, p50, attempted=10, failed=0):
+def _run(work, p50, attempted=10, failed=0, correct=True):
     return {
         "attempted": attempted,
         "failed": failed,
-        "correct": failed == 0,
+        "correct": correct,
         "metrics": {"work_per_s": work, "op_p50_ms": p50},
     }
 
@@ -33,10 +33,11 @@ def test_spread_is_the_inclusive_median_and_quartiles():
 
 def test_summarize_counts_wins_by_each_metrics_better_direction():
     """A higher work_per_s and a lower op_p50_ms win; a tie counts for
-    neither side; attempted and failed ops are summed per side."""
+    neither side; attempted and failed ops are summed per side, and the
+    runs not `correct` counted, whether or not any op failed in them."""
     pairs = [
-        {"base": _run(100, 50), "head": _run(120, 40, failed=1)},
-        {"base": _run(100, 50, attempted=12), "head": _run(101, 60)},
+        {"base": _run(100, 50), "head": _run(120, 40, failed=1, correct=False)},
+        {"base": _run(100, 50, attempted=12, correct=False), "head": _run(101, 60)},
         {"base": _run(130, 45), "head": _run(130, 46, attempted=9, failed=2)},
     ]
     out = bench_pairs.summarize(pairs, END_TO_END)
@@ -47,8 +48,8 @@ def test_summarize_counts_wins_by_each_metrics_better_direction():
     assert work["base"] == {"median": 100, "q1": 100, "q3": 115}
     assert p50["head"] == {"median": 46, "q1": 43, "q3": 53}
     assert out["ops"] == {
-        "base": {"attempted": 32, "failed": 0},
-        "head": {"attempted": 29, "failed": 3},
+        "base": {"attempted": 32, "failed": 0, "incorrect_runs": 1},
+        "head": {"attempted": 29, "failed": 3, "incorrect_runs": 1},
     }
 
 
@@ -60,4 +61,5 @@ def test_summarize_of_a_single_pair():
     assert out["metrics"]["work_per_s"]["head"] == {"median": 80, "q1": 80, "q3": 80}
     assert out["metrics"]["work_per_s"]["pairs_won"] == {"base": 1, "head": 0}
     assert out["metrics"]["op_p50_ms"]["pairs_won"] == {"base": 0, "head": 0}
+    assert out["ops"]["base"]["incorrect_runs"] == out["ops"]["head"]["incorrect_runs"] == 0
 

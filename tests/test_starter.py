@@ -13,6 +13,7 @@ from psldesigns import gf, search, starter
 
 from scalar_oracles import (
     OrbitRep,
+    char_sequence as scalar_char_sequence,
     delta_of_rep,
     delta_sum_brute,
     dihedral_orbit_reps,
@@ -698,6 +699,32 @@ def _passes(check, q, k):
 _PRIME_DIVISORS = {4: (2,), 10: (2, 5), 26: (2, 13), 34: (2, 17), 50: (2, 5), 58: (2, 29)}
 
 
+def test_char_sequence_matches_the_convention_rules():
+    """starter.char_sequence, read at the plan's basis, against the
+    conventions' own rules (scalar_oracles.char_sequence) at every valid
+    (q, k), k != 0 mod 4, of every odd prime power q < 400, each with the
+    canonical generator and with alpha = alpha_0^j, j the least j > 1
+    prime to q - 1, which changes the sequence at 181 of the 226 pairs."""
+    cases = changed = 0
+    for p, _, q in search.enumerate_prime_powers(399):
+        if p == 2:
+            continue
+        spec = gf.field_for_order(q)
+        j = next(j for j in itertools.count(2) if math.gcd(j, q - 1) == 1)
+        other = gf.power(spec, spec.alpha, j)
+        for k in range(5, q - 1):
+            if k % 4 == 0 or (q - 1) % k or ((q - 1) // k % 2 == 0 and q % 4 != 1):
+                continue
+            seqs = []
+            for alpha in (None, other):
+                ctx = starter.make_starter_context(spec, k, alpha=alpha)
+                seqs.append(starter.char_sequence(ctx))
+                assert seqs[-1] == scalar_char_sequence(ctx), (q, k, alpha)
+            cases += 1
+            changed += seqs[0] != seqs[1]
+    assert (cases, changed) == (226, 181)
+
+
 def test_order_k_elements_have_order_exactly_k():
     """At every prime q = 1 mod k below 30000, including the rows where
     x**e has y**(k/2) = 1 and the -1 repair applies."""
@@ -736,23 +763,79 @@ def test_pair_tables_match_prime_tables():
             assert row == chi, (p, k)
 
 
+def _fold(y, k):
+    """The column of the order-k table equal to column y (t[k-m] = t[m])."""
+    return min(y % k, k - y % k)
+
+
 def test_euler_plan_pins_its_basis_and_covers_every_column():
-    """By the doubling relation t[min(2a, k - 2a)] = t[a] * t[k/2 - a],
-    Euler's criterion runs on 3 of the columns m < k/2 at k = 10, on 7 at
-    k = 26 and on 15 at k = 58, where t[k/2] = chi(2) needs none; odd k
-    keeps all (k-1)/2. Every step is that relation on columns known
-    before it, and basis and steps give each column once."""
+    """Euler's criterion runs on k // 4 columns m < k/2 of every even k:
+    2 at k = 10, 6 at k = 26 and 14 at k = 58, where t[k/2] = chi(2)
+    needs none; odd k keeps all (k-1)/2. Every step is a folded doubling
+    relation {f(2x), f(x), f(x + k/2)} on columns known before it, and
+    basis and steps give each column once."""
     sizes = {k: len(starter._euler_plan(k)[0]) for k in (10, 26, 58, 13)}
-    assert sizes == {10: 3, 26: 7, 58: 15, 13: 6}
+    assert sizes == {10: 2, 26: 6, 58: 14, 13: 6}
     for k in range(4, 130):
         basis, steps = starter._euler_plan(k)
+        assert k % 2 or len(basis) == k // 4, k
+        relations = {
+            tuple(sorted((_fold(2 * x, k), _fold(x, k), _fold(x + k // 2, k))))
+            for x in range(1, k) if k % 2 == 0 and 2 * x != k
+        }
         known = set(basis)
         assert list(basis) == sorted(known)
         for c, a, b in steps:
-            assert a + b == k // 2 and c == min(2 * a, k - 2 * a), (k, c)
+            assert tuple(sorted((c, a, b))) in relations, (k, c)
             assert {a, b} <= known and c not in known, (k, c)
             known.add(c)
         assert sorted(known) == list(range(1, (k + 1) // 2)), k
+
+
+def test_euler_plan_spans_the_identity_space():
+    """An oracle sharing no code with the plan: at every even k <= 36, all
+    +-1 assignments to the columns 1..k/2 that satisfy every folded
+    doubling relation t[f(2m)] = t[f(m)] * t[f(m + k/2)]. There are
+    2^(len(basis) + [k = 2 mod 4]) of them (for k = 0 mod 4 the relation
+    at m = k/4 forces chi(2) = 1), and the basis values with chi(2) give
+    back each one through the steps."""
+    for k in range(4, 37, 2):
+        half = k // 2
+        bits = (np.arange(2**half)[:, None] >> np.arange(half)) & 1
+        ok = np.ones(len(bits), dtype=bool)
+        for m in range(1, k):
+            if m != half:
+                cols = [_fold(2 * m, k), _fold(m, k), _fold(m + half, k)]
+                ok &= (bits[:, [c - 1 for c in cols]].sum(axis=1) % 2) == 0
+        t = np.zeros((int(ok.sum()), half + 1), dtype=np.int64)
+        t[:, 1:] = 1 - 2 * bits[ok]
+        basis, steps = starter._euler_plan(k)
+        free = list(basis) + [half] * (k % 4 == 2)
+        assert len(t) == 2 ** len(free), k
+        assert len({tuple(row) for row in t[:, free].tolist()}) == len(t), k
+        rebuilt = np.zeros_like(t)
+        rebuilt[:, basis] = t[:, basis]
+        rebuilt[:, half] = t[:, half]
+        for c, a, b in steps:
+            rebuilt[:, c] = rebuilt[:, a] * rebuilt[:, b]
+        assert (rebuilt == t).all(), k
+
+
+def test_prime_tables_run_euler_on_the_basis_only(monkeypatch):
+    """_prime_tables calls _is_square once, on len(basis) columns."""
+    widths = []
+    is_square = starter._is_square
+
+    def recording(a, q):
+        widths.append(a.shape[-1])
+        return is_square(a, q)
+
+    monkeypatch.setattr(starter, "_is_square", recording)
+    primes = np.array(search.sieve_primes(20000))
+    for k, want in ((10, 2), (26, 6), (58, 14)):
+        widths.clear()
+        starter._prime_tables(k, primes[primes % search.sweep_modulus(k) == 1])
+        assert widths == [want] == [len(starter._euler_plan(k)[0])], k
 
 
 def test_prime_tables_match_euler_at_every_column():

@@ -17,7 +17,8 @@ and reads the JSON object on the last line of each run's stdout. The
 output file is rewritten after every run. Besides every run's numbers it
 holds, per workload and end-to-end metric of BENCHMARK.json, each side's
 median and quartiles and how many pairs each side won (ties count for
-neither), and each side's attempted and failed op counts. Standard
+neither), each side's attempted and failed op counts, and how many of
+its runs perfbench did not report `correct`. Standard
 library only; perfbench itself is run, never imported.
 """
 
@@ -81,7 +82,8 @@ def spread(xs: list[float]) -> dict:
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, and the pairs each
-    side won by the metric's better direction; per side: op counts."""
+    side won by the metric's better direction; per side: op counts and
+    the number of runs not `correct`."""
     out = {"metrics": {}, "ops": {}}
     for m in end_to_end:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
@@ -103,6 +105,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         out["ops"][side] = {
             key: sum(p[side][key] for p in pairs) for key in ("attempted", "failed")
         }
+        out["ops"][side]["incorrect_runs"] = sum(not p[side]["correct"] for p in pairs)
     return out
 
 

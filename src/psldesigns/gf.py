@@ -34,6 +34,8 @@ class FieldSpec:
       map, column i the coefficients of x**(i*p) mod the modulus; empty for
       prime fields. A function of (p, modulus), so it takes no part in
       equality.
+    A trial spec (alpha 0, no Frobenius columns), as the modulus search
+    builds, is read only for p, n, q and the modulus.
     """
 
     p: int
@@ -89,15 +91,6 @@ def _ptrim(a: list) -> list:
     return a
 
 
-def _psub(a: list, b: list, p: int) -> list:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _ptrim(out)
-
-
 def _pmulmod(a: list, b: list, f, p: int) -> list:
     """a * b reduced mod the monic polynomial f."""
     if not a or not b:
@@ -116,57 +109,6 @@ def _pmulmod(a: list, b: list, f, p: int) -> list:
             for j in range(n):
                 prod[i - n + j] -= c * f[j]
     return _ptrim([c % p for c in prod[:n]])
-
-
-def _ppowmod(a: list, e: int, f, p: int) -> list:
-    result = [1]
-    base = a[:]
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        e >>= 1
-        if e:
-            base = _pmulmod(base, base, f, p)
-    return result
-
-
-def _pmod(a: list, b: list, p: int) -> list:
-    a = a[:]
-    binv = pow(b[-1], -1, p)
-    db = len(b)
-    while len(a) >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * binv) % p
-        shift = len(a) - db
-        for j in range(db - 1):
-            a[shift + j] = (a[shift + j] - c * b[j]) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _pgcd(a: list, b: list, p: int) -> list:
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _is_irreducible(f: list, p: int) -> bool:
-    """Rabin test: x^(p^n) == x mod f, and x^(p^(n/l)) - x coprime to f
-    for every prime l dividing n."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    x = [0, 1]
-    if _psub(_ppowmod(x, p**n, f, p), x, p):
-        return False
-    for ell, _ in factorize(n):
-        g = _pgcd(_psub(_ppowmod(x, p ** (n // ell), f, p), x, p), f, p)
-        if len(g) != 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +216,15 @@ def power(spec: FieldSpec, a: int, e: int) -> int:
         return power(spec, inv(spec, a), -e)
     if spec.n == 1:
         return pow(a, e, spec.p)
-    ca = _ptrim(element_coeffs(spec, a))
-    return element_from_coeffs(spec, _ppowmod(ca, e, spec.modulus, spec.p))
+    p, f = spec.p, spec.modulus
+    base, result = _ptrim(element_coeffs(spec, a)), [1]
+    while e:
+        if e & 1:
+            result = _pmulmod(result, base, f, p)
+        e >>= 1
+        if e:
+            base = _pmulmod(base, base, f, p)
+    return element_from_coeffs(spec, result)
 
 
 def chi(spec: FieldSpec, a: int) -> int:
@@ -384,6 +333,22 @@ def check_size(q: int) -> None:
         raise ValueError(f"q = {q} exceeds the size limit {DEFAULT_Q_LIMIT}")
 
 
+def _is_irreducible(spec: FieldSpec) -> bool:
+    """Rabin's test of the modulus f of a trial spec: x**q == x mod f, and
+    h = x**(p**(n/l)) - x is a unit mod f for every prime l | n. Once
+    x**q == x, GF(p)[x]/(f) is a product of fields GF(p^d) with d | n
+    (Lidl and Niederreiter, Finite Fields, ch. 3), so h is a unit, that
+    is gcd(h, f) = 1, exactly when h**(q-1) == 1. x is encoded as p."""
+    p, n, q = spec.p, spec.n, spec.q
+    if power(spec, p, q) != p:
+        return False
+    for ell, _ in factorize(n):
+        h = sub(spec, power(spec, p, p ** (n // ell)), p)
+        if power(spec, h, q - 1) != 1:
+            return False
+    return True
+
+
 def _has_full_order(spec: FieldSpec, a: int) -> bool:
     """a generates GF(q)*: a != 0 and a**((q-1)/f) != 1 for every prime
     f | q - 1. For f | p - 1 that power is N(a)**((p-1)/f), taken in
@@ -428,8 +393,10 @@ def make_extension_field(p: int, n: int) -> FieldSpec:
 
     The modulus is the lexicographically smallest monic irreducible of
     degree n over GF(p), comparing coefficient tuples low degree first, so
-    construction is reproducible without polynomial tables. n == 1
-    delegates to make_prime_field.
+    construction is reproducible without polynomial tables. Each candidate
+    is a trial spec (alpha 0, no Frobenius columns) that _is_irreducible
+    reads only for p, n, q and the modulus; the accepted one gets its
+    Frobenius columns and alpha. n == 1 delegates to make_prime_field.
     """
     if n < 1:
         raise ValueError(f"invalid extension degree {n}")
@@ -442,15 +409,12 @@ def make_extension_field(p: int, n: int) -> FieldSpec:
     cached = _FIELD_CACHE.get((p, n))
     if cached is not None:
         return cached
-    modulus = None
     # c0 starts at 1: a zero constant term makes the polynomial divisible by x
-    for cs in itertools.product(range(1, p), *[range(p)] * (n - 1)):
-        f = list(cs) + [1]
-        if _is_irreducible(f, p):
-            modulus = tuple(f)
-            break
-    assert modulus is not None  # irreducibles of every degree exist
-    spec = FieldSpec(p=p, n=n, modulus=modulus, q=q, alpha=0)
+    trials = (
+        FieldSpec(p=p, n=n, modulus=(*cs, 1), q=q, alpha=0)
+        for cs in itertools.product(range(1, p), *[range(p)] * (n - 1))
+    )
+    spec = next(filter(_is_irreducible, trials))  # irreducibles of every degree exist
     # column i of the Frobenius map is (x**p)**i, and x is encoded as p
     cols = power_rows(spec, power(spec, p, p), n).tolist()
     spec = replace(spec, frobenius=tuple(map(tuple, cols)))

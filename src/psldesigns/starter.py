@@ -262,9 +262,11 @@ def _prime_tables(k: int, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     basis, steps = _euler_plan(k)
     col = {m: j for j, m in enumerate(basis)}
     x = np.empty((qs.size, len(basis)), dtype=np.int64)  # 1 - beta^m, m in basis
+    g = 2 if k % 4 == 2 else 1  # k = 2 (mod 4): every basis column is even
+    beta_g = beta**g % qs
     power = np.ones_like(qs)
-    for m in range(1, basis[-1] + 1):
-        power = power * beta % qs
+    for m in range(g, basis[-1] + 1, g):
+        power = power * beta_g % qs
         if m in col:
             x[:, col[m]] = 1 - power
     t = np.zeros((qs.size, k), dtype=np.int64)  # t[:, 0] = 0 drops zero gaps

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -96,6 +97,13 @@ def test_extension_field_spec(f9, f25, f49):
         gf.make_extension_field(3, 30)  # over the size limit
 
 
+def _sympy_irreducible(coeffs, p):
+    """Irreducibility of a polynomial over GF(p), coefficients low degree
+    first, by sympy: an oracle that shares no code with gf."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly(coeffs[::-1], sympy.Symbol("x"), modulus=p).is_irreducible
+
+
 def test_extension_modulus_is_minimal_irreducible(f9, f25):
     # no lex-smaller monic polynomial of the same degree is irreducible
     more = [gf.make_extension_field(p, n) for p, n in ((3, 5), (5, 3), (7, 3), (3, 7))]
@@ -105,16 +113,36 @@ def test_extension_modulus_is_minimal_irreducible(f9, f25):
         for cs in product(range(p), repeat=n):
             if cs >= spec.modulus[:n]:
                 break
-            assert not gf._is_irreducible(list(cs) + [1], p)
-        assert gf._is_irreducible(list(spec.modulus), p)
+            assert not _sympy_irreducible(list(cs) + [1], p)
+        assert _sympy_irreducible(list(spec.modulus), p)
 
 
-# (p, n) -> the modulus and generator of GF(p^n), recorded from the walk
-# that stepped through every modulus with a zero constant term as well
+def test_is_irreducible_matches_sympy():
+    """Rabin's test on a trial spec agrees with sympy on every monic
+    polynomial of these degrees, 1,023 in all. The 147 reducible ones
+    with x**q == x are decided by the unit step alone."""
+    tested = unit_step_only = 0
+    for p, degrees in ((3, range(2, 6)), (5, (2, 3)), (7, (2, 3)), (11, (2,))):
+        for n in degrees:
+            for cs in product(range(p), repeat=n):
+                trial = gf.FieldSpec(p=p, n=n, modulus=(*cs, 1), q=p**n, alpha=0)
+                irreducible = gf._is_irreducible(trial)
+                assert irreducible == _sympy_irreducible(trial.modulus, p), trial
+                tested += 1
+                unit_step_only += not irreducible and gf.power(trial, p, p**n) == p
+    assert (tested, unit_step_only) == (1023, 147)
+
+
+# (p, n) -> the modulus and generator of GF(p^n). The first three were
+# recorded from the walk that stepped through every modulus with a zero
+# constant term as well, the last two from the search that decided the
+# unit step of Rabin's test by Euclid's gcd
 LARGE_FIELDS = {
     (3, 19): ((1,) + (0,) * 16 + (1, 2, 1), 3),
     (5, 13): ((1,) + (0,) * 10 + (2, 3, 1), 8),
     (7, 11): ((1,) + (0,) * 9 + (4, 1), 8),
+    (46337, 2): ((1, 1, 1), 46341),
+    (13, 8): ((1, 0, 0, 0, 0, 0, 2, 1, 1), 17),
 }
 
 
@@ -149,6 +177,17 @@ def _odd_extension_fields(limit):
         while p**n <= limit:
             yield gf.make_extension_field(p, n)
             n += 1
+
+
+def test_extension_fields_up_to_a_million_are_unchanged(monkeypatch):
+    """Every odd p^n <= 10^6 with n >= 2 keeps its modulus and generator:
+    the digest of (p, n, modulus, alpha) was recorded on the modulus
+    search that ran Euclid's gcd."""
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    rows = [(s.p, s.n, s.modulus, s.alpha) for s in _odd_extension_fields(10**6)]
+    assert len(rows) == 218
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "3a2ac071bfa0d263f99dd70311339914936a97150f5a8c0554754ae4eb90dfa3"
 
 
 def test_extension_generator_search_from_p_matches_search_from_2():

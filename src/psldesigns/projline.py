@@ -8,10 +8,11 @@ serialize as themselves in design files.
 Group elements are 2x2 matrices with square determinant acting by
 z -> (a*z + b)/(c*z + d), held in a canonical form, scaled so that the
 first nonzero entry is 1, so that equal maps compare equal. The package
-only applies elements, singly (apply, point_permutation) or on arrays
-through GF(q)'s lookup tables (apply_to_points); canonicalize, the group
-law itself (compose, inverse, identity) and random_element are test
-oracles, in tests/scalar_oracles.py.
+only applies elements, and by one route: apply_to_points, on arrays,
+through GF(q)'s O(q) exp, log and digit tables (field_tables);
+point_permutation is that on all q + 1 points. The scalar apply,
+canonicalize, the group law itself (compose, inverse, identity) and
+random_element are test oracles, in tests/scalar_oracles.py.
 """
 
 from __future__ import annotations
@@ -23,14 +24,11 @@ import numpy as np
 
 from psldesigns import gf
 
+# the oracle's brute-force closure labels all C(q+1, 3) triples, a byte each
 DEFAULT_ORACLE_LIMIT = 64
 # covariance trials drawn and checked per chunk, so that memory does not
 # grow with the number of trials
 ORACLE_CHUNK_TRIALS = 1 << 12
-
-
-def all_points(spec: gf.FieldSpec) -> range:
-    return range(spec.q + 1)
 
 
 @dataclass(frozen=True)
@@ -41,25 +39,6 @@ class GroupElem:
     b: int
     c: int
     d: int
-
-
-def apply(spec: gf.FieldSpec, g: GroupElem, z: int) -> int:
-    """Image of a point under the linear fractional transformation g."""
-    q = spec.q
-    if z == q:
-        if g.c == 0:
-            return q
-        return gf.mul(spec, g.a, gf.inv(spec, g.c))
-    den = gf.add(spec, gf.mul(spec, g.c, z), g.d)
-    if den == 0:
-        return q
-    num = gf.add(spec, gf.mul(spec, g.a, z), g.b)
-    return gf.mul(spec, num, gf.inv(spec, den))
-
-
-def point_permutation(spec: gf.FieldSpec, g: GroupElem) -> list[int]:
-    """The permutation of [0..q] induced by g, as a lookup table."""
-    return [apply(spec, g, z) for z in all_points(spec)]
 
 
 def psl_generators(spec: gf.FieldSpec) -> list[GroupElem]:
@@ -158,9 +137,7 @@ def brute_force_triple_orbits(spec: gf.FieldSpec) -> np.ndarray:
     """
     q = spec.q
     if q > DEFAULT_ORACLE_LIMIT:
-        raise ValueError(
-            f"q = {q} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}"
-        )
+        raise ValueError(f"q = {q} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
     _require_two_orbit_regime(spec)
     perms = np.array([point_permutation(spec, g) for g in psl_generators(spec)])
     labels = np.zeros(math.comb(q + 1, 3), dtype=np.int8)
@@ -181,42 +158,54 @@ def brute_force_triple_orbits(spec: gf.FieldSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the orbit sign and the action on arrays, through lookup tables (small q)
+# the group action and the orbit sign on arrays, through O(q) tables
 
 
 @dataclass(frozen=True, eq=False)
 class FieldTables:
-    """GF(q) as lookup arrays: add, sub and mul are (q, q), inv and chi
-    (q,), with inv[0] = chi[0] = 0 standing in for the undefined values."""
+    """GF(q) as O(q) arrays: exp[i] = alpha**i for i < 2(q - 1), then 0 up
+    to index 4(q - 1); log inverts exp on the nonzero encodings and sets
+    log[0] = 2(q - 1), so a sum of two logs lands in the zeros exactly when
+    a factor is 0; digits[a] @ weights == a, in base p. The ops broadcast
+    over arrays of encodings; inv and chi are undefined at 0."""
 
+    p: int
     q: int
-    add: np.ndarray
-    sub: np.ndarray
-    mul: np.ndarray
-    inv: np.ndarray
-    chi: np.ndarray
+    exp: np.ndarray
+    log: np.ndarray
+    digits: np.ndarray
+    weights: np.ndarray
+
+    def add(self, a, b):
+        return (self.digits[a] + self.digits[b]) % self.p @ self.weights
+
+    def sub(self, a, b):
+        return (self.digits[a] - self.digits[b]) % self.p @ self.weights
+
+    def mul(self, a, b):
+        return self.exp[self.log[a] + self.log[b]]
+
+    def inv(self, a):
+        return self.exp[self.q - 1 - self.log[a]]
+
+    def chi(self, a):
+        return 1 - 2 * (self.log[a] & 1)
 
 
 def field_tables(spec: gf.FieldSpec) -> FieldTables:
-    """The tables of GF(q) from the (q, n) coefficient array of its
-    elements, with no scalar gf op: add and sub digit-wise mod p, mul by
-    the row-wise products of all q^2 pairs, inv by the 1 in each mul row,
-    chi by gf.chi_rows. The mul table holds q^2 entries, so this is meant
-    for q up to the oracle limit."""
-    p, q = spec.p, spec.q
-    weights = p ** np.arange(spec.n)
-    digits = np.arange(q)[:, None] // weights % p
-    pairs = np.repeat(digits, q, axis=0), np.tile(digits, (q, 1))
-    prods = gf._mulmod_rows(spec, *pairs, gf._reduction_rows(spec))
-    mul = (prods @ weights).reshape(q, q)
-    return FieldTables(
-        q=q,
-        add=(digits[:, None] + digits) % p @ weights,
-        sub=(digits[:, None] - digits) % p @ weights,
-        mul=mul,
-        inv=(mul == 1).argmax(axis=1),  # row 0 has no 1, so inv[0] = 0
-        chi=np.array([0] + gf.chi_rows(spec, digits[1:]), dtype=np.int8),
-    )
+    """The tables from one gf.power_rows(alpha, q - 1), with no scalar gf
+    op (Lidl and Niederreiter, Finite Fields, ch. 9): row i, the digits of
+    alpha**i, encodes to exp[i], and is scattered to digits[exp[i]]."""
+    q = spec.q
+    rows = gf.power_rows(spec, spec.alpha, q - 1)
+    weights = spec.p ** np.arange(spec.n)
+    powers = rows @ weights
+    log = np.full(q, 2 * (q - 1))
+    log[powers] = np.arange(q - 1)
+    digits = np.zeros((q, spec.n), dtype=np.int64)
+    digits[powers] = rows
+    exp = np.concatenate([powers, powers, np.zeros(2 * q - 1, dtype=np.int64)])
+    return FieldTables(spec.p, q, exp, log, digits, weights)
 
 
 def triple_signs(tables: FieldTables, rows: np.ndarray) -> np.ndarray:
@@ -224,26 +213,32 @@ def triple_signs(tables: FieldTables, rows: np.ndarray) -> np.ndarray:
     tables. Like delta_extended it is the orbit sign only for q = 1
     (mod 4); unlike it, it does not check that."""
     x, y, z = np.sort(rows, axis=1).T
-    sub, mul = tables.sub, tables.mul
     at_inf = z == tables.q
     z = np.where(at_inf, 0, z)  # any finite index; the sign is chi(x - y)
-    prod = mul[mul[sub[x, y], sub[y, z]], sub[z, x]]
-    return tables.chi[np.where(at_inf, sub[x, y], prod)]
+    xy = tables.sub(x, y)
+    prod = tables.mul(tables.mul(xy, tables.sub(y, z)), tables.sub(z, x))
+    return tables.chi(np.where(at_inf, xy, prod))
 
 
 def apply_to_points(
     tables: FieldTables, elems: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
-    """apply on arrays: row i of points mapped by the matrix (a, b, c, d)
-    in row i of elems."""
+    """The images of points under linear fractional maps: row i of points
+    mapped by the matrix (a, b, c, d) in row i of elems."""
     q = tables.q
     a, b, c, d = (elems[:, i, None] for i in range(4))
     at_inf = points == q
     z = np.where(at_inf, 0, points)
     # inf -> a/c, z -> (az + b)/(cz + d), and a zero denominator -> inf
-    num = np.where(at_inf, a, tables.add[tables.mul[a, z], b])
-    den = np.where(at_inf, c, tables.add[tables.mul[c, z], d])
-    return np.where(den == 0, q, tables.mul[num, tables.inv[den]])
+    num = np.where(at_inf, a, tables.add(tables.mul(a, z), b))
+    den = np.where(at_inf, c, tables.add(tables.mul(c, z), d))
+    return np.where(den == 0, q, tables.mul(num, tables.inv(den)))
+
+
+def point_permutation(spec: gf.FieldSpec, g: GroupElem) -> list[int]:
+    """The permutation of [0..q] induced by g: apply_to_points on every point."""
+    elems, points = np.array([[g.a, g.b, g.c, g.d]]), np.arange(spec.q + 1)[None, :]
+    return apply_to_points(field_tables(spec), elems, points)[0].tolist()
 
 
 def sample_trials(tables: FieldTables, rng, trials: int):
@@ -255,10 +250,12 @@ def sample_trials(tables: FieldTables, rng, trials: int):
     rng.randrange(q) calls per attempt, then its points by
     rng.sample(points, 3); the tests hold this to a scalar random_element
     drawing from the same seed. The matrices are the drawn ones, not their
-    canonical forms.
+    canonical forms. Determinants are read off q x q lists, small at this q.
     """
     q = tables.q
-    mul, sub, chi = tables.mul.tolist(), tables.sub.tolist(), tables.chi.tolist()
+    x = np.arange(q)
+    mul, sub = tables.mul(x[:, None], x).tolist(), tables.sub(x[:, None], x).tolist()
+    chi = tables.chi(x).tolist()
     pts = list(range(q + 1))
     randrange, chunk = rng.randrange, ORACLE_CHUNK_TRIALS
     for lo in range(0, trials, chunk):

@@ -17,8 +17,11 @@ twice" rule:
 - canonicalize scales a matrix with square determinant to its canonical
   form, against which projline.psl_generators, built canonical, is
   tested; random_element, compose, inverse and identity are the group
-  law on canonical matrices, against which projline.sample_trials,
-  apply and apply_to_points are tested;
+  law on canonical matrices, against which projline.sample_trials and
+  apply are tested; apply maps one point through the scalar gf ops,
+  against which projline.apply_to_points and point_permutation, the
+  array route on GF(q)'s exp and log tables, are tested. It is moved
+  from the package unchanged;
 - sweep_row_dicts, sweep_json and sweep_csv render sweep rows through
   one dict per row, json.dumps and csv.DictWriter, against which the
   CLI's streamed `sweep --json` and `--csv` output is tested;
@@ -204,6 +207,20 @@ def random_element(spec: gf.FieldSpec, rng) -> GroupElem:
         det = gf.sub(spec, gf.mul(spec, a, d), gf.mul(spec, b, c))
         if det != 0 and gf.chi(spec, det) == 1:
             return canonicalize(spec, a, b, c, d)
+
+
+def apply(spec: gf.FieldSpec, g: GroupElem, z: int) -> int:
+    """Image of a point under the linear fractional transformation g."""
+    q = spec.q
+    if z == q:
+        if g.c == 0:
+            return q
+        return gf.mul(spec, g.a, gf.inv(spec, g.c))
+    den = gf.add(spec, gf.mul(spec, g.c, z), g.d)
+    if den == 0:
+        return q
+    num = gf.add(spec, gf.mul(spec, g.a, z), g.b)
+    return gf.mul(spec, num, gf.inv(spec, den))
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,13 @@ CASES: dict[str, list] = {
         ["sweep", "--pair", "5", "13", "--qmax", "100"],
         ["sweep", "--pair", "5", "10", "--qmax", "0"],
     ],
+    # GF(3^4), eight generators: a design and a non-design, built and verified
+    "build-degree-4": [
+        ["build", "81", "16", "--out", "{tmp}/d.txt"],
+        ["verify", "{tmp}/d.txt"],
+        ["build", "81", "10", "--out", "{tmp}/e.txt"],
+        ["verify", "{tmp}/e.txt", "--json"],
+    ],
 }
 
 

@@ -214,6 +214,23 @@ def test_expand_orbit_budget_lower_bound(monkeypatch):
         design.build_design(spec, 4)
 
 
+def test_expand_orbit_refuses_points_off_the_line(f13, monkeypatch):
+    """A point outside range(q + 1) is refused before any permutation is
+    built: 261 is not read as 261 mod 256 = 5 in the uint8 point type,
+    and -1 does not reach an index."""
+
+    def no_permutation(spec, g):
+        raise AssertionError("built a point permutation")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(projline, "point_permutation", no_permutation)
+        for block in ([0, 1, 261], [-1, 0, 1], [0, 1, 14]):
+            with pytest.raises(ValueError, match=r"^block points must lie in range\(14\)$"):
+                design.expand_orbit(f13, block)
+    # infinity, the largest point, is on the line
+    assert design.expand_orbit(f13, [0, 1, 13]).shape == (182, 3)
+
+
 def test_verify_t_design_frozen(d13, d17):
     assert design.verify_t_design(d13.blocks, 3) == 3
     assert design.verify_t_design(d13.blocks, 2) == 18

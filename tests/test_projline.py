@@ -7,9 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from psldesigns import gf, projline, starter
+from psldesigns import design, gf, projline, starter
 
-from scalar_oracles import canonicalize, compose, identity, inverse, random_element
+from scalar_oracles import apply, canonicalize, compose, identity, inverse, random_element
 
 # every q = 1 mod 4 up to the oracle limit
 ORACLE_QS = (5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61)
@@ -99,16 +99,16 @@ def test_group_axioms_random(f41, f9):
 def test_apply_examples(f13, f41):
     inf13 = f13.q
     w = canonicalize(f13, 0, 1, 1, 0)  # z -> 1/z
-    assert projline.apply(f13, w, 0) == inf13
-    assert projline.apply(f13, w, inf13) == 0
-    assert projline.apply(f13, w, 5) == gf.inv(f13, 5)
+    assert apply(f13, w, 0) == inf13
+    assert apply(f13, w, inf13) == 0
+    assert apply(f13, w, 5) == gf.inv(f13, 5)
 
     shear = canonicalize(f13, 1, 1, 0, 1)  # z -> z + 1
-    assert projline.apply(f13, shear, inf13) == inf13
-    assert projline.apply(f13, shear, 12) == 0
+    assert apply(f13, shear, inf13) == inf13
+    assert apply(f13, shear, 12) == 0
 
     scale = canonicalize(f41, 36, 0, 0, 1)  # z -> 36 z, 36 a square
-    assert projline.apply(f41, scale, 1) == 36
+    assert apply(f41, scale, 1) == 36
 
 
 def test_action_is_homomorphism(f13, f9):
@@ -118,10 +118,8 @@ def test_action_is_homomorphism(f13, f9):
             g = random_element(spec, rng)
             h = random_element(spec, rng)
             gh = compose(spec, g, h)
-            for z in projline.all_points(spec):
-                assert projline.apply(spec, gh, z) == projline.apply(
-                    spec, g, projline.apply(spec, h, z)
-                )
+            for z in range(spec.q + 1):
+                assert apply(spec, gh, z) == apply(spec, g, apply(spec, h, z))
 
 
 def test_point_permutation_is_bijection(f29, f25):
@@ -130,7 +128,7 @@ def test_point_permutation_is_bijection(f29, f25):
         for _ in range(20):
             g = random_element(spec, rng)
             pm = projline.point_permutation(spec, g)
-            assert sorted(pm) == list(projline.all_points(spec))
+            assert sorted(pm) == list(range(spec.q + 1))
 
 
 def test_group_order(f13):
@@ -186,7 +184,7 @@ def test_delta_extended_agrees_on_finite_triples(f29):
 def test_delta_is_invariant_under_group(f13, f29, f41, f25):
     rng = random.Random(77)
     for spec in (f13, f29, f41, f25):
-        pts = list(projline.all_points(spec))
+        pts = list(range(spec.q + 1))
         for _ in range(5):
             g = random_element(spec, rng)
             for _ in range(20):
@@ -275,40 +273,58 @@ TABLE_QS = tuple(
 
 
 def test_field_tables_match_the_scalar_ops():
+    """The table sum, difference, product, inverse and chi at every pair
+    of every odd q <= 64 are those of the scalar ops; the product is 0
+    exactly when a factor is."""
     assert len(TABLE_QS) == 21 and {9, 25, 27, 49} <= set(TABLE_QS)
     for q in TABLE_QS:
         spec = gf.field_for_order(q)
         tab = projline.field_tables(spec)
-        assert tab.inv[0] == tab.chi[0] == 0
-        for a, b in itertools.product(range(spec.q), repeat=2):
-            assert tab.add[a, b] == gf.add(spec, a, b)
-            assert tab.sub[a, b] == gf.sub(spec, a, b)
-            assert tab.mul[a, b] == gf.mul(spec, a, b)
-        for a in range(1, spec.q):
-            assert tab.inv[a] == gf.inv(spec, a)
-            assert tab.chi[a] == gf.chi(spec, a)
+        a, b = (x.ravel() for x in np.indices((q, q)))
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert tab.add(a, b).tolist() == [gf.add(spec, x, y) for x, y in pairs]
+        assert tab.sub(a, b).tolist() == [gf.sub(spec, x, y) for x, y in pairs]
+        assert tab.mul(a, b).tolist() == [gf.mul(spec, x, y) for x, y in pairs]
+        nonzero = np.arange(1, q)
+        assert tab.inv(nonzero).tolist() == [gf.inv(spec, x) for x in range(1, q)]
+        assert tab.chi(nonzero).tolist() == [gf.chi(spec, x) for x in range(1, q)]
 
 
 def test_tables_and_contexts_make_no_scalar_field_op(monkeypatch):
-    """field_tables and make_starter_context, on prime and extension
-    fields, with the scalar add, sub, mul, inv and chi made to raise: the
-    same tables and contexts as built with them in place."""
+    """field_tables, the array action (point_permutation, apply_to_points,
+    expand_orbit), the signs and trials of the oracle, and
+    make_starter_context, on prime and extension fields, with the scalar
+    add, neg, sub, mul, inv and chi made to raise: the same results as
+    with them in place."""
     specs = [gf.field_for_order(q) for q in (25, 27, 61)]
     pairs = [(gf.field_for_order(q), k) for q, k in ((41, 10), (1009, 42), (2**31 - 1, 14))]
-    tables = [projline.field_tables(spec) for spec in specs]
+
+    def run(spec):
+        tab = projline.field_tables(spec)
+        gens = projline.psl_generators(spec)
+        rows = projline.colex_triples(spec.q + 1)
+        elems, triples = next(projline.sample_trials(tab, random.Random(spec.q), 50))
+        return (
+            [tab.exp, tab.log, tab.digits],
+            [projline.point_permutation(spec, g) for g in gens],
+            [projline.apply_to_points(tab, elems, triples), elems, triples],
+            [projline.triple_signs(tab, rows)],
+            [design.expand_orbit(spec, (0, 1, spec.q))],
+        )
+
+    want = [run(spec) for spec in specs]
     contexts = [starter.make_starter_context(spec, k) for spec, k in pairs]
 
     def scalar_op(*args):
         raise AssertionError("a scalar gf op was called")
 
-    for name in ("add", "sub", "mul", "inv", "chi"):
+    for name in ("add", "neg", "sub", "mul", "inv", "chi"):
         monkeypatch.setattr(gf, name, scalar_op)
-    for spec, want in zip(specs, tables):
-        got = projline.field_tables(spec)
-        for name in ("add", "sub", "mul", "inv", "chi"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (spec.q, name)
-    for (spec, k), want in zip(pairs, contexts):
-        assert starter.make_starter_context(spec, k) == want
+    for spec, parts in zip(specs, want):
+        for got, expected in zip(run(spec), parts):
+            assert all(map(np.array_equal, got, expected)), spec.q
+    for (spec, k), expected in zip(pairs, contexts):
+        assert starter.make_starter_context(spec, k) == expected
 
 
 def test_generators_are_the_canonical_transvections():
@@ -360,7 +376,7 @@ def test_sampled_trials_are_those_of_random_element(f29, f25, seed, monkeypatch)
         elems, triples = (np.concatenate(part) for part in zip(*chunks))
         assert elems.shape == (200, 4) and triples.shape == (200, 3)
         rng = random.Random(seed)
-        pts = list(projline.all_points(spec))
+        pts = list(range(spec.q + 1))
         for row, t in zip(elems.tolist(), triples.tolist()):
             assert canonicalize(spec, *row) == random_element(spec, rng)
             assert t == rng.sample(pts, 3)
@@ -377,4 +393,34 @@ def test_apply_to_points_matches_apply(f13, f9, f25):
         mats = np.array([(g.a, g.b, g.c, g.d) for g in elems])
         points = np.tile(np.arange(spec.q + 1), (len(elems), 1))
         images = projline.apply_to_points(tab, mats, points)
-        assert images.tolist() == [projline.point_permutation(spec, g) for g in elems]
+        want = [[apply(spec, g, z) for z in range(spec.q + 1)] for g in elems]
+        assert images.tolist() == want
+
+
+# every odd prime power up to 400, and every odd prime up to 2000
+PERMUTATION_QS = sorted(
+    {q for q in range(3, 401, 2) if len(gf.factorize(q)) == 1}
+    | {p for p in range(3, 2001, 2) if gf.factorize(p) == ((p, 1),)}
+)
+
+
+def test_point_permutation_matches_apply_on_every_generator():
+    """Checked twice: each generator's permutation is the scalar apply of
+    every point, at every q of PERMUTATION_QS."""
+    assert len(PERMUTATION_QS) == 314 and {243, 343, 361, 1999} <= set(PERMUTATION_QS)
+    for q in PERMUTATION_QS:
+        spec = gf.field_for_order(q)
+        for g in projline.psl_generators(spec):
+            want = [apply(spec, g, z) for z in range(q + 1)]
+            assert projline.point_permutation(spec, g) == want, (q, g)
+
+
+@pytest.mark.parametrize("q", [3**6, 3**8, 29**3])
+def test_point_permutation_matches_apply_on_large_extensions(q):
+    """The permutation of every generator of GF(3^6), GF(3^8) and GF(29^3)
+    at 500 seeded points, infinity among them, is the scalar apply's."""
+    spec = gf.field_for_order(q)
+    points = [q, 0, 1] + random.Random(q).sample(range(q), 497)
+    for g in projline.psl_generators(spec):
+        perm = projline.point_permutation(spec, g)
+        assert [perm[z] for z in points] == [apply(spec, g, z) for z in points], g

@@ -104,11 +104,15 @@ def expand_orbit(spec: gf.FieldSpec, block: tuple[int, ...] | list[int]) -> np.n
     overrides), before any permutation is built when the lower bound
     C(v, 3) / (2 * C(k, 3)) on its size exceeds it: blocks of k >= 3 points
     cover a whole PSL(2,q)-orbit of 3-subsets, one of at most two equal ones.
-    A point outside range(v) or a repeated point is refused first.
+    A point that is not an integer, one outside range(v) or a repeated
+    point is refused first.
     """
     budget = _block_budget()
     v = spec.q + 1
-    start = np.sort(np.asarray(block, dtype=np.int64))
+    points = np.asarray(block)
+    if points.dtype.kind not in "iu":  # a cast would truncate 1.5 to 1
+        raise ValueError("block points must be integers")
+    start = np.sort(points.astype(np.int64))
     if ((start < 0) | (start >= v)).any():
         raise ValueError(f"block points must lie in range({v})")
     if (start[1:] == start[:-1]).any():

@@ -12,14 +12,19 @@ and hashable, so concurrent readers need no coordination.
 
 from __future__ import annotations
 
-import itertools
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 DEFAULT_Q_LIMIT = 2**31
+# the modulus and generator of every odd p**n <= DEFAULT_Q_LIMIT with
+# n >= 2, one line "p n c0 ... c_{n-1} alpha" per field, sorted by q;
+# tools/field_table.py writes it and checks it against the search in
+# tests/scalar_oracles.py
+EXT_FIELD_TABLE = os.path.join(os.path.dirname(__file__), "ext_fields.txt")
 
 
 @dataclass(frozen=True)
@@ -34,8 +39,6 @@ class FieldSpec:
       map, column i the coefficients of x**(i*p) mod the modulus; empty for
       prime fields. A function of (p, modulus), so it takes no part in
       equality.
-    A trial spec (alpha 0, no Frobenius columns), as the modulus search
-    builds, is read only for p, n, q and the modulus.
     """
 
     p: int
@@ -333,22 +336,6 @@ def check_size(q: int) -> None:
         raise ValueError(f"q = {q} exceeds the size limit {DEFAULT_Q_LIMIT}")
 
 
-def _is_irreducible(spec: FieldSpec) -> bool:
-    """Rabin's test of the modulus f of a trial spec: x**q == x mod f, and
-    h = x**(p**(n/l)) - x is a unit mod f for every prime l | n. Once
-    x**q == x, GF(p)[x]/(f) is a product of fields GF(p^d) with d | n
-    (Lidl and Niederreiter, Finite Fields, ch. 3), so h is a unit, that
-    is gcd(h, f) = 1, exactly when h**(q-1) == 1. x is encoded as p."""
-    p, n, q = spec.p, spec.n, spec.q
-    if power(spec, p, q) != p:
-        return False
-    for ell, _ in factorize(n):
-        h = sub(spec, power(spec, p, p ** (n // ell)), p)
-        if power(spec, h, q - 1) != 1:
-            return False
-    return True
-
-
 def _has_full_order(spec: FieldSpec, a: int) -> bool:
     """a generates GF(q)*: a != 0 and a**((q-1)/f) != 1 for every prime
     f | q - 1. For f | p - 1 that power is N(a)**((p-1)/f), taken in
@@ -365,9 +352,8 @@ def _has_full_order(spec: FieldSpec, a: int) -> bool:
 
 
 def _smallest_generator(spec: FieldSpec) -> int:
-    # below p every encoding is a constant of GF(p), whose order divides
-    # p - 1 < q - 1 when n > 1, so the search of an extension starts at p
-    for a in range(2 if spec.n == 1 else spec.p, spec.q):
+    """The smallest primitive root of a prime field."""
+    for a in range(2, spec.q):
         if _has_full_order(spec, a):
             return a
     raise RuntimeError(f"no generator found in GF({spec.q})")  # unreachable
@@ -388,15 +374,32 @@ def make_prime_field(p: int) -> FieldSpec:
     return spec
 
 
+def _table_entry(p: int, n: int) -> tuple[tuple[int, ...], int]:
+    """(modulus, alpha) of GF(p^n) off its line of EXT_FIELD_TABLE. The
+    file is scanned from the start to that line, and none of it is kept."""
+    key = f"{p} {n} "
+    with open(EXT_FIELD_TABLE) as table:
+        for line in table:
+            if line.startswith(key):
+                *cs, alpha = map(int, line.split()[2:])
+                return (*cs, 1), alpha
+    raise RuntimeError(f"GF({p}^{n}) is missing from {EXT_FIELD_TABLE}")
+
+
+def _frobenius_columns(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
+    """Column i of the Frobenius map is (x**p)**i, and x is encoded as p."""
+    cols = power_rows(spec, power(spec, spec.p, spec.p), spec.n).tolist()
+    return tuple(map(tuple, cols))
+
+
 def make_extension_field(p: int, n: int) -> FieldSpec:
     """GF(p^n) with the smallest modulus and generator.
 
     The modulus is the lexicographically smallest monic irreducible of
-    degree n over GF(p), comparing coefficient tuples low degree first, so
-    construction is reproducible without polynomial tables. Each candidate
-    is a trial spec (alpha 0, no Frobenius columns) that _is_irreducible
-    reads only for p, n, q and the modulus; the accepted one gets its
-    Frobenius columns and alpha. n == 1 delegates to make_prime_field.
+    degree n over GF(p), comparing coefficient tuples low degree first,
+    and alpha the smallest encoding of order q - 1. Both are read from
+    EXT_FIELD_TABLE, which holds every field within the size limit; the
+    Frobenius columns are computed. n == 1 delegates to make_prime_field.
     """
     if n < 1:
         raise ValueError(f"invalid extension degree {n}")
@@ -409,16 +412,9 @@ def make_extension_field(p: int, n: int) -> FieldSpec:
     cached = _FIELD_CACHE.get((p, n))
     if cached is not None:
         return cached
-    # c0 starts at 1: a zero constant term makes the polynomial divisible by x
-    trials = (
-        FieldSpec(p=p, n=n, modulus=(*cs, 1), q=q, alpha=0)
-        for cs in itertools.product(range(1, p), *[range(p)] * (n - 1))
-    )
-    spec = next(filter(_is_irreducible, trials))  # irreducibles of every degree exist
-    # column i of the Frobenius map is (x**p)**i, and x is encoded as p
-    cols = power_rows(spec, power(spec, p, p), n).tolist()
-    spec = replace(spec, frobenius=tuple(map(tuple, cols)))
-    spec = replace(spec, alpha=_smallest_generator(spec))
+    modulus, alpha = _table_entry(p, n)
+    spec = FieldSpec(p=p, n=n, modulus=modulus, q=q, alpha=alpha)
+    spec = replace(spec, frobenius=_frobenius_columns(spec))
     _FIELD_CACHE[(p, n)] = spec
     return spec
 

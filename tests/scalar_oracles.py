@@ -6,7 +6,12 @@ twice" rule:
 
 - element_order is the least m with a**m == 1 by the power route,
   against which gf._has_full_order, the norm-route generator test of the
-  generator search and of an explicit alpha, is tested;
+  generator searches and of an explicit alpha, is tested;
+- is_irreducible, Rabin's test, and search_extension_field, the search
+  for the smallest monic irreducible modulus and the smallest generator
+  of GF(p^n), wrote the field table that gf.make_extension_field reads,
+  and tools/field_table.py checks the table against them. They are moved
+  from gf.make_extension_field unchanged;
 - element_tables builds a starter context's block and chi table one
   field op per entry, against the coefficient-array route of
   starter.make_starter_context;
@@ -51,7 +56,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,6 +84,45 @@ def element_order(spec: gf.FieldSpec, a: int) -> int:
         while m % f == 0 and gf.power(spec, a, m // f) == 1:
             m //= f
     return m
+
+
+# ---------------------------------------------------------------------------
+# the modulus and generator search that wrote the extension field table
+
+
+def is_irreducible(spec: gf.FieldSpec) -> bool:
+    """Rabin's test of the modulus f of a trial spec: x**q == x mod f, and
+    h = x**(p**(n/l)) - x is a unit mod f for every prime l | n. Once
+    x**q == x, GF(p)[x]/(f) is a product of fields GF(p^d) with d | n
+    (Lidl and Niederreiter, Finite Fields, ch. 3), so h is a unit, that
+    is gcd(h, f) = 1, exactly when h**(q-1) == 1. x is encoded as p."""
+    p, n, q = spec.p, spec.n, spec.q
+    if gf.power(spec, p, q) != p:
+        return False
+    for ell, _ in gf.factorize(n):
+        h = gf.sub(spec, gf.power(spec, p, p ** (n // ell)), p)
+        if gf.power(spec, h, q - 1) != 1:
+            return False
+    return True
+
+
+def search_extension_field(p: int, n: int) -> tuple[tuple[int, ...], int]:
+    """(modulus, alpha) of GF(p^n), n >= 2, by search: the lexicographically
+    smallest monic irreducible of degree n, comparing coefficient tuples
+    low degree first, and the smallest encoding of order q - 1. Each
+    candidate modulus is a trial spec (alpha 0, no Frobenius columns) that
+    is_irreducible reads only for p, n, q and the modulus."""
+    q = p**n
+    # c0 starts at 1: a zero constant term makes the polynomial divisible by x
+    trials = (
+        gf.FieldSpec(p=p, n=n, modulus=(*cs, 1), q=q, alpha=0)
+        for cs in itertools.product(range(1, p), *[range(p)] * (n - 1))
+    )
+    spec = next(filter(is_irreducible, trials))  # irreducibles of every degree exist
+    spec = replace(spec, frobenius=gf._frobenius_columns(spec))
+    # below p every encoding is a constant of GF(p), whose order divides
+    # p - 1 < q - 1, so the generator search starts at p
+    return spec.modulus, next(a for a in range(p, q) if gf._has_full_order(spec, a))
 
 
 # ---------------------------------------------------------------------------

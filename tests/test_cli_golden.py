@@ -199,6 +199,14 @@ CASES: dict[str, list] = {
         ["build", "81", "10", "--out", "{tmp}/e.txt"],
         ["verify", "{tmp}/e.txt", "--json"],
     ],
+    # the largest field of degree 2, GF(46337^2), and GF(3^19), whose
+    # moduli and generators come from the field table
+    "extension-fields-near-the-limit": [
+        ["check", "2147117569", "6"],
+        ["check", "2147117569", "6", "--json"],
+        ["seq", "1162261467", "3194"],
+        ["check", "1162261467", "3194", "--json"],
+    ],
 }
 
 

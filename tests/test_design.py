@@ -217,7 +217,8 @@ def test_expand_orbit_budget_lower_bound(monkeypatch):
 def test_expand_orbit_refuses_points_off_the_line(f13, monkeypatch):
     """A point outside range(q + 1) is refused before any permutation is
     built: 261 is not read as 261 mod 256 = 5 in the uint8 point type,
-    and -1 does not reach an index."""
+    and -1 does not reach an index. A point that is not an integer is
+    refused too, not truncated: 1.5 is not read as 1."""
 
     def no_permutation(spec, g):
         raise AssertionError("built a point permutation")
@@ -226,6 +227,9 @@ def test_expand_orbit_refuses_points_off_the_line(f13, monkeypatch):
         mp.setattr(projline, "point_permutation", no_permutation)
         for block in ([0, 1, 261], [-1, 0, 1], [0, 1, 14]):
             with pytest.raises(ValueError, match=r"^block points must lie in range\(14\)$"):
+                design.expand_orbit(f13, block)
+        for block in ([0, 1.5, 5], [0.0, 1.0, 5.0], np.array([0, 1, 5], dtype=float)):
+            with pytest.raises(ValueError, match=r"^block points must be integers$"):
                 design.expand_orbit(f13, block)
     # infinity, the largest point, is on the line
     assert design.expand_orbit(f13, [0, 1, 13]).shape == (182, 3)

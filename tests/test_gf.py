@@ -9,7 +9,7 @@ import pytest
 
 from psldesigns import gf
 
-from scalar_oracles import element_order
+from scalar_oracles import element_order, is_irreducible
 
 
 def test_factorize():
@@ -126,7 +126,7 @@ def test_is_irreducible_matches_sympy():
         for n in degrees:
             for cs in product(range(p), repeat=n):
                 trial = gf.FieldSpec(p=p, n=n, modulus=(*cs, 1), q=p**n, alpha=0)
-                irreducible = gf._is_irreducible(trial)
+                irreducible = is_irreducible(trial)
                 assert irreducible == _sympy_irreducible(trial.modulus, p), trial
                 tested += 1
                 unit_step_only += not irreducible and gf.power(trial, p, p**n) == p
@@ -149,9 +149,10 @@ LARGE_FIELDS = {
 @pytest.mark.parametrize(("p", "n"), list(LARGE_FIELDS))
 def test_large_extension_field_is_unchanged_and_fast(p, n, monkeypatch):
     """Fields near the size limit keep their modulus and generator, and
-    build in well under 2 s. The modulus walk starts at constant term 1:
-    starting at 0 it stepped through p^(n-1) tuples divisible by x first,
-    about 40 s for GF(3^19) against tens of milliseconds now."""
+    build in well under 2 s. They are read from the field table; the
+    modulus walk that wrote it starts at constant term 1, and starting at
+    0 it stepped through p^(n-1) tuples divisible by x first, about 40 s
+    for GF(3^19)."""
     monkeypatch.setattr(gf, "_FIELD_CACHE", {})
     start = time.perf_counter()
     spec = gf.make_extension_field(p, n)
@@ -160,6 +161,24 @@ def test_large_extension_field_is_unchanged_and_fast(p, n, monkeypatch):
     sympy = pytest.importorskip("sympy")
     poly = sympy.Poly(spec.modulus[::-1], sympy.Symbol("x"), modulus=p)
     assert poly.is_irreducible
+
+
+def test_fresh_extension_field_runs_no_search(monkeypatch):
+    """A fresh GF(5^12) reads its modulus and generator from the table and
+    makes one gf.power call, the Frobenius image x**p; the search calls it
+    for every trial modulus and trial generator."""
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    calls = []
+    power = gf.power
+
+    def counted(spec, a, e):
+        calls.append((a, e))
+        return power(spec, a, e)
+
+    monkeypatch.setattr(gf, "power", counted)
+    spec = gf.make_extension_field(5, 12)
+    assert calls == [(5, 5)]
+    assert len(spec.frobenius) == spec.n == 12
 
 
 def test_alpha_is_smallest_generator(f9, f25, f49):

@@ -104,12 +104,14 @@ def expand_orbit(spec: gf.FieldSpec, block: tuple[int, ...] | list[int]) -> np.n
     overrides), before any permutation is built when the lower bound
     C(v, 3) / (2 * C(k, 3)) on its size exceeds it: blocks of k >= 3 points
     cover a whole PSL(2,q)-orbit of 3-subsets, one of at most two equal ones.
-    A point that is not an integer, one outside range(v) or a repeated
-    point is refused first.
+    An empty block, a point that is not an integer, one outside range(v)
+    or a repeated point is refused first.
     """
     budget = _block_budget()
     v = spec.q + 1
     points = np.asarray(block)
+    if not points.size:  # before the dtype: an empty list reads as float
+        raise ValueError("block has no points")
     if points.dtype.kind not in "iu":  # a cast would truncate 1.5 to 1
         raise ValueError("block points must be integers")
     start = np.sort(points.astype(np.int64))
@@ -275,7 +277,7 @@ def verify_design(design: Design) -> bool:
 
     The blocks must pass check_blocks and be distinct (an orbit never
     repeats a block). A claimed design must cover every triple exactly lam
-    times and satisfy the counting identity b * C(k,3) = lam * C(v,3); a
+    times, which by double counting gives b * C(k,3) = lam * C(v,3); a
     claimed non-design must really have non-flat coverage.
     """
     v = design.v
@@ -287,9 +289,7 @@ def verify_design(design: Design) -> bool:
         return False
     lam = verify_t_design(design.blocks, 3, v=v)
     if design.is_design:
-        if lam != design.lam:
-            return False
-        return design.b * comb(design.k, 3) == design.lam * comb(v, 3)
+        return lam == design.lam
     return lam is None
 
 
@@ -391,15 +391,17 @@ def _refuse_block_text(bad: tuple | None, outside: tuple | None, k: int, v: int)
     is the one the parse of bad and then check_blocks give on Python
     integers: the first line of bad that is not k integers, else the first
     block out of order or out of range (a point beyond int64 is out of
-    every range), which is in or before outside when there is one."""
+    every range), which is in or before outside when there is one. Else
+    bad is one block's line, which numpy cannot read, and is named."""
     if bad is not None:
         _exact_blocks(bad[0], k)
     piece, done = outside or bad
     exact = np.array(done.tolist() + _exact_blocks(piece, k), dtype=object).reshape(-1, k)
     check_blocks(exact, k, v)
+    line = piece.splitlines(keepends=True)[-1]
     raise ValueError(
-        f"blocks {len(done) + 1}..{len(exact)} are not whitespace-separated "
-        "decimal integers that fit in int64"
+        f"block {len(done) + 1} is not whitespace-separated decimal integers "
+        f"that fit in int64: {line!r}"
     )
 
 
@@ -408,19 +410,20 @@ def _parse_blocks(text: str, pos: int, k: int, v: int, b: int) -> np.ndarray:
     _point_dtype(v).
 
     TEXT_CHUNK_CHARS of lines at a time, numpy counts each line's tokens
-    and reads the integers as int64. The first chunk it cannot read
-    exactly, or that has a point at the int64 limits (where an overflowing
-    token saturates), and the first one before it with a point the rows
-    cannot hold go to _refuse_block_text once the block count has been
-    checked against b.
+    and reads the integers as int64. A chunk it cannot read exactly, or
+    that has a point at the int64 limits (where an overflowing token
+    saturates), is read again a line at a time. The first such line, with
+    the line break that ends it, and the first chunk before it with a
+    point the rows cannot hold go to _refuse_block_text once the block
+    count has been checked against b.
     """
     # room for b rows only if the text can hold them (2k characters a
     # row), so that a header cannot make the parse allocate more than that
     fits = b >= 0 and k >= 0 and 2 * max(b, 1) * max(k, 1) <= len(text) - pos + 1
     rows = np.empty((b, k) if fits else (0, 0), dtype=_point_dtype(v))
-    found, bad, outside = 0, None, None
+    found, bad, outside, reread = 0, None, None, 0
     while pos < len(text):
-        end = _line_end(text, pos + TEXT_CHUNK_CHARS)
+        end = _line_end(text, pos + (1 if pos < reread else TEXT_CHUNK_CHARS))
         piece = text[pos:end]
         tokens = _tokens_per_line(piece)
         tokens = tokens[tokens > 0]
@@ -436,6 +439,9 @@ def _parse_blocks(text: str, pos: int, k: int, v: int, b: int) -> np.ndarray:
                 or values.size != k * len(tokens)
                 or np.isin(values, (_INT64.min, _INT64.max)).any()
             ):
+                if pos >= reread:  # read this chunk again, a line at a time
+                    reread = end
+                    continue
                 bad = (piece, rows[:found])
             elif values.min() < 0 or values.max() >= v:
                 outside = outside or (piece, rows[:found])
@@ -462,6 +468,8 @@ def parse_design(text: str) -> Design:
         v, k, lam, b = map(int, head.split())
     except ValueError:
         raise ValueError(f"malformed header: {head!r}")
+    if lam < 0:
+        raise ValueError(f"malformed header: negative lambda: {head!r}")
     flag, after = _next_line(text, pos)
     is_design = flag != NON_DESIGN_FLAG
     if not is_design:

@@ -178,38 +178,27 @@ def _frobenius_image(spec: FieldSpec, ca: list) -> list:
     return _ptrim([x % spec.p for x in img])
 
 
-def _norm_parts(spec: FieldSpec, a: int) -> tuple[int, list]:
-    """(N(a), a**p * ... * a**(p**(n-1))) for n >= 2, the second as
-    coefficients; each conjugate is the Frobenius image of the one before."""
-    p, f = spec.p, spec.modulus
-    ca = _ptrim(element_coeffs(spec, a))
-    rest = conj = _frobenius_image(spec, ca)
-    for _ in range(spec.n - 2):
-        conj = _frobenius_image(spec, conj)
-        rest = _pmulmod(rest, conj, f, p)
-    full = _pmulmod(ca, rest, f, p)
-    assert len(full) <= 1, "the norm lies in GF(p)"
-    return (full[0] if full else 0), rest
-
-
 def norm(spec: FieldSpec, a: int) -> int:
     """N(a) = a * a**p * ... * a**(p**(n-1)) = a**((q-1)/(p-1)), an element
     of GF(p); N(a) = a on a prime field."""
     if spec.n == 1:
         return a
-    return _norm_parts(spec, a)[0]
+    p, f = spec.p, spec.modulus
+    full = conj = _ptrim(element_coeffs(spec, a))
+    for _ in range(spec.n - 1):
+        conj = _frobenius_image(spec, conj)
+        full = _pmulmod(full, conj, f, p)
+    assert len(full) <= 1, "the norm lies in GF(p)"
+    return full[0] if full else 0
 
 
 def inv(spec: FieldSpec, a: int) -> int:
-    """a**-1; on GF(p^n), (a**p * ... * a**(p**(n-1))) / N(a)."""
+    """a**-1; on GF(p^n), a**(q-2)."""
     if a == 0:
         raise ValueError("0 has no multiplicative inverse")
-    p = spec.p
     if spec.n == 1:
-        return pow(a, -1, p)
-    na, rest = _norm_parts(spec, a)
-    s = pow(na, -1, p)
-    return element_from_coeffs(spec, [c * s for c in rest])
+        return pow(a, -1, spec.p)
+    return power(spec, a, spec.q - 2)
 
 
 def power(spec: FieldSpec, a: int, e: int) -> int:
@@ -338,25 +327,11 @@ def check_size(q: int) -> None:
 
 def _has_full_order(spec: FieldSpec, a: int) -> bool:
     """a generates GF(q)*: a != 0 and a**((q-1)/f) != 1 for every prime
-    f | q - 1. For f | p - 1 that power is N(a)**((p-1)/f), taken in
-    GF(p); only the primes of (q-1)/(p-1) prime to p - 1 need the
-    field's own power."""
+    f | q - 1."""
     if a == 0:
         return False
-    p, q1 = spec.p, spec.q - 1
-    na = norm(spec, a)
-    fs = [f for f, _ in factorize(q1)]
-    if any(pow(na, (p - 1) // f, p) == 1 for f in fs if (p - 1) % f == 0):
-        return False
-    return all(power(spec, a, q1 // f) != 1 for f in fs if (p - 1) % f)
-
-
-def _smallest_generator(spec: FieldSpec) -> int:
-    """The smallest primitive root of a prime field."""
-    for a in range(2, spec.q):
-        if _has_full_order(spec, a):
-            return a
-    raise RuntimeError(f"no generator found in GF({spec.q})")  # unreachable
+    q1 = spec.q - 1
+    return all(power(spec, a, q1 // f) != 1 for f, _ in factorize(q1))
 
 
 def make_prime_field(p: int) -> FieldSpec:
@@ -369,7 +344,7 @@ def make_prime_field(p: int) -> FieldSpec:
     if p == 2:
         raise ValueError("the field order must be odd")
     spec = FieldSpec(p=p, n=1, modulus=(), q=p, alpha=0)
-    spec = replace(spec, alpha=_smallest_generator(spec))
+    spec = replace(spec, alpha=next(a for a in range(2, p) if _has_full_order(spec, a)))
     _FIELD_CACHE[(p, 1)] = spec
     return spec
 

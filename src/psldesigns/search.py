@@ -137,19 +137,13 @@ class SweepEntry(NamedTuple):
 
 def _prime_entries(k: int, q: np.ndarray, ok: np.ndarray) -> list[SweepEntry]:
     """SweepEntry rows for prime q from the columns q (int64) and ok
-    (bool). e and lambda are column operations: lambda_formula depends on
-    e only through its parity, and is asked only for a parity that has a
-    design."""
+    (bool). Every candidate has q = 1 mod lcm(4, 2k) and so an even e:
+    one lambda, asked for only when there is a hit, covers every hit."""
     e = (q - 1) // k
-    par = e % 2
-    lam = [
-        starter.lambda_formula(k, 2 - x) if (ok & (par == x)).any() else None
-        for x in (0, 1)
-    ]
-    cols = zip(q.tolist(), e.tolist(), par.tolist(), ok.tolist())
+    lam = starter.lambda_formula(k, int(e[0])) if ok.any() else None
     return [
-        SweepEntry(k, x, x, 1, ex, okx, lam[px] if okx else None)
-        for x, ex, px, okx in cols
+        SweepEntry(k, x, x, 1, ex, okx, lam if okx else None)
+        for x, ex, okx in zip(q.tolist(), e.tolist(), ok.tolist())
     ]
 
 

@@ -441,18 +441,15 @@ def thm510_batch(qs) -> np.ndarray:
     qs at once, as a (rows, 7) bool array, from the order-10 table alone
     (_pair_tables). c3 is t_10[7], since 1 + beta = 1 + beta_10^2 =
     1 - beta_10^7 (beta_10^5 = -1). c4 and c5 are Euler tests, with
-    s = beta(1-beta)^2(1+beta) as the root of 5; none of c3..c5 depends on
-    which beta of order 5 is found. c6/c7 are Cornacchia descents with the
-    roots 2*i*s of -20 and 10*i of -100, i a root of -1 (an element of
-    order 4).
+    s = beta(1-beta)^2(1+beta) as the root of 5, so 2 +- s are the roots
+    of x^2 - 4x - 1; none of c3..c5 depends on which beta of order 5 is
+    found. c6/c7 are Cornacchia descents with the roots 2*i*s of -20 and
+    10*i of -100, i a root of -1 (an element of order 4).
     """
     q, beta, t5, t10 = _pair_tables(5, qs)  # refuses odd q other than 1 mod 20
     s = beta * (1 - beta) % q * (1 - beta) % q * (1 + beta) % q
     roots = ((2 + s) % q, (2 - s) % q)
-    theta0 = (2 * (_powmod(beta, 4, q) + beta) + 3) % q
     assert np.all(s * s % q == 5)
-    assert np.all((theta0 == roots[0]) | (theta0 == roots[1]))
-    assert all(np.all((th * th - 4 * th - 1) % q == 0) for th in roots)
     i = _order_k_elements(4, q, (q - 1) // 4)
     return np.column_stack([
         _signed_count(t5) == 0,

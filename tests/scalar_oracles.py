@@ -4,9 +4,11 @@ None of this is reached by the command line or the library. It is kept
 here, in the tests, as the independent second route of the "checked
 twice" rule:
 
-- element_order is the least m with a**m == 1 by the power route,
-  against which gf._has_full_order, the norm-route generator test of the
-  generator searches and of an explicit alpha, is tested;
+- element_order is the least m with a**m == 1, found by gf.power on
+  the divisors of q - 1, against which gf._has_full_order, the generator
+  test of the generator searches and of an explicit alpha, is tested; as
+  both take gf.power, the tests also hold them to sympy and to
+  repeated multiplication;
 - is_irreducible, Rabin's test, and search_extension_field, the search
   for the smallest monic irreducible modulus and the smallest generator
   of GF(p^n), wrote the field table that gf.make_extension_field reads,

@@ -171,6 +171,15 @@ def test_verify_refuses_a_point_beyond_int64(capsys, tmp_path):
         assert err == f"error: block 1 has a point outside the range 0..3: {block}\n"
 
 
+def test_verify_refuses_a_negative_lambda(capsys, tmp_path):
+    # with the flag line this header once passed as a non-design and
+    # verify exited 0 with "match: True"
+    for flag in ("NOT-A-3-DESIGN\n", ""):
+        code, out, err = _verify_text(capsys, tmp_path, f"14 4 -2 1\n{flag}0 1 2 3\n")
+        assert (code, out) == (2, ""), flag
+        assert err == "error: malformed header: negative lambda: '14 4 -2 1'\n"
+
+
 def test_verify_counts_repeated_blocks_as_a_multiset(capsys, tmp_path):
     # a non-simple design is still a t-design: d13 with every block twice
     # is a 3-(14, 4, 6) design with 546 blocks

@@ -169,6 +169,15 @@ def test_expand_orbit_order_insensitive(f13):
     assert np.array_equal(design.expand_orbit(f13, blk), design.expand_orbit(f13, shuffled))
 
 
+def test_expand_orbit_refuses_an_empty_block(f13):
+    """An empty list reads as a float array, once refused as not integer,
+    and an empty int64 array once failed in numpy's reshape: both are
+    refused by name."""
+    for block in ([], (), np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError, match="^block has no points$"):
+            design.expand_orbit(f13, block)
+
+
 def test_expand_orbit_rejects_repeats(f13):
     with pytest.raises(ValueError):
         design.expand_orbit(f13, (1, 1, 2, 3))
@@ -503,9 +512,27 @@ def test_parse_errors(d13):
     # a token beyond int64 is refused, not saturated or wrapped
     with pytest.raises(ValueError, match="block 2 has a point outside the range 0..4: 1 2 9{20}$"):
         design.parse_design("5 3 1 2\n0 1 2\n1 2 99999999999999999999\n")
-    # Python's int reads 1_0 as 10, numpy does not: refused, not misread
-    with pytest.raises(ValueError, match="blocks 1..1 are not whitespace-separated"):
+    # a negative lambda is a malformed header, refused before any block
+    for flag in ("NOT-A-3-DESIGN\n", ""):
+        with pytest.raises(ValueError, match="^malformed header: negative lambda: '14 4 -2 1'$"):
+            design.parse_design(f"14 4 -2 1\n{flag}0 1 2 3\n")
+    with pytest.raises(ValueError, match="^malformed header: negative lambda"):
+        design.parse_design("14 4 -2 1\nNOT-A-3-DESIGN\n0 1 x\n")
+    # Python's int reads 1_0 as 10, numpy does not: refused, not misread,
+    # and the refusal names the block and its line with the line break
+    int64 = "is not whitespace-separated decimal integers that fit in int64"
+    with pytest.raises(ValueError) as refused:
         design.parse_design("12 3 1 1\n0 1_0 11\n")
+    assert str(refused.value) == f"block 1 {int64}: '0 1_0 11\\n'"
+    # Python's int reads the Arabic-Indic digit three, numpy does not; a
+    # non-ASCII chunk has its tokens counted by str.split
+    with pytest.raises(ValueError) as refused:
+        design.parse_design("14 4 3 2\n0 1 2 3\n0 1 2 \u0663\n")
+    assert str(refused.value) == f"block 2 {int64}: '0 1 2 \u0663\\n'"
+    # str.splitlines breaks at \x1c, numpy reads no separator there
+    with pytest.raises(ValueError) as refused:
+        design.parse_design("14 4 3 2\n0 1 2 3\x1c0 1 2 4\n")
+    assert str(refused.value) == f"block 1 {int64}: '0 1 2 3\\x1c'"
 
 
 def test_text_chunks_do_not_change_format_or_parse(d13, d17, monkeypatch):
@@ -513,13 +540,22 @@ def test_text_chunks_do_not_change_format_or_parse(d13, d17, monkeypatch):
     lines = texts[0].splitlines()
     lines[100] = "0 1 2 99999999999999999999"
     bad = "\n".join(lines)
-    for size in (1, 7, 64):
+    # a line numpy cannot read is named by its block at every chunk size
+    lines[100] = "0 1_0 11 12"
+    unread = "\n".join(lines)
+    for size in (1, 7, 64, 1000, 1 << 18):
         monkeypatch.setattr(design, "TEXT_CHUNK_CHARS", size)
         for d, text in zip((d13, d17), texts):
             assert design.format_design(d) == text
             assert _same_design(design.parse_design(text), d)
         with pytest.raises(ValueError, match="block 100 has a point outside"):
             design.parse_design(bad)
+        with pytest.raises(ValueError) as refused:
+            design.parse_design(unread)
+        assert str(refused.value) == (
+            "block 100 is not whitespace-separated decimal integers that fit "
+            "in int64: '0 1_0 11 12\\n'"
+        ), size
 
 
 @pytest.mark.parametrize("size", [64, 1 << 18])

@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from psldesigns import gf
+from psldesigns import gf, search
 
 from scalar_oracles import element_order, is_irreducible
 
@@ -188,14 +188,11 @@ def test_alpha_is_smallest_generator(f9, f25, f49):
 
 
 def _odd_extension_fields(limit):
-    """GF(p^n) for every odd prime power p^n <= limit with n >= 2."""
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if gf.factorize(p) != ((p, 1),):
-            continue
-        n = 2
-        while p**n <= limit:
+    """GF(p^n) for every odd prime power p^n <= limit with n >= 2, in
+    increasing order of p^n."""
+    for p, n, _ in search._powers_of(search._base_primes(limit), limit, 2):
+        if p > 2:
             yield gf.make_extension_field(p, n)
-            n += 1
 
 
 def test_extension_fields_up_to_a_million_are_unchanged(monkeypatch):
@@ -203,7 +200,7 @@ def test_extension_fields_up_to_a_million_are_unchanged(monkeypatch):
     the digest of (p, n, modulus, alpha) was recorded on the modulus
     search that ran Euclid's gcd."""
     monkeypatch.setattr(gf, "_FIELD_CACHE", {})
-    rows = [(s.p, s.n, s.modulus, s.alpha) for s in _odd_extension_fields(10**6)]
+    rows = sorted((s.p, s.n, s.modulus, s.alpha) for s in _odd_extension_fields(10**6))
     assert len(rows) == 218
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "3a2ac071bfa0d263f99dd70311339914936a97150f5a8c0554754ae4eb90dfa3"
@@ -414,9 +411,10 @@ def _euler(spec, a):
 
 
 def test_norm_chi_and_inv_match_the_power_route():
-    """chi is Euler's criterion a**((q-1)/2) and inv a true inverse, on
-    every nonzero element of every odd GF(p^n) <= 2000, n >= 2, and on
-    samples of three larger fields; N(a) = a**((q-1)/(p-1))."""
+    """chi is Euler's criterion a**((q-1)/2) and N(a) = a**((q-1)/(p-1)),
+    on every nonzero element of every odd GF(p^n) <= 2000, n >= 2, and on
+    samples of three larger fields. inv is the power route a**(q-2)
+    itself, so it is checked by a * inv(a) = 1 there instead."""
     fields = [(spec, range(1, spec.q)) for spec in _odd_extension_fields(2000)]
     assert len(fields) == 21
     for spec, elements in fields + list(_sampled_large_fields()):
@@ -444,10 +442,27 @@ def test_norm_is_multiplicative_into_the_prime_field(f13, f9, f25, f49):
 
 
 def test_full_order_test_matches_element_order(f41, f9, f25, f49):
-    """The norm-route generator test agrees with the power route on every
-    element, and refuses 0, whose norm 0 fails no Euler test."""
+    """The generator test agrees with the least m where a**m == 1 on
+    every element, and refuses 0."""
     more = [gf.make_extension_field(p, n) for p, n in ((3, 3), (3, 5), (13, 2))]
     for spec in (f41, f9, f25, f49, *more):
         for a in range(spec.q):
             full = a != 0 and element_order(spec, a) == spec.q - 1
             assert gf._has_full_order(spec, a) == full, (spec.q, a)
+
+
+def test_full_order_test_matches_sympy_on_prime_fields():
+    """_has_full_order and element_order both take gf.power, so the
+    generator test is also held to sympy, which shares no code with gf:
+    is_primitive_root on every element of a few prime fields, and the
+    smallest primitive root, make_prime_field's alpha, on 300 primes."""
+    ntheory = pytest.importorskip("sympy.ntheory")
+    for p in (3, 5, 7, 13, 41, 101, 257, 1009):
+        spec = gf.make_prime_field(p)
+        assert not gf._has_full_order(spec, 0)
+        for a in range(1, p):
+            assert gf._has_full_order(spec, a) == ntheory.is_primitive_root(a, p), (p, a)
+    primes = search.sieve_primes(10**6)
+    rng = random.Random(1009)
+    for p in rng.sample(primes[1:], 300):
+        assert gf.make_prime_field(p).alpha == ntheory.primitive_root(p), p

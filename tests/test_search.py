@@ -138,6 +138,21 @@ def test_sweep_entries_fields():
     assert [e.gives_design for e in entries] == [True, True, False, False]
 
 
+def test_every_sweep_candidate_has_an_even_cofactor():
+    """q = 1 mod lcm(4, 2k) makes every cofactor e = (q-1)/k even, so one
+    lambda, (k-1)(k-2)/4, covers every hit of a sweep: every row of the
+    14 table sweeps up to 3*10^5, prime powers included."""
+    rows = powers = 0
+    for k in search.SWEEP_TABLE_KS:
+        entries = search.sweep_entries(k, 300_000, include_prime_powers=True)
+        rows += len(entries)
+        powers += sum(ent.n > 1 for ent in entries)
+        for ent in entries:
+            assert ent.e * k == ent.q - 1 and ent.e % 2 == 0, (k, ent.q)
+            assert ent.lam == ((k - 1) * (k - 2) // 4 if ent.gives_design else None)
+    assert (rows, powers) == (13_983, 235)
+
+
 def test_sweep_chunking_never_changes_entries(monkeypatch):
     """Kernel chunks of 1 row, of 7 rows and of more rows than there are
     candidates give the same sweep entries and equivalence reports; the

@@ -25,22 +25,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from psldesigns import gf  # noqa: E402
+from psldesigns import gf, search  # noqa: E402
 from scalar_oracles import search_extension_field  # noqa: E402
 
 
 def extension_orders(q_max: int) -> list[tuple[int, int]]:
     """(p, n) for every odd p**n <= q_max with n >= 2, sorted by p**n."""
-    out = []
-    p = 3
-    while p * p <= q_max:
-        if gf.factorize(p) == ((p, 1),):
-            n = 2
-            while p**n <= q_max:
-                out.append((p, n))
-                n += 1
-        p += 2
-    return sorted(out, key=lambda pn: pn[0] ** pn[1])
+    powers = search._powers_of(search._base_primes(q_max), q_max, 2)
+    return [(p, n) for p, n, _ in powers if p > 2]
 
 
 def order(line: str) -> int:

@@ -138,11 +138,10 @@ def text_seq(a: dict) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[int, object]:
-    """--pair: the pair scan. --csv or --json: the search.sweep_rows
-    blocks, one list of entries per k, each decided when the renderer
-    reaches it. Otherwise the hits of each k, taken from search.sweep,
-    which builds a SweepEntry per candidate through sweep_entries and
-    keeps the q of each hit."""
+    """--pair: the pair scan. Otherwise the search.sweep_rows blocks, one
+    list of entries per k: with --csv or --json the answer, each block
+    decided when the renderer reaches it, and in text the q of each
+    block's hits."""
     if args.pair:
         scan = search.verify_pair_coincidence(*args.pair, args.qmax)
         return (0 if scan.coincide else 1), {
@@ -156,9 +155,10 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[int, object]:
         }
     ks = list(search.SWEEP_TABLE_KS) if args.table else [args.k]
     pp = args.prime_powers
+    blocks = search.sweep_rows(ks, args.qmax, include_prime_powers=pp)
     if args.csv or args.json:
-        return 0, search.sweep_rows(ks, args.qmax, include_prime_powers=pp)
-    hits = {k: search.sweep(k, args.qmax, include_prime_powers=pp).hits for k in ks}
+        return 0, blocks
+    hits = {k: [ent.q for ent in block if ent.gives_design] for k, block in zip(ks, blocks)}
     return 0, {"table": args.table, "hits": hits}
 
 

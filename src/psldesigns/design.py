@@ -245,11 +245,12 @@ def build_design(spec: gf.FieldSpec, k: int, alpha: int | None = None) -> Design
     return Design(q=spec.q, k=k, lam=lam, blocks=blocks, is_design=is_design)
 
 
-def check_blocks(blocks: np.ndarray, k: int, v: int) -> None:
+def check_blocks(blocks: np.ndarray, k: int, v: int, offset: int = 0) -> None:
     """Raise ValueError naming the first row of the (b, k) array blocks
     that is not k distinct points of range(v) in increasing order, the
-    form the coverage recount relies on. Only bool temporaries are made,
-    and rows are reduced one by one only to name a bad one."""
+    form the coverage recount relies on, as block offset + 1 + its row.
+    Only bool temporaries are made, and rows are reduced one by one only
+    to name a bad one."""
     if blocks.shape[1] != k:
         unordered = np.ones(len(blocks), dtype=bool)
         outside = unordered
@@ -269,7 +270,7 @@ def check_blocks(blocks: np.ndarray, k: int, v: int) -> None:
         else:
             defect = f"has a point outside the range 0..{v - 1}"
         points = " ".join(map(str, blocks[n].tolist()))
-        raise ValueError(f"block {n + 1} {defect}: {points}")
+        raise ValueError(f"block {offset + n + 1} {defect}: {points}")
 
 
 def verify_design(design: Design) -> bool:
@@ -391,13 +392,16 @@ def _refuse_block_text(bad: tuple | None, outside: tuple | None, k: int, v: int)
     is the one the parse of bad and then check_blocks give on Python
     integers: the first line of bad that is not k integers, else the first
     block out of order or out of range (a point beyond int64 is out of
-    every range), which is in or before outside when there is one. Else
-    bad is one block's line, which numpy cannot read, and is named."""
+    every range), which is in or before outside when there is one. The
+    rows before the chunk are checked as they are, and only the chunk's
+    own lines as Python ints. Else bad is one block's line, which numpy
+    cannot read, and is named."""
     if bad is not None:
         _exact_blocks(bad[0], k)
     piece, done = outside or bad
-    exact = np.array(done.tolist() + _exact_blocks(piece, k), dtype=object).reshape(-1, k)
-    check_blocks(exact, k, v)
+    check_blocks(done, k, v)
+    exact = np.array(_exact_blocks(piece, k), dtype=object).reshape(-1, k)
+    check_blocks(exact, k, v, offset=len(done))
     line = piece.splitlines(keepends=True)[-1]
     raise ValueError(
         f"block {len(done) + 1} is not whitespace-separated decimal integers "

@@ -10,8 +10,10 @@ through the scalar starter context. The equivalence scans decide their
 primes the same way with batched conditions. A pair (k, 2k) with k odd
 shares its candidates, q = 1 mod 4k, so verify_pair_coincidence decides
 both of its hit lists in one such pass, from one order-2k table per prime
-(starter.decide_pair_batch); any other pair runs two sweeps. Explicit
-expansion stays in the design module.
+(starter.decide_pair_batch); any other pair runs two sweeps. sweep_rows,
+which every rendering of `sweep --table` reads, decides the prime rows
+of each such pair it is asked for in one pass too. Explicit expansion
+stays in the design module.
 """
 
 from __future__ import annotations
@@ -147,6 +149,21 @@ def _prime_entries(k: int, q: np.ndarray, ok: np.ndarray) -> list[SweepEntry]:
     ]
 
 
+def _with_prime_powers(k: int, q_max: int, entries: list[SweepEntry]) -> list[SweepEntry]:
+    """entries, the prime rows of k's sweep, with the extension-field
+    candidates q = p^n <= q_max, n >= 2, each decided by the scalar
+    context, merged in q order."""
+    m = sweep_modulus(k)
+    for p, n, q in _powers_of(_base_primes(q_max), q_max, 2):
+        if q % m == 1:
+            ctx = starter.make_starter_context(gf.field_for_order(q), k)
+            ok = starter.gives_design(ctx)
+            lam = starter.lambda_formula(k, ctx.e) if ok else None
+            entries.append(SweepEntry(k, q, p, n, ctx.e, ok, lam))
+    entries.sort(key=lambda ent: ent.q)
+    return entries
+
+
 def sweep_entries(
     k: int,
     q_max: int,
@@ -164,15 +181,7 @@ def sweep_entries(
     entries = []
     for qs, oks in _decided(partial(starter.decide_prime_batch, k), m, q_max):
         entries += _prime_entries(k, qs, oks)
-    if include_prime_powers:
-        for p, n, q in _powers_of(_base_primes(q_max), q_max, 2):
-            if q % m == 1:
-                ctx = starter.make_starter_context(gf.field_for_order(q), k)
-                ok = starter.gives_design(ctx)
-                lam = starter.lambda_formula(k, ctx.e) if ok else None
-                entries.append(SweepEntry(k, q, p, n, ctx.e, ok, lam))
-        entries.sort(key=lambda ent: ent.q)
-    return entries
+    return _with_prime_powers(k, q_max, entries) if include_prime_powers else entries
 
 
 def sweep(
@@ -202,11 +211,47 @@ def sweep_rows(
     """The sweep_entries list of each k in turn, one block per k, each
     decided only when it is asked for. Every k and the bound are checked
     here, before the first block, so a refused sweep has produced
-    nothing."""
+    nothing.
+
+    An odd k and 2k share their candidates, the primes q = 1 mod 4k, so
+    when both are asked for, the first of the two to come decides the
+    prime rows of both in one pass of starter.decide_pair_batch. The
+    other k's q and decision columns, 9 bytes a row, are held until its
+    block is due, and its entries are built from them then."""
     for k in ks:
         _check_k(k)
     _check_bound(q_max)
-    return (sweep_entries(k, q_max, include_prime_powers) for k in ks)
+    return _blocks(ks, q_max, include_prime_powers)
+
+
+def _blocks(ks: tuple[int, ...] | list[int], q_max: int, include_prime_powers: bool):
+    """sweep_rows's blocks. No block is referenced here once it has been
+    yielded, so that the consumer's release of a block frees it."""
+    held = {}  # k -> the (q, ok) chunks of its prime rows, from a pair pass
+    for i, k in enumerate(ks):
+        partner = 2 * k if k % 2 else k // 2 if k % 4 == 2 else None
+        if k in held:
+            block = [ent for qs, ok in held.pop(k) for ent in _prime_entries(k, qs, ok)]
+        elif partner in ks[i + 1 :]:
+            block, held[partner] = _pair_pass(k, partner, q_max)
+        else:
+            yield sweep_entries(k, q_max, include_prime_powers)
+            continue
+        yield _with_prime_powers(k, q_max, block) if include_prime_powers else block
+        del block
+
+
+def _pair_pass(k: int, partner: int, q_max: int) -> tuple[list[SweepEntry], list]:
+    """The prime rows of k, one of a pair (k1, 2*k1) with k1 odd, and its
+    partner's, decided in one pass from one order-2*k1 table per prime:
+    k's entries, and the partner's (q, ok) columns chunk by chunk."""
+    k1 = min(k, partner)
+    col = int(k != k1)  # k's column of decide_pair_batch
+    entries, other = [], []
+    for qs, oks in _decided(partial(starter.decide_pair_batch, k1), sweep_modulus(k1), q_max):
+        entries += _prime_entries(k, qs, oks[:, col])
+        other.append((qs, oks[:, 1 - col].copy()))
+    return entries, other
 
 
 # ---------------------------------------------------------------------------

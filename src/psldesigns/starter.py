@@ -14,6 +14,7 @@ group, live in the tests (tests/scalar_oracles.py).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 
@@ -154,17 +155,30 @@ def gives_design(ctx: StarterContext) -> bool:
 
 
 def _powmod(base: np.ndarray, exp, mod) -> np.ndarray:
-    """base**exp % mod elementwise by square-and-multiply on int64 arrays;
-    exp and mod broadcast against base. Exact for mod <= 2**31, where
-    every product stays below 2**62."""
-    base = base % mod
-    exp = np.array(exp, dtype=np.int64)  # a copy, shifted in place
-    result = np.ones(np.broadcast(base, exp, mod).shape, dtype=np.int64)
-    while exp.any():
-        result = np.where(exp & 1, result * base % mod, result)
-        exp >>= 1
-        base = base * base % mod
+    """base**exp % mod elementwise by left-to-right square-and-multiply on
+    int64 arrays; exp and mod broadcast against base, and exp 0 gives 1.
+    Exact for mod <= 2**31, where every product stays below 2**62. Each
+    step squares in place and multiplies by base only where the row's
+    exponent bit is set, into three buffers allocated once."""
+    base = np.asarray(base % mod, dtype=np.int64)
+    exp = np.asarray(exp, dtype=np.int64)
+    result = np.ones(np.broadcast_shapes(base.shape, exp.shape, np.shape(mod)), np.int64)
+    bit = np.empty(exp.shape, dtype=np.int64)
+    mask = np.empty(exp.shape, dtype=bool)
+    for i in reversed(range(int(exp.max(initial=0)).bit_length())):
+        np.multiply(result, result, out=result)
+        np.remainder(result, mod, out=result)
+        np.right_shift(exp, i, out=bit)
+        np.bitwise_and(bit, 1, out=bit)
+        np.not_equal(bit, 0, out=mask)
+        np.multiply(result, base, out=result, where=mask)
+        np.remainder(result, mod, out=result, where=mask)
     return result
+
+
+# the values of x that _order_k_elements tries together, in order: x = 2
+# alone, x = 3..10 as the columns of one power, then each x >= 11 alone
+_X_GROUPS = ((2,), tuple(range(3, 11)))
 
 
 def _order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -176,21 +190,25 @@ def _order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
     For k = 2 mod 4 a y with y**(k/2) = 1 is replaced by -y: k/2 is odd,
     so (-y)**(k/2) = -1, while (-y)**(k/r) = y**(k/r) for every odd prime
     r | k. The order test still decides every row.
+
+    The x of each group of _X_GROUPS, and then of each x >= 11 alone, are
+    the columns of one power over the rows still left, and a row takes its
+    first column that qualifies, so beta is the first x's on every row.
     """
     beta = np.zeros_like(qs)
     todo = np.arange(qs.size)
-    x = 2
+    groups = itertools.chain(_X_GROUPS, ((x,) for x in itertools.count(11)))
     while todo.size:
-        q = qs[todo]
-        y = _powmod(x, e[todo], q)
+        q, ex = qs[todo, None], e[todo, None]
+        y = _powmod(np.array(next(groups)), ex, q)
         if k % 4 == 2:
             y = np.where(_powmod(y, k // 2, q) == 1, q - y, y)
-        ok = np.ones(todo.size, dtype=bool)
+        ok = np.ones(y.shape, dtype=bool)
         for r, _ in gf.factorize(k):
             ok &= _powmod(y, k // r, q) != 1
-        beta[todo[ok]] = y[ok]
-        todo = todo[~ok]
-        x += 1
+        rows = np.flatnonzero(ok.any(axis=1))
+        beta[todo[rows]] = y[rows, ok[rows].argmax(axis=1)]
+        todo = np.delete(todo, rows)
     return beta
 
 

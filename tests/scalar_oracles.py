@@ -44,6 +44,10 @@ twice" rule:
   of starter.thm510_batch, and of starter.thm510_conditions, which reads
   every answer off a batch row. It is moved from the package unchanged,
   except that gf.embed(spec, m), since deleted, is written m % spec.p;
+- order_k_elements tries one x at a time, x = 2, 3, ..., on the rows
+  still left, against starter._order_k_elements, which tries x = 3..10
+  together and must take the same first x on every row. It is moved
+  from the package unchanged, except that _powmod is starter._powmod;
 - char_sequence picks the reduced sequence's entries by its two
   conventions' rules (m = 1..(k-1)/2 for odd k; even m < k/2, then
   chi(2), for k = 2 mod 4), against starter.char_sequence, which reads
@@ -68,6 +72,7 @@ from psldesigns.starter import (
     CharSequence,
     StarterContext,
     Thm510Conditions,
+    _powmod,
     gives_design,
     make_starter_context,
     thm510_batch,
@@ -267,6 +272,37 @@ def apply(spec: gf.FieldSpec, g: GroupElem, z: int) -> int:
         return q
     num = gf.add(spec, gf.mul(spec, g.a, z), g.b)
     return gf.mul(spec, num, gf.inv(spec, den))
+
+
+# ---------------------------------------------------------------------------
+# the order-k element search, one x at a time
+
+
+def order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Per row, an element of order k in GF(q)* for prime q = k*e + 1: the
+    first y = x**e, x = 2, 3, ..., with y**(k/r) != 1 for every prime
+    r | k (y**k = x**(q-1) = 1 holds already). A primitive root x < q
+    always qualifies, so no factorisation of q - 1 is needed.
+
+    For k = 2 mod 4 a y with y**(k/2) = 1 is replaced by -y: k/2 is odd,
+    so (-y)**(k/2) = -1, while (-y)**(k/r) = y**(k/r) for every odd prime
+    r | k. The order test still decides every row.
+    """
+    beta = np.zeros_like(qs)
+    todo = np.arange(qs.size)
+    x = 2
+    while todo.size:
+        q = qs[todo]
+        y = _powmod(x, e[todo], q)
+        if k % 4 == 2:
+            y = np.where(_powmod(y, k // 2, q) == 1, q - y, y)
+        ok = np.ones(todo.size, dtype=bool)
+        for r, _ in gf.factorize(k):
+            ok &= _powmod(y, k // r, q) != 1
+        beta[todo[ok]] = y[ok]
+        todo = todo[~ok]
+        x += 1
+    return beta
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from scalar_oracles import sweep_csv, sweep_json, sweep_row_dicts
 
@@ -451,6 +452,28 @@ def test_oracle_command(capsys):
     assert data["classifier_mismatches"] == 0
     assert data["covariance_failures"] == 0
     assert data["seed"] == cli.DEFAULT_SEED
+
+
+def test_oracle_reports_a_covariance_failure(capsys, monkeypatch):
+    """With every trial's map replaced by z -> 2z, which has the nonsquare
+    determinant 2 in GF(13), so it lies in PGL(2,13) outside PSL(2,13) and
+    swaps the two triple orbits, every covariance trial fails while the
+    classifier still agrees, and the oracle exits 1 with agreement
+    false."""
+    real = projline.sample_trials
+
+    def scaling(tables, rng, trials):
+        for elems, triples in real(tables, rng, trials):
+            yield np.broadcast_to([2, 0, 0, 1], elems.shape), triples
+
+    monkeypatch.setattr(projline, "sample_trials", scaling)
+    code, out, _ = _run(capsys, "oracle", "13", "--trials", "40", "--json")
+    data = json.loads(out)
+    assert code == 1
+    assert (data["classifier_mismatches"], data["covariance_failures"]) == (0, 40)
+    assert data["agreement"] is False
+    code, out, _ = _run(capsys, "oracle", "13", "--trials", "40")
+    assert code == 1 and "agreement: False" in out
 
 
 def test_oracle_rejects_bad_q(capsys):

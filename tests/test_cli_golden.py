@@ -207,6 +207,11 @@ CASES: dict[str, list] = {
         ["seq", "1162261467", "3194"],
         ["check", "1162261467", "3194", "--json"],
     ],
+    # the table's pairs (k, 2k) decided in one pass, with prime powers too
+    "sweep-table-pairs": [
+        ["sweep", "--table", "--csv", "--qmax", "3000"],
+        ["sweep", "--table", "--prime-powers", "--json", "--qmax", "3000"],
+    ],
 }
 
 

@@ -582,6 +582,42 @@ def test_parse_refuses_in_the_order_of_parse_then_check_blocks(d13, monkeypatch,
     assert str(refused.value) == message
 
 
+def test_refusing_the_last_block_of_181_10_checks_only_its_chunk_as_ints(monkeypatch):
+    """The (181, 10) file with its last block's first point written 1_21
+    (121 to Python's int, unreadable to numpy), or its last point 182, is
+    refused naming block 148,239. The 148,238 rows before the refused
+    chunk are checked as the parse stored them, uint8, and only the
+    chunk's own lines as Python ints, with their numbers offset."""
+    text = design.format_design(design.build_design(gf.field_for_order(181), 10))
+    head, last = text[:-1].rsplit("\n", 1)
+    points = last.split()
+    checked = []
+    real = design.check_blocks
+    monkeypatch.setattr(
+        design, "check_blocks", lambda b, *a, **kw: checked.append((b.dtype, len(b))) or real(b, *a, **kw)
+    )
+    for line, message in (
+        (
+            " ".join(["1_21"] + points[1:]),
+            "block 148239 is not 10 distinct points in increasing order: "
+            "121 121 128 133 139 157 163 168 175 180",
+        ),
+        (
+            " ".join(points[:-1] + ["182"]),
+            "block 148239 has a point outside the range 0..181: "
+            "116 121 128 133 139 157 163 168 175 182",
+        ),
+    ):
+        checked.clear()
+        with pytest.raises(ValueError) as refused:
+            design.parse_design(f"{head}\n{line}\n")
+        assert str(refused.value) == message
+        (narrow, done), (exact, rows) = checked
+        assert (narrow, exact) == (np.uint8, object)
+        # a chunk's lines are 20 characters or more
+        assert done + rows <= 148239 and rows <= design.TEXT_CHUNK_CHARS // 20 + 1, (done, rows)
+
+
 def test_build_and_verify_peaks_at_181_10(tmp_path):
     """The traced heap peaks of the build op (build_design, write_design)
     and the verify op (read_design, verify_t_design) at

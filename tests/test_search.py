@@ -1,6 +1,7 @@
 """Tests for the sweep, pair-coincidence, lift, and equivalence scans."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -214,10 +215,13 @@ def test_sweep_rows_shape():
 
 def test_sweep_rows_checks_every_argument_before_the_first_block(monkeypatch):
     """A refused sweep_rows call decides nothing: the k and bound checks
-    all run before the first block, and the blocks are decided lazily."""
+    all run before the first block, and the blocks are decided lazily,
+    the first one for one k or for one pair (k, 2k) in a single pass."""
     calls = []
-    real = search.sweep_entries
-    monkeypatch.setattr(search, "sweep_entries", lambda *a: calls.append(a) or real(*a))
+    for name in ("decide_prime_batch", "decide_pair_batch"):
+        real = getattr(starter, name)
+        probe = lambda k, qs, name=name, real=real: calls.append((name, k)) or real(k, qs)
+        monkeypatch.setattr(starter, name, probe)
     for ks, bound, message in (
         ([5, 3], 100, "outside the range k > 3"),
         ([5, 10], -5, "must be positive"),
@@ -229,7 +233,43 @@ def test_sweep_rows_checks_every_argument_before_the_first_block(monkeypatch):
     blocks = search.sweep_rows([5, 10], 100)
     assert calls == []
     next(blocks)
-    assert calls == [(5, 100, False)]
+    assert calls == [("decide_pair_batch", 5)]
+    next(blocks)  # k = 10 from the columns the pair pass held
+    assert calls == [("decide_pair_batch", 5)]
+    calls.clear()
+    blocks = search.sweep_rows([5, 17], 100)
+    assert calls == []
+    next(blocks)
+    assert calls == [("decide_prime_batch", 5)]
+
+
+@pytest.mark.parametrize("bound", [20, 300, 20_000, 10**6])
+def test_sweep_rows_equal_the_per_k_sweeps(bound):
+    """The blocks equal sweep_entries of each k, the per-k route, whether
+    a k is decided alone, first of its pair, or from the columns its
+    partner's pass held: the table, a pair asked for in reverse, one k,
+    and a pair with an unpaired k after it, without and with prime
+    powers. Bound 20 is below every candidate."""
+    sets = (search.SWEEP_TABLE_KS, [10, 5], [5], [13, 26, 5])
+    for pp in (False, True):
+        want = {k: search.sweep_entries(k, bound, pp) for k in search.SWEEP_TABLE_KS}
+        for ks in sets:
+            assert list(search.sweep_rows(ks, bound, pp)) == [want[k] for k in ks], ks
+    assert (sum(map(len, want.values())) == 0) == (bound == 20)
+
+
+def test_sweep_rows_keep_no_yielded_block(monkeypatch):
+    """Once the next block is asked for, sweep_rows holds no reference to
+    the one before, a paired or an unpaired one, so a consumer that drops
+    a block frees it while the next is built."""
+    monkeypatch.setattr(search, "DECIDE_CHUNK_ROWS", 7)
+    blocks = search.sweep_rows([5, 17, 10, 37], 20_000)
+    first = next(blocks)
+    for _ in range(3):
+        block = next(blocks)
+        assert sys.getrefcount(first) == 2  # first and getrefcount's argument
+        first = block
+    assert len(first) > 0
 
 
 def test_pair_divergences_frozen():

@@ -20,6 +20,7 @@ from scalar_oracles import (
     element_order,
     element_tables,
     has_representation,
+    order_k_elements,
     rep_gaps,
     thm510_conditions,
 )
@@ -696,7 +697,10 @@ def _passes(check, q, k):
 
 
 # the primes r | k, written out so as not to share gf.factorize
-_PRIME_DIVISORS = {4: (2,), 10: (2, 5), 26: (2, 13), 34: (2, 17), 50: (2, 5), 58: (2, 29)}
+_PRIME_DIVISORS = {
+    4: (2,), 10: (2, 5), 15: (3, 5), 21: (3, 7), 26: (2, 13), 34: (2, 17), 50: (2, 5),
+    58: (2, 29),
+}
 
 
 def test_char_sequence_matches_the_convention_rules():
@@ -738,6 +742,72 @@ def test_order_k_elements_have_order_exactly_k():
             assert all(pow(b, k // r, q) != 1 for r in divisors), (q, k)
         repaired = sum(pow(2, (q - 1) // 2, q) == 1 for q in qs.tolist())
         assert qs.size > 100 and (k == 4 or repaired > 0), k
+
+
+def _last_primes_1_mod(k, count, bound):
+    """The last count primes q = 1 mod k below bound, ascending: a window
+    of the progression below bound, each q with a prime factor below
+    isqrt(bound) struck."""
+    width = count * k * 40
+    start = bound - width + (1 - (bound - width)) % k
+    qs = np.arange(start, bound, k)
+    keep = np.ones(qs.size, dtype=bool)
+    for p in search.sieve_primes(math.isqrt(bound)):
+        if k % p:
+            keep[(-start * pow(k, -1, p)) % p :: p] = False
+    qs = qs[keep]
+    assert qs.size >= count
+    return qs[-count:]
+
+
+def _qualifies(k, x, q, divisors):
+    """Whether x**e, -1 repaired for k = 2 mod 4, has order k mod q."""
+    y = pow(x, (q - 1) // k, q)
+    if k % 4 == 2 and pow(y, k // 2, q) == 1:
+        y = q - y
+    return all(pow(y, k // r, q) != 1 for r in divisors)
+
+
+def test_order_k_elements_match_the_one_x_loop():
+    """The grouped search (x = 2, then x = 3..10 together, then x = 11, 12,
+    ... one at a time) takes the one-x loop's beta on every row, for k
+    with one, two and three prime divisors, where composite x matter, at
+    the primes q = 1 mod k below 30000 and the last 2048 below 10**8.
+    Some rows find no x <= 10 and reach the one-x steps."""
+    divisors = {**_PRIME_DIVISORS, 5: (5,), 13: (13,), 30: (2, 3, 5)}
+    primes = np.array(search.sieve_primes(30000))
+    past_ten = {}
+    for k in (4, 5, 10, 13, 15, 21, 26, 30, 50, 58):
+        qs = np.concatenate([primes[primes % k == 1], _last_primes_1_mod(k, 2048, 10**8)])
+        e = (qs - 1) // k
+        got = starter._order_k_elements(k, qs, e)
+        assert got.tolist() == order_k_elements(k, qs, e).tolist(), k
+        past_ten[k] = sum(
+            not any(_qualifies(k, x, q, divisors[k]) for x in range(2, 11))
+            for q in qs.tolist()
+        )
+    assert past_ten[4] > 0 and past_ten[15] > 0, past_ten
+
+
+def test_powmod_edge_shapes():
+    """A zero-size chunk, all-zero exponents, a scalar base against array
+    moduli (as _order_k_elements calls it), and a (rows, 1) exponent
+    against a (rows, columns) base."""
+    empty = np.zeros(0, dtype=np.int64)
+    assert starter._powmod(empty, empty, empty).shape == (0,)
+    got = starter._powmod(np.arange(3, 11), empty[:, None], empty[:, None] + 7)
+    assert got.shape == (0, 8)
+    got = starter._powmod(np.array([0, 1, 5, 40, 2**31 - 2]), np.zeros(5, np.int64), 2**31 - 1)
+    assert got.tolist() == [1] * 5
+    qs = np.array([41, 61, 101, 2**31 - 1])
+    got = starter._powmod(2, (qs - 1) // 4, qs)
+    assert got.tolist() == [pow(2, (q - 1) // 4, q) for q in qs.tolist()]
+    base = np.array([[2, 3, 5], [7, 11, 13], [0, 2**31 - 2, 1]])
+    exp = np.array([[10], [0], [2**31 - 3]])
+    mod = np.array([[41], [61], [2**31 - 1]])
+    got = starter._powmod(base, exp, mod)
+    want = [[pow(b, x[0], m[0]) for b in row] for row, x, m in zip(base.tolist(), exp.tolist(), mod.tolist())]
+    assert got.tolist() == want
 
 
 def test_pair_tables_match_prime_tables():

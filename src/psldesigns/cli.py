@@ -6,8 +6,9 @@ oracle. Exit codes are a stable contract: 0 for success / condition true,
 
 Each cmd_* handler returns (exit code, answer). main() passes the answer
 to a renderer of the same name, which reads nothing else: text_* without
---json; with it, json_* where there is one and json.dumps otherwise. A
-sweep's rows are an answer of per-k blocks, which the JSON and CSV
+--json; with it, json_* where there is one and json.dumps otherwise.
+`sweep --pair` is answered by cmd_pair, every other sweep by cmd_sweep,
+whose rows are an answer of per-k blocks, which the JSON and CSV
 renderers write one k at a time.
 """
 
@@ -138,21 +139,9 @@ def text_seq(a: dict) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[int, object]:
-    """--pair: the pair scan. Otherwise the search.sweep_rows blocks, one
-    list of entries per k: with --csv or --json the answer, each block
-    decided when the renderer reaches it, and in text the q of each
-    block's hits."""
-    if args.pair:
-        scan = search.verify_pair_coincidence(*args.pair, args.qmax)
-        return (0 if scan.coincide else 1), {
-            "k1": scan.k1,
-            "k2": scan.k2,
-            "qmax": scan.q_max,
-            "hits1": list(scan.hits1),
-            "hits2": list(scan.hits2),
-            "coincide": scan.coincide,
-            "first_divergence": scan.first_divergence,
-        }
+    """The search.sweep_rows blocks, one list of entries per k: with
+    --csv or --json the answer, each block decided when the renderer
+    reaches it, and in text the q of each block's hits."""
     ks = list(search.SWEEP_TABLE_KS) if args.table else [args.k]
     pp = args.prime_powers
     blocks = search.sweep_rows(ks, args.qmax, include_prime_powers=pp)
@@ -200,27 +189,39 @@ def _write_blocks(blocks, rows, head: str, sep: str, tail: str) -> None:
     write(tail)
 
 
-def json_sweep(a) -> None:
-    if isinstance(a, dict):  # --pair
-        _print_json(a)
-    else:  # the per-k blocks
-        _write_blocks(a, _json_rows, "[", ", ", "]\n")
+def json_sweep(blocks) -> None:
+    _write_blocks(blocks, _json_rows, "[", ", ", "]\n")
 
 
 def text_sweep(a) -> None:
     if not isinstance(a, dict):  # --csv: the per-k blocks
         _write_blocks(a, _csv_rows, _CSV_HEADER, "", "")
-    elif "coincide" in a:  # --pair
-        print(f"k={a['k1']}: {_ints(a['hits1'])}")
-        print(f"k={a['k2']}: {_ints(a['hits2'])}")
-        if a["coincide"]:
-            print("coincide up to the bound")
-        else:
-            print(f"diverge at {a['first_divergence']}")
     else:
         for k, hits in a["hits"].items():
             row = _ints(hits)
             print(f"k={k} (mod 24: {k % 24}): {row}" if a["table"] else row)
+
+
+def cmd_pair(args: argparse.Namespace) -> tuple[int, dict]:
+    scan = search.verify_pair_coincidence(*args.pair, args.qmax)
+    return (0 if scan.coincide else 1), {
+        "k1": scan.k1,
+        "k2": scan.k2,
+        "qmax": scan.q_max,
+        "hits1": list(scan.hits1),
+        "hits2": list(scan.hits2),
+        "coincide": scan.coincide,
+        "first_divergence": scan.first_divergence,
+    }
+
+
+def text_pair(a: dict) -> None:
+    print(f"k={a['k1']}: {_ints(a['hits1'])}")
+    print(f"k={a['k2']}: {_ints(a['hits2'])}")
+    if a["coincide"]:
+        print("coincide up to the bound")
+    else:
+        print(f"diverge at {a['first_divergence']}")
 
 
 def cmd_equivalence(args: argparse.Namespace) -> tuple[int, dict]:
@@ -359,8 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_sweep_mode(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Exactly one sweep mode, and no option that the mode would ignore."""
+    """Exactly one sweep mode, and no option that the mode would ignore;
+    cmd_pair answers --pair."""
     if args.pair:
+        args.handler = "cmd_pair"
         mode, unused = "--pair", {"--k": args.k is not None, "--table": args.table,
                                   "--prime-powers": args.prime_powers, "--csv": args.csv}
     elif args.table:

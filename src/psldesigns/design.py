@@ -29,7 +29,6 @@ RECOUNT_CHUNK_SUBSETS = 1 << 18
 # characters of design-file text parsed or formatted per chunk
 TEXT_CHUNK_CHARS = 1 << 18
 NON_DESIGN_FLAG = "NOT-A-3-DESIGN"
-_INT64 = np.iinfo(np.int64)
 # the line breaks of str.splitlines; and, by byte value, its ASCII line
 # breaks and the ASCII whitespace of str.split
 _LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
@@ -414,12 +413,12 @@ def _parse_blocks(text: str, pos: int, k: int, v: int, b: int) -> np.ndarray:
     _point_dtype(v).
 
     TEXT_CHUNK_CHARS of lines at a time, numpy counts each line's tokens
-    and reads the integers as int64. A chunk it cannot read exactly, or
-    that has a point at the int64 limits (where an overflowing token
-    saturates), is read again a line at a time. The first such line, with
-    the line break that ends it, and the first chunk before it with a
-    point the rows cannot hold go to _refuse_block_text once the block
-    count has been checked against b.
+    and reads the integers as int64. A chunk it cannot read exactly is
+    read again a line at a time. The first such line, with the line break
+    that ends it, and the first chunk before it with a point the rows
+    cannot hold go to _refuse_block_text once the block count has been
+    checked against b. A token past int64 saturates to an int64 limit,
+    which no range(v) holds, so it takes the second route.
     """
     # room for b rows only if the text can hold them (2k characters a
     # row), so that a header cannot make the parse allocate more than that
@@ -441,7 +440,6 @@ def _parse_blocks(text: str, pos: int, k: int, v: int, b: int) -> np.ndarray:
                 or found + len(tokens) > len(rows)
                 or (tokens != k).any()
                 or values.size != k * len(tokens)
-                or np.isin(values, (_INT64.min, _INT64.max)).any()
             ):
                 if pos >= reread:  # read this chunk again, a line at a time
                     reread = end

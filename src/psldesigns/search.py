@@ -8,12 +8,12 @@ segment of j at a time, and decides each segment's primes serially in
 row chunks by starter.decide_prime_batch; extension-field candidates go
 through the scalar starter context. The equivalence scans decide their
 primes the same way with batched conditions. A pair (k, 2k) with k odd
-shares its candidates, q = 1 mod 4k, so verify_pair_coincidence decides
-both of its hit lists in one such pass, from one order-2k table per prime
-(starter.decide_pair_batch); any other pair runs two sweeps. sweep_rows,
-which every rendering of `sweep --table` reads, decides the prime rows
-of each such pair it is asked for in one pass too. Explicit expansion
-stays in the design module.
+shares its candidates, q = 1 mod 4k, so _pair_pass decides the prime
+rows of both in one such pass, from one order-2k table per prime
+(starter.decide_pair_batch), for sweep_rows, which every rendering of
+`sweep --table` reads, and for verify_pair_coincidence, in either order;
+any other pair reads each k's chunks as sweep_entries does. Explicit
+expansion stays in the design module.
 """
 
 from __future__ import annotations
@@ -176,12 +176,15 @@ def sweep_entries(
     context."""
     _check_k(k)
     _check_bound(q_max)
-    m = sweep_modulus(k)
-    # the primes from 1 + m > k + 1 on
     entries = []
-    for qs, oks in _decided(partial(starter.decide_prime_batch, k), m, q_max):
+    for qs, oks in _prime_chunks(k, q_max):
         entries += _prime_entries(k, qs, oks)
     return _with_prime_powers(k, q_max, entries) if include_prime_powers else entries
+
+
+def _prime_chunks(k: int, q_max: int):
+    """_decided over k's prime candidates, from 1 + sweep_modulus(k) > k + 1 on."""
+    return _decided(partial(starter.decide_prime_batch, k), sweep_modulus(k), q_max)
 
 
 def sweep(
@@ -215,13 +218,17 @@ def sweep_rows(
 
     An odd k and 2k share their candidates, the primes q = 1 mod 4k, so
     when both are asked for, the first of the two to come decides the
-    prime rows of both in one pass of starter.decide_pair_batch. The
-    other k's q and decision columns, 9 bytes a row, are held until its
-    block is due, and its entries are built from them then."""
+    prime rows of both in one _pair_pass, and holds the other k's q and
+    decision columns, 10 bytes a row, until its block is due."""
     for k in ks:
         _check_k(k)
     _check_bound(q_max)
     return _blocks(ks, q_max, include_prime_powers)
+
+
+def _partner(k: int) -> int | None:
+    """The other k of the pair (k1, 2*k1), k1 odd, that k belongs to."""
+    return 2 * k if k % 2 else k // 2 if k % 4 == 2 else None
 
 
 def _blocks(ks: tuple[int, ...] | list[int], q_max: int, include_prime_powers: bool):
@@ -229,29 +236,28 @@ def _blocks(ks: tuple[int, ...] | list[int], q_max: int, include_prime_powers: b
     yielded, so that the consumer's release of a block frees it."""
     held = {}  # k -> the (q, ok) chunks of its prime rows, from a pair pass
     for i, k in enumerate(ks):
-        partner = 2 * k if k % 2 else k // 2 if k % 4 == 2 else None
-        if k in held:
-            block = [ent for qs, ok in held.pop(k) for ent in _prime_entries(k, qs, ok)]
-        elif partner in ks[i + 1 :]:
-            block, held[partner] = _pair_pass(k, partner, q_max)
-        else:
+        partner = _partner(k)
+        if k not in held and partner in ks[i + 1 :]:
+            held[k], held[partner] = _pair_pass(k, partner, q_max)
+        if k not in held:
             yield sweep_entries(k, q_max, include_prime_powers)
             continue
+        block = [ent for qs, ok in held.pop(k) for ent in _prime_entries(k, qs, ok)]
         yield _with_prime_powers(k, q_max, block) if include_prime_powers else block
         del block
 
 
-def _pair_pass(k: int, partner: int, q_max: int) -> tuple[list[SweepEntry], list]:
-    """The prime rows of k, one of a pair (k1, 2*k1) with k1 odd, and its
-    partner's, decided in one pass from one order-2*k1 table per prime:
-    k's entries, and the partner's (q, ok) columns chunk by chunk."""
+def _pair_pass(k: int, partner: int, q_max: int) -> tuple[list, list]:
+    """The (q, ok) chunks of the prime rows of k and of its partner, a
+    pair (k1, 2*k1) with k1 odd in either order, decided in one pass from
+    one order-2*k1 table per prime."""
     k1 = min(k, partner)
     col = int(k != k1)  # k's column of decide_pair_batch
-    entries, other = [], []
+    mine, other = [], []
     for qs, oks in _decided(partial(starter.decide_pair_batch, k1), sweep_modulus(k1), q_max):
-        entries += _prime_entries(k, qs, oks[:, col])
-        other.append((qs, oks[:, 1 - col].copy()))
-    return entries, other
+        mine.append((qs, oks[:, col]))
+        other.append((qs, oks[:, 1 - col]))
+    return mine, other
 
 
 # ---------------------------------------------------------------------------
@@ -277,34 +283,23 @@ def verify_pair_coincidence(k1: int, k2: int, q_max: int) -> PairScan:
 
     Each k is swept over its own candidate shape, so unrelated k diverge
     quickly: k1 = 5 vs k2 = 13 diverges at q = 41, a hit for 5 that is
-    not even a candidate for 13. For odd k1 and k2 = 2*k1 both sweep the
-    primes q = 1 (mod 4*k1), and one pass decides both hit lists from one
-    order-k2 table per prime (starter.decide_pair_batch). k1, the bound
-    and k2 are checked, in that order, before either sweep starts.
-    first_divergence is the smallest q in the symmetric difference, None
-    if the hit lists agree.
+    not even a candidate for 13. An odd k and its double both sweep the
+    primes q = 1 (mod 4k), and one _pair_pass decides both hit lists, in
+    either order; any other pair reads each k's prime chunks as
+    sweep_entries does. k1, the bound and k2 are checked, in that order,
+    before anything is decided. first_divergence is the smallest q in the
+    symmetric difference, None if the hit lists agree.
     """
     _check_k(k1)
     _check_bound(q_max)
     _check_k(k2)
-    if k1 % 2 and k2 == 2 * k1:
-        h1, h2 = [], []
-        decide = partial(starter.decide_pair_batch, k1)
-        for qs, oks in _decided(decide, sweep_modulus(k1), q_max):
-            h1 += qs[oks[:, 0]].tolist()
-            h2 += qs[oks[:, 1]].tolist()
-        h1, h2 = tuple(h1), tuple(h2)
+    if k2 == _partner(k1):
+        chunks = _pair_pass(k1, k2, q_max)
     else:
-        h1, h2 = sweep(k1, q_max).hits, sweep(k2, q_max).hits
+        chunks = _prime_chunks(k1, q_max), _prime_chunks(k2, q_max)
+    h1, h2 = (tuple(q for qs, ok in c for q in qs[ok].tolist()) for c in chunks)
     diff = set(h1) ^ set(h2)
-    return PairScan(
-        k1=k1,
-        k2=k2,
-        q_max=q_max,
-        hits1=h1,
-        hits2=h2,
-        first_divergence=min(diff) if diff else None,
-    )
+    return PairScan(k1, k2, q_max, h1, h2, min(diff) if diff else None)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,13 @@ CASES: dict[str, list] = {
         ["sweep", "--table", "--csv", "--qmax", "3000"],
         ["sweep", "--table", "--prime-powers", "--json", "--qmax", "3000"],
     ],
+    # --pair written even-first, and a pair of unrelated k, as JSON
+    "sweep-pair-either-order": [
+        ["sweep", "--pair", "10", "5", "--qmax", "3000"],
+        ["sweep", "--pair", "10", "5", "--qmax", "3000", "--json"],
+        ["sweep", "--pair", "26", "13", "--qmax", "5000", "--json"],
+        ["sweep", "--pair", "5", "13", "--qmax", "3000", "--json"],
+    ],
 }
 
 

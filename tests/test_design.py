@@ -568,6 +568,7 @@ def test_text_chunks_do_not_change_format_or_parse(d13, d17, monkeypatch):
         # a line that is not k integers comes before any block's defect
         ("0 1 2 14", "0 1 x 3", "invalid literal for int() with base 10: 'x'"),
         ("0 1 2 14", "0 1 2", "block of size 3, expected 4: '0 1 2'"),
+        ("0 1 2 99999999999999999999", "0 1 2", "block of size 3, expected 4: '0 1 2'"),
     ],
 )
 def test_parse_refuses_in_the_order_of_parse_then_check_blocks(d13, monkeypatch, size, early, late, message):

@@ -339,6 +339,38 @@ def test_one_table_pair_route_equals_two_sweeps(monkeypatch):
         assert len(segments) > 1 and max(segments) > 7, k
 
 
+def test_pair_scan_takes_one_route_in_either_order(monkeypatch):
+    """(2k, k) is decided by decide_pair_batch(k) calls only, as (k, 2k)
+    is, and equals two sweeps for the ten odd k; a pair of unrelated k
+    reads each k's decide_prime_batch chunks and equals two sweeps too.
+    Neither calls sweep_entries or sweep."""
+    want = {k: _two_sweeps(2 * k, k, 20000) for k in ONE_TABLE_KS}
+    unrelated = {pair: _two_sweeps(*pair, 20000) for pair in ((5, 13), (10, 26))}
+    assert [unrelated[p].first_divergence for p in unrelated] == [41, 41]
+
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name}{args}")
+
+        return call
+
+    for name in ("sweep_entries", "sweep"):
+        monkeypatch.setattr(search, name, refused(name))
+    calls = []
+    for name in ("decide_prime_batch", "decide_pair_batch"):
+        real = getattr(starter, name)
+        probe = lambda k, qs, name=name, real=real: calls.append((name, k)) or real(k, qs)
+        monkeypatch.setattr(starter, name, probe)
+    for k in ONE_TABLE_KS:
+        calls.clear()
+        assert search.verify_pair_coincidence(2 * k, k, 20000) == want[k], k
+        assert calls and set(calls) == {("decide_pair_batch", k)}, k
+    for pair, scan in unrelated.items():
+        calls.clear()
+        assert search.verify_pair_coincidence(*pair, 20000) == scan, pair
+        assert set(calls) == {("decide_prime_batch", k) for k in pair}, pair
+
+
 def test_pair_refused_before_any_sweep(monkeypatch):
     """verify_pair_coincidence checks k1, then the bound, then k2, with
     the sweep's own messages, before it sieves anything, so a refused k2

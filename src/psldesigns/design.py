@@ -414,19 +414,19 @@ def _parse_blocks(text: str, pos: int, k: int, v: int, b: int) -> np.ndarray:
 
     TEXT_CHUNK_CHARS of lines at a time, numpy counts each line's tokens
     and reads the integers as int64. A chunk it cannot read exactly is
-    read again a line at a time. The first such line, with the line break
-    that ends it, and the first chunk before it with a point the rows
-    cannot hold go to _refuse_block_text once the block count has been
-    checked against b. A token past int64 saturates to an int64 limit,
-    which no range(v) holds, so it takes the second route.
+    read again in halves, down to one line. The first such line, with the
+    line break that ends it, and the first chunk before it with a point
+    the rows cannot hold go to _refuse_block_text once the block count
+    has been checked against b. A token past int64 saturates to an int64
+    limit, which no range(v) holds, so it takes the second route.
     """
     # room for b rows only if the text can hold them (2k characters a
     # row), so that a header cannot make the parse allocate more than that
     fits = b >= 0 and k >= 0 and 2 * max(b, 1) * max(k, 1) <= len(text) - pos + 1
     rows = np.empty((b, k) if fits else (0, 0), dtype=_point_dtype(v))
-    found, bad, outside, reread = 0, None, None, 0
+    found, bad, outside, reread, size = 0, None, None, 0, 1
     while pos < len(text):
-        end = _line_end(text, pos + (1 if pos < reread else TEXT_CHUNK_CHARS))
+        end = _line_end(text, pos + (size if pos < reread else TEXT_CHUNK_CHARS))
         piece = text[pos:end]
         tokens = _tokens_per_line(piece)
         tokens = tokens[tokens > 0]
@@ -441,10 +441,11 @@ def _parse_blocks(text: str, pos: int, k: int, v: int, b: int) -> np.ndarray:
                 or (tokens != k).any()
                 or values.size != k * len(tokens)
             ):
-                if pos >= reread:  # read this chunk again, a line at a time
+                if pos >= reread or size > 1:  # read it again in halves, to one line
+                    size = max(1, (end - pos if pos >= reread else size) // 2)
                     reread = end
                     continue
-                bad = (piece, rows[:found])
+                bad, reread = (piece, rows[:found]), pos
             elif values.min() < 0 or values.max() >= v:
                 outside = outside or (piece, rows[:found])
             elif outside is None:

@@ -187,10 +187,6 @@ def _order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
     r | k (y**k = x**(q-1) = 1 holds already). A primitive root x < q
     always qualifies, so no factorisation of q - 1 is needed.
 
-    For k = 2 mod 4 a y with y**(k/2) = 1 is replaced by -y: k/2 is odd,
-    so (-y)**(k/2) = -1, while (-y)**(k/r) = y**(k/r) for every odd prime
-    r | k. The order test still decides every row.
-
     The x of each group of _X_GROUPS, and then of each x >= 11 alone, are
     the columns of one power over the rows still left, and a row takes its
     first column that qualifies, so beta is the first x's on every row.
@@ -201,8 +197,6 @@ def _order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
     while todo.size:
         q, ex = qs[todo, None], e[todo, None]
         y = _powmod(np.array(next(groups)), ex, q)
-        if k % 4 == 2:
-            y = np.where(_powmod(y, k // 2, q) == 1, q - y, y)
         ok = np.ones(y.shape, dtype=bool)
         for r, _ in gf.factorize(k):
             ok &= _powmod(y, k // r, q) != 1
@@ -264,7 +258,9 @@ def _prime_tables(k: int, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per prime q of qs: the cofactor e, an element beta of order k and
     the table t[m] = chi(1 - beta^m) (t[:, 0] = 0), as int64 arrays.
     Each q must pass starter_cofactor and gf.check_size. Primality is not
-    checked here: the callers take qs from a sieve.
+    checked here: the callers take qs from a sieve. For k = 2 (mod 4) the
+    search runs at the odd order k/2, for the root rho = beta^2, and beta
+    is -rho^((k+2)/4), the square root of rho whose (k/2)-th power is -1.
 
     Only m <= k/2 is decided: with an even cofactor beta is a square and
     chi(-1) = 1 (q = 1 mod 4), so t[k-m] = chi(-beta^-m (1 - beta^m)) =
@@ -276,15 +272,15 @@ def _prime_tables(k: int, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     qs = np.asarray(qs, dtype=np.int64)
     e = _cofactors(k, qs)
     gf.check_size(qs.max(initial=0))
-    beta = _order_k_elements(k, qs, e)
+    g = 2 if k % 4 == 2 else 1  # k = 2 (mod 4): every basis column is even
+    root = _order_k_elements(k // g, qs, g * e)  # beta^g
+    beta = root if g == 1 else qs - _powmod(root, (k + 2) // 4, qs)
     basis, steps = _euler_plan(k)
     col = {m: j for j, m in enumerate(basis)}
     x = np.empty((qs.size, len(basis)), dtype=np.int64)  # 1 - beta^m, m in basis
-    g = 2 if k % 4 == 2 else 1  # k = 2 (mod 4): every basis column is even
-    beta_g = beta**g % qs
     power = np.ones_like(qs)
     for m in range(g, basis[-1] + 1, g):
-        power = power * beta_g % qs
+        power = power * root % qs
         if m in col:
             x[:, col[m]] = 1 - power
     t = np.zeros((qs.size, k), dtype=np.int64)  # t[:, 0] = 0 drops zero gaps

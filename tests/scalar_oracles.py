@@ -283,10 +283,6 @@ def order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
     first y = x**e, x = 2, 3, ..., with y**(k/r) != 1 for every prime
     r | k (y**k = x**(q-1) = 1 holds already). A primitive root x < q
     always qualifies, so no factorisation of q - 1 is needed.
-
-    For k = 2 mod 4 a y with y**(k/2) = 1 is replaced by -y: k/2 is odd,
-    so (-y)**(k/2) = -1, while (-y)**(k/r) = y**(k/r) for every odd prime
-    r | k. The order test still decides every row.
     """
     beta = np.zeros_like(qs)
     todo = np.arange(qs.size)
@@ -294,8 +290,6 @@ def order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
     while todo.size:
         q = qs[todo]
         y = _powmod(x, e[todo], q)
-        if k % 4 == 2:
-            y = np.where(_powmod(y, k // 2, q) == 1, q - y, y)
         ok = np.ones(todo.size, dtype=bool)
         for r, _ in gf.factorize(k):
             ok &= _powmod(y, k // r, q) != 1

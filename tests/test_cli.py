@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scalar_oracles import sweep_csv, sweep_json, sweep_row_dicts
 
-from psldesigns import cli, design, gf, projline, search
+from psldesigns import cli, design, gf, projline, search, starter
 
 
 def _run(capsys, *argv):
@@ -79,6 +79,17 @@ def test_check_json(capsys):
         "sequence": [1, -1, 1],
         "sequence_convention": "even2mod4",
     }
+
+
+def test_check_computes_the_signed_count_once(capsys, monkeypatch):
+    """One delta_sum per even-cofactor check, none for an odd cofactor."""
+    calls = []
+    real = starter.delta_sum
+    monkeypatch.setattr(starter, "delta_sum", lambda ctx: calls.append(ctx.spec.q) or real(ctx))
+    for argv, want in ((("41", "10"), [41]), (("17", "4"), [17]), (("13", "4"), [])):
+        calls.clear()
+        _run(capsys, "check", *argv)
+        assert calls == want, argv
 
 
 def test_build_and_verify(capsys, tmp_path):

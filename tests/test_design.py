@@ -619,6 +619,26 @@ def test_refusing_the_last_block_of_181_10_checks_only_its_chunk_as_ints(monkeyp
         assert done + rows <= 148239 and rows <= design.TEXT_CHUNK_CHARS // 20 + 1, (done, rows)
 
 
+def test_refusing_a_block_of_181_10_rereads_in_halves(monkeypatch):
+    """At the default chunk size, the (181, 10) file with block 4's or the
+    last block's first point written 1_0 is refused in at most 64 token
+    counts: the refused chunk is read again in halves down to one line,
+    and the lines after that line are counted a chunk at a time."""
+    text = design.format_design(design.build_design(gf.field_for_order(181), 10))
+    lines = text.splitlines()
+    passes = []
+    real = design._tokens_per_line
+    monkeypatch.setattr(design, "_tokens_per_line", lambda piece: passes.append(1) or real(piece))
+    for block in (4, 148239):
+        edited = list(lines)
+        points = edited[block + 1].split()  # after the header and flag lines
+        edited[block + 1] = " ".join(["1_0"] + points[1:])
+        passes.clear()
+        with pytest.raises(ValueError, match=f"^block {block} is not "):
+            design.parse_design("\n".join(edited) + "\n")
+        assert len(passes) <= 64, (block, len(passes))
+
+
 def test_build_and_verify_peaks_at_181_10(tmp_path):
     """The traced heap peaks of the build op (build_design, write_design)
     and the verify op (read_design, verify_t_design) at

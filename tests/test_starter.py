@@ -730,8 +730,7 @@ def test_char_sequence_matches_the_convention_rules():
 
 
 def test_order_k_elements_have_order_exactly_k():
-    """At every prime q = 1 mod k below 30000, including the rows where
-    x**e has y**(k/2) = 1 and the -1 repair applies."""
+    """At every prime q = 1 mod k below 30000."""
     primes = search.sieve_primes(30000)
     for k, divisors in _PRIME_DIVISORS.items():
         qs = np.array([q for q in primes if q % k == 1])
@@ -740,8 +739,7 @@ def test_order_k_elements_have_order_exactly_k():
         for q, b in zip(qs.tolist(), beta):
             assert pow(b, k, q) == 1, (q, k)
             assert all(pow(b, k // r, q) != 1 for r in divisors), (q, k)
-        repaired = sum(pow(2, (q - 1) // 2, q) == 1 for q in qs.tolist())
-        assert qs.size > 100 and (k == 4 or repaired > 0), k
+        assert qs.size > 100, k
 
 
 def _last_primes_1_mod(k, count, bound):
@@ -761,10 +759,8 @@ def _last_primes_1_mod(k, count, bound):
 
 
 def _qualifies(k, x, q, divisors):
-    """Whether x**e, -1 repaired for k = 2 mod 4, has order k mod q."""
+    """Whether x**e has order k mod q."""
     y = pow(x, (q - 1) // k, q)
-    if k % 4 == 2 and pow(y, k // 2, q) == 1:
-        y = q - y
     return all(pow(y, k // r, q) != 1 for r in divisors)
 
 
@@ -928,6 +924,39 @@ def test_prime_tables_match_euler_at_every_column():
             assert row == [0] + chi, (q, k)
         rows += len(qs)
     assert rows == 4253
+
+
+def test_prime_tables_at_k_2_mod_4_square_to_the_odd_order_tables():
+    """At every k = 2 mod 4 from 10 to 62 and every sweep candidate below
+    10**6: beta^2 is _prime_tables(k/2)'s beta, and the even columns of
+    the order-k table are its order-k/2 table."""
+    primes = np.array(search.sieve_primes(10**6))
+    for k in range(10, 63, 4):
+        qs = primes[primes % search.sweep_modulus(k) == 1]
+        _, beta, t = starter._prime_tables(k, qs)
+        _, root, half = starter._prime_tables(k // 2, qs)
+        assert qs.size > 100, k
+        assert (beta * beta % qs).tolist() == root.tolist(), k
+        assert t[:, ::2].tolist() == half.tolist(), k
+
+
+def test_prime_tables_search_no_order_2_mod_4(monkeypatch):
+    """For k = 2 mod 4 the element search runs at the odd order k/2, so no
+    batch op asks _order_k_elements for an order k = 2 mod 4."""
+    orders = []
+    real = starter._order_k_elements
+    monkeypatch.setattr(
+        starter, "_order_k_elements", lambda k, *a: orders.append(k) or real(k, *a)
+    )
+    primes = np.array(search.sieve_primes(20000))
+    for k in range(4, 65):
+        starter.decide_prime_batch(k, primes[primes % search.sweep_modulus(k) == 1])
+    for k in (5, 13, 29):
+        starter.decide_pair_batch(k, primes[primes % (4 * k) == 1])
+    starter.thm510_batch(primes[primes % 20 == 1])
+    starter.thm1326_batch(primes[primes % 52 == 1])
+    assert set(range(5, 33, 2)) | {4} <= set(orders)
+    assert [k for k in orders if k % 4 == 2] == []
 
 
 def test_batched_cornacchia_matches_the_scalar_search():

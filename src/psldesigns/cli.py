@@ -8,8 +8,9 @@ Each cmd_* handler returns (exit code, answer). main() passes the answer
 to a renderer of the same name, which reads nothing else: text_* without
 --json; with it, json_* where there is one and json.dumps otherwise.
 `sweep --pair` is answered by cmd_pair, every other sweep by cmd_sweep,
-whose rows are an answer of per-k blocks, which the JSON and CSV
-renderers write one k at a time.
+whose rows are an answer of per-k search.SweepBlock columns, which the
+JSON and CSV renderers write a chunk of rows at a time, each row one
+f-string of pieces made once per k, with a hit or a miss tail.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import functools
 import json
 import random
 import sys
+from itertools import repeat
 
 from psldesigns import design, gf, projline, search, starter
 
 DEFAULT_SEED = 20250841
 _CSV_HEADER = "k,k_mod_24,q,p,n,e_parity,lambda,gives_design\r\n"
-_NO_LAMBDA = '""'
 
 
 def _print_json(answer) -> None:
@@ -139,63 +140,64 @@ def text_seq(a: dict) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[int, object]:
-    """The search.sweep_rows blocks, one list of entries per k: with
-    --csv or --json the answer, each block decided when the renderer
-    reaches it, and in text the q of each block's hits."""
+    """The search.sweep_rows blocks, one SweepBlock per k: with --csv or
+    --json the answer, each block decided when the renderer reaches it,
+    and in text the q of each block's hits."""
     ks = list(search.SWEEP_TABLE_KS) if args.table else [args.k]
     pp = args.prime_powers
     blocks = search.sweep_rows(ks, args.qmax, include_prime_powers=pp)
     if args.csv or args.json:
         return 0, blocks
-    hits = {k: [ent.q for ent in block if ent.gives_design] for k, block in zip(ks, blocks)}
+    hits = {b.k: b.q[b.ok].tolist() for b in blocks}
     return 0, {"table": args.table, "hits": hits}
 
 
-def _json_rows(block: list[search.SweepEntry]) -> list[str]:
-    """One k's entries as JSON row objects, in the bytes that json.dumps
-    gives their row dicts."""
-    k = block[0].k
-    head = f'{{"k": {k}, "k_mod_24": {k % 24}, "q": '
-    return [
-        f'{head}{q}, "p": {p}, "n": {n}, "e_parity": "{"odd" if e % 2 else "even"}", '
-        f'"lambda": {_NO_LAMBDA if lam is None else lam}, '
-        f'"gives_design": {"true" if ok else "false"}}}'
-        for _, q, p, n, e, ok, lam in block
+def _json_row(k: int, lam: int | None) -> tuple:
+    """The pieces of k's JSON row objects, in the bytes that json.dumps
+    gives their row dicts: the head before q, the texts before p and n,
+    and the miss and hit tails. Every sweep cofactor is even."""
+    tails = [
+        f', "e_parity": "even", "lambda": {x}, "gives_design": {ok}}}'
+        for x, ok in (('""', "false"), (lam, "true"))
     ]
+    return f'{{"k": {k}, "k_mod_24": {k % 24}, "q": ', ', "p": ', ', "n": ', tails
 
 
-def _csv_rows(block: list[search.SweepEntry]) -> list[str]:
-    """One k's entries as CSV lines, in the bytes that csv.DictWriter
-    gives their row dicts."""
-    k = block[0].k
-    head = f"{k},{k % 24},"
-    return [
-        f"{head}{q},{p},{n},{'odd' if e % 2 else 'even'},"
-        f"{'' if lam is None else lam},{ok}\r\n"
-        for _, q, p, n, e, ok, lam in block
-    ]
+def _csv_row(k: int, lam: int | None) -> tuple:
+    """The pieces of k's CSV lines, as _json_row's, in the bytes that
+    csv.DictWriter gives their row dicts."""
+    tails = [f",even,{x},{ok}\r\n" for x, ok in (("", False), (lam, True))]
+    return f"{k},{k % 24},", ",", ",", tails
 
 
-def _write_blocks(blocks, rows, head: str, sep: str, tail: str) -> None:
-    """head, the rows of every non-empty block with sep between two rows,
-    and tail. Each block is written before the next one is decided."""
-    write, between = sys.stdout.write, ""
+def _write_blocks(blocks, row, head: str, sep: str, tail: str) -> None:
+    """head, the rows of every block with sep between two rows, and tail.
+    Each row is one f-string of the pieces row(k, lam) makes once per
+    block. The rows are written search.DECIDE_CHUNK_ROWS, the kernel's
+    chunk, at a time, and each block before the next one is decided."""
+    write, between, step = sys.stdout.write, "", search.DECIDE_CHUNK_ROWS
     write(head)
-    for block in blocks:
-        if block:
+    for b in blocks:
+        start, at_p, at_n, tails = row(b.k, b.lam)
+        for i in range(0, len(b), step):
+            q, p, n, ok = (c[i : i + step].tolist() for c in (b.q, b.p, b.n, b.ok))
+            if b.p is b.q:  # prime rows only: q becomes text once, for p too; n is 1
+                q = p = list(map(str, q))
+                n = repeat("1")
+            rows = [f"{start}{x}{at_p}{y}{at_n}{z}{tails[o]}" for x, y, z, o in zip(q, p, n, ok)]
             write(between)
-            write(sep.join(rows(block)))
+            write(sep.join(rows))
             between = sep
     write(tail)
 
 
 def json_sweep(blocks) -> None:
-    _write_blocks(blocks, _json_rows, "[", ", ", "]\n")
+    _write_blocks(blocks, _json_row, "[", ", ", "]\n")
 
 
 def text_sweep(a) -> None:
     if not isinstance(a, dict):  # --csv: the per-k blocks
-        _write_blocks(a, _csv_rows, _CSV_HEADER, "", "")
+        _write_blocks(a, _csv_row, _CSV_HEADER, "", "")
     else:
         for k, hits in a["hits"].items():
             row = _ints(hits)

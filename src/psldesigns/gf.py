@@ -59,7 +59,7 @@ def _small_primes() -> tuple[int, ...]:
     for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+    return tuple(np.flatnonzero(np.frombuffer(sieve, np.uint8)).tolist())
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,9 @@ shares its candidates, q = 1 mod 4k, so _pair_pass decides the prime
 rows of both in one such pass, from one order-2k table per prime
 (starter.decide_pair_batch), for sweep_rows, which every rendering of
 `sweep --table` reads, and for verify_pair_coincidence, in either order;
-any other pair reads each k's chunks as sweep_entries does. Explicit
-expansion stays in the design module.
+any other pair reads each k's chunks as sweep_entries does. _block puts
+every k's rows in one SweepBlock of columns, which sweep_entries expands
+to SweepEntry tuples. Explicit expansion stays in the design module.
 """
 
 from __future__ import annotations
@@ -137,31 +138,53 @@ class SweepEntry(NamedTuple):
     lam: int | None
 
 
-def _prime_entries(k: int, q: np.ndarray, ok: np.ndarray) -> list[SweepEntry]:
-    """SweepEntry rows for prime q from the columns q (int64) and ok
-    (bool). Every candidate has q = 1 mod lcm(4, 2k) and so an even e:
-    one lambda, asked for only when there is a hit, covers every hit."""
-    e = (q - 1) // k
-    lam = starter.lambda_formula(k, int(e[0])) if ok.any() else None
-    return [
-        SweepEntry(k, x, x, 1, ex, okx, lam if okx else None)
-        for x, ex, okx in zip(q.tolist(), e.tolist(), ok.tolist())
-    ]
+@dataclass(frozen=True, eq=False)
+class SweepBlock:
+    """One k's sweep rows as columns, in increasing q order: q, p and n
+    (int64) and ok (bool), whether q gives a design. Every candidate has
+    q = 1 mod lcm(4, 2k) and so an even cofactor: lam, the one lambda of
+    every hit, is None when no row is a hit. When every row is prime, p
+    is q itself and n a read-only broadcast 1. len() is the row count."""
+
+    k: int
+    q: np.ndarray
+    p: np.ndarray
+    n: np.ndarray
+    ok: np.ndarray
+    lam: int | None
+
+    def __len__(self) -> int:
+        return self.q.size
+
+    def entries(self) -> list[SweepEntry]:
+        """One SweepEntry per row."""
+        k, lam = self.k, self.lam
+        cols = (self.q.tolist(), self.p.tolist(), self.n.tolist(), self.ok.tolist())
+        return [
+            SweepEntry(k, q, p, n, (q - 1) // k, ok, lam if ok else None)
+            for q, p, n, ok in zip(*cols)
+        ]
 
 
-def _with_prime_powers(k: int, q_max: int, entries: list[SweepEntry]) -> list[SweepEntry]:
-    """entries, the prime rows of k's sweep, with the extension-field
-    candidates q = p^n <= q_max, n >= 2, each decided by the scalar
-    context, merged in q order."""
-    m = sweep_modulus(k)
-    for p, n, q in _powers_of(_base_primes(q_max), q_max, 2):
-        if q % m == 1:
-            ctx = starter.make_starter_context(gf.field_for_order(q), k)
-            ok = starter.gives_design(ctx)
-            lam = starter.lambda_formula(k, ctx.e) if ok else None
-            entries.append(SweepEntry(k, q, p, n, ctx.e, ok, lam))
-    entries.sort(key=lambda ent: ent.q)
-    return entries
+def _block(k: int, chunks, q_max: int, include_prime_powers: bool) -> SweepBlock:
+    """k's SweepBlock from the (q, ok) chunks of its prime rows and, with
+    include_prime_powers, the extension-field candidates q = p^n <= q_max,
+    n >= 2, each decided by the scalar context, merged in q order. One
+    lambda is asked for only when there is a hit."""
+    # an empty first chunk gives a k with no candidates empty columns
+    q, ok = (np.concatenate(c) for c in zip((np.empty(0, np.int64), np.empty(0, bool)), *chunks))
+    p, n = q, np.broadcast_to(np.int64(1), q.shape)  # n = 1 on every row, held once
+    if include_prime_powers:
+        m = sweep_modulus(k)
+        powers = [t for t in _powers_of(_base_primes(q_max), q_max, 2) if t[2] % m == 1]
+        ext_p, ext_n, ext_q = np.array(powers, dtype=np.int64).reshape(-1, 3).T
+        ctxs = (starter.make_starter_context(gf.field_for_order(x), k) for x in ext_q.tolist())
+        ext_ok = [starter.gives_design(ctx) for ctx in ctxs]
+        order = np.argsort(np.concatenate([q, ext_q]))
+        q, p, n = (np.concatenate(c)[order] for c in ((q, ext_q), (p, ext_p), (n, ext_n)))
+        ok = np.concatenate([ok, np.array(ext_ok, dtype=bool)])[order]
+    lam = starter.lambda_formula(k, (int(q[0]) - 1) // k) if ok.any() else None
+    return SweepBlock(k, q, p, n, ok, lam)
 
 
 def sweep_entries(
@@ -176,10 +199,7 @@ def sweep_entries(
     context."""
     _check_k(k)
     _check_bound(q_max)
-    entries = []
-    for qs, oks in _prime_chunks(k, q_max):
-        entries += _prime_entries(k, qs, oks)
-    return _with_prime_powers(k, q_max, entries) if include_prime_powers else entries
+    return _block(k, _prime_chunks(k, q_max), q_max, include_prime_powers).entries()
 
 
 def _prime_chunks(k: int, q_max: int):
@@ -210,11 +230,11 @@ def sweep_rows(
     ks: tuple[int, ...] | list[int],
     q_max: int,
     include_prime_powers: bool = False,
-) -> Iterator[list[SweepEntry]]:
-    """The sweep_entries list of each k in turn, one block per k, each
-    decided only when it is asked for. Every k and the bound are checked
-    here, before the first block, so a refused sweep has produced
-    nothing.
+) -> Iterator[SweepBlock]:
+    """The SweepBlock of each k in turn, the rows that sweep_entries
+    expands, each decided only when it is asked for. Every k and the
+    bound are checked here, before the first block, so a refused sweep
+    has produced nothing.
 
     An odd k and 2k share their candidates, the primes q = 1 mod 4k, so
     when both are asked for, the first of the two to come decides the
@@ -232,19 +252,16 @@ def _partner(k: int) -> int | None:
 
 
 def _blocks(ks: tuple[int, ...] | list[int], q_max: int, include_prime_powers: bool):
-    """sweep_rows's blocks. No block is referenced here once it has been
-    yielded, so that the consumer's release of a block frees it."""
+    """sweep_rows's blocks. Nothing of a block is referenced here once it
+    has been yielded, so that the consumer's release of it frees it."""
     held = {}  # k -> the (q, ok) chunks of its prime rows, from a pair pass
     for i, k in enumerate(ks):
         partner = _partner(k)
         if k not in held and partner in ks[i + 1 :]:
             held[k], held[partner] = _pair_pass(k, partner, q_max)
-        if k not in held:
-            yield sweep_entries(k, q_max, include_prime_powers)
-            continue
-        block = [ent for qs, ok in held.pop(k) for ent in _prime_entries(k, qs, ok)]
-        yield _with_prime_powers(k, q_max, block) if include_prime_powers else block
-        del block
+        yield _block(
+            k, held.pop(k) if k in held else _prime_chunks(k, q_max), q_max, include_prime_powers
+        )
 
 
 def _pair_pass(k: int, partner: int, q_max: int) -> tuple[list, list]:

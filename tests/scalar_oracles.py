@@ -29,6 +29,12 @@ twice" rule:
   against which projline.apply_to_points and point_permutation, the
   array route on GF(q)'s exp and log tables, are tested. It is moved
   from the package unchanged;
+- sweep_entries_by_row builds a sweep's SweepEntry list one entry at a
+  time from the kernel's prime chunks (prime_entries), with the
+  extension-field rows merged by a sort on q (with_prime_powers),
+  against search.SweepBlock, whose columns every sweep renders and
+  whose entries() search.sweep_entries returns. prime_entries and
+  with_prime_powers are moved from the package unchanged;
 - sweep_row_dicts, sweep_json and sweep_csv render sweep rows through
   one dict per row, json.dumps and csv.DictWriter, against which the
   CLI's streamed `sweep --json` and `--csv` output is tested;
@@ -66,7 +72,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from psldesigns import gf, projline, search
+from psldesigns import gf, projline, search, starter
 from psldesigns.projline import GroupElem
 from psldesigns.starter import (
     CharSequence,
@@ -297,6 +303,49 @@ def order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
         todo = todo[~ok]
         x += 1
     return beta
+
+
+# ---------------------------------------------------------------------------
+# sweep entries one row at a time
+
+
+def prime_entries(k: int, q: np.ndarray, ok: np.ndarray) -> list[search.SweepEntry]:
+    """SweepEntry rows for prime q from the columns q (int64) and ok
+    (bool). Every candidate has q = 1 mod lcm(4, 2k) and so an even e:
+    one lambda, asked for only when there is a hit, covers every hit."""
+    e = (q - 1) // k
+    lam = starter.lambda_formula(k, int(e[0])) if ok.any() else None
+    return [
+        search.SweepEntry(k, x, x, 1, ex, okx, lam if okx else None)
+        for x, ex, okx in zip(q.tolist(), e.tolist(), ok.tolist())
+    ]
+
+
+def with_prime_powers(
+    k: int, q_max: int, entries: list[search.SweepEntry]
+) -> list[search.SweepEntry]:
+    """entries, the prime rows of k's sweep, with the extension-field
+    candidates q = p^n <= q_max, n >= 2, each decided by the scalar
+    context, merged in q order."""
+    m = search.sweep_modulus(k)
+    for p, n, q in search._powers_of(search._base_primes(q_max), q_max, 2):
+        if q % m == 1:
+            ctx = starter.make_starter_context(gf.field_for_order(q), k)
+            ok = starter.gives_design(ctx)
+            lam = starter.lambda_formula(k, ctx.e) if ok else None
+            entries.append(search.SweepEntry(k, q, p, n, ctx.e, ok, lam))
+    entries.sort(key=lambda ent: ent.q)
+    return entries
+
+
+def sweep_entries_by_row(
+    k: int, q_max: int, include_prime_powers: bool = False
+) -> list[search.SweepEntry]:
+    """k's sweep entries from its kernel chunks, one entry at a time."""
+    entries = []
+    for qs, oks in search._prime_chunks(k, q_max):
+        entries += prime_entries(k, qs, oks)
+    return with_prime_powers(k, q_max, entries) if include_prime_powers else entries
 
 
 # ---------------------------------------------------------------------------

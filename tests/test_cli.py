@@ -592,6 +592,43 @@ def test_sweep_rows_stream_in_bounded_memory():
         assert peak < 2.5 * 2**20, (fmt, peak)
 
 
+def test_sweep_k_json_holds_one_chunk_of_rows():
+    """`sweep --k 5 --json` writes its rows one kernel chunk at a time
+    from the block's columns: to 2,000,000 (18,586 rows, 2.05 MiB of
+    output) it peaks under 2 MiB, where holding a SweepEntry per row and
+    every row's string took 8.6 MiB."""
+    sink = _Discard()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(["sweep", "--k", "5", "--qmax", "2000000", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.size) == (0, 2_152_243)
+    assert peak < 2 * 2**20, peak
+
+
+def test_sweep_renders_without_a_sweep_entry(capsys, monkeypatch):
+    """Every rendering of the table, and of one k with prime powers, reads
+    the blocks' columns: with search.SweepEntry replaced by a function
+    that raises, text, --csv and --json print what they print with it."""
+    argvs = [
+        ["sweep", *mode, "--qmax", "30000", *fmt]
+        for mode in (["--table"], ["--k", "13", "--prime-powers"])
+        for fmt in ([], ["--csv"], ["--json"])
+    ]
+    want = [_run(capsys, *argv) for argv in argvs]
+    assert all(code == 0 and out and not err for code, out, err in want)
+
+    def refused(*args):
+        raise AssertionError(f"SweepEntry{args}")
+
+    monkeypatch.setattr(search, "SweepEntry", refused)
+    for argv, expected in zip(argvs, want):
+        assert _run(capsys, *argv) == expected, argv
+
+
 def test_sweep_rejects_options_its_mode_ignores(capsys):
     for argv, flag in (
         (["--pair", "5", "10", "--k", "5"], "--k"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from psldesigns import cli, gf, search, starter
-from scalar_oracles import prime_flags, sweep_row_dicts
+from scalar_oracles import prime_flags, sweep_entries_by_row, sweep_row_dicts
 
 
 def test_sieve_primes_against_naive():
@@ -196,12 +196,14 @@ def test_sweep_bound_over_size_limit_refused_before_sieving(monkeypatch):
 
 
 def test_sweep_rows_shape():
-    """One block per k, each that k's sweep_entries list; the reference
-    renderer turns the blocks into rows of the CSV/JSON columns."""
+    """One block per k, whose rows expand to that k's sweep_entries list;
+    the reference renderer turns the entries into rows of the CSV/JSON
+    columns."""
     blocks = list(search.sweep_rows([5, 17], 100))
-    assert blocks == [search.sweep_entries(5, 100), search.sweep_entries(17, 100)]
+    expanded = [b.entries() for b in blocks]
+    assert expanded == [search.sweep_entries(5, 100), search.sweep_entries(17, 100)]
     assert [len(b) for b in blocks] == [2, 0]
-    assert blocks[0][0] == search.SweepEntry(5, 41, 41, 1, 8, True, 3)
+    assert expanded[0][0] == search.SweepEntry(5, 41, 41, 1, 8, True, 3)
     rows = sweep_row_dicts([5, 17], 100)
     assert len(rows) == 2
     cols = ["k", "k_mod_24", "q", "p", "n", "e_parity", "lambda", "gives_design"]
@@ -245,17 +247,36 @@ def test_sweep_rows_checks_every_argument_before_the_first_block(monkeypatch):
 
 @pytest.mark.parametrize("bound", [20, 300, 20_000, 10**6])
 def test_sweep_rows_equal_the_per_k_sweeps(bound):
-    """The blocks equal sweep_entries of each k, the per-k route, whether
-    a k is decided alone, first of its pair, or from the columns its
-    partner's pass held: the table, a pair asked for in reverse, one k,
-    and a pair with an unpaired k after it, without and with prime
-    powers. Bound 20 is below every candidate."""
+    """The blocks' rows, and sweep_entries of each k, equal the entries
+    that the oracle builds one row at a time from each k's own kernel
+    chunks, whether a k is decided alone, first of its pair, or from the
+    columns its partner's pass held: the table, a pair asked for in
+    reverse, one k, and a pair with an unpaired k after it, without and
+    with prime powers. Bound 20 is below every candidate."""
     sets = (search.SWEEP_TABLE_KS, [10, 5], [5], [13, 26, 5])
     for pp in (False, True):
-        want = {k: search.sweep_entries(k, bound, pp) for k in search.SWEEP_TABLE_KS}
+        want = {k: sweep_entries_by_row(k, bound, pp) for k in search.SWEEP_TABLE_KS}
         for ks in sets:
-            assert list(search.sweep_rows(ks, bound, pp)) == [want[k] for k in ks], ks
+            got = [b.entries() for b in search.sweep_rows(ks, bound, pp)]
+            assert got == [want[k] for k in ks], ks
+        for k in search.SWEEP_TABLE_KS:
+            assert search.sweep_entries(k, bound, pp) == want[k], (k, pp)
     assert (sum(map(len, want.values())) == 0) == (bound == 20)
+
+
+def test_every_expanded_block_row_has_an_even_cofactor():
+    """The renderers print every row's e_parity as even and one lambda
+    per k: every row of the table's blocks to 3*10^5, paired, unpaired
+    and prime-power rows alike, expands to an even e = (q-1)/k, and each
+    hit to the block's lambda, (k-1)(k-2)/4."""
+    rows = 0
+    for block in search.sweep_rows(search.SWEEP_TABLE_KS, 300_000, True):
+        k = block.k
+        for ent in block.entries():
+            assert ent.e * k == ent.q - 1 and ent.e % 2 == 0, (k, ent.q)
+            assert ent.lam == ((k - 1) * (k - 2) // 4 if ent.gives_design else None)
+        rows += len(block)
+    assert rows == 13_983
 
 
 def test_sweep_rows_keep_no_yielded_block(monkeypatch):

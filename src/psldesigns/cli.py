@@ -20,7 +20,6 @@ import functools
 import json
 import random
 import sys
-from itertools import repeat
 
 from psldesigns import design, gf, projline, search, starter
 
@@ -181,9 +180,6 @@ def _write_blocks(blocks, row, head: str, sep: str, tail: str) -> None:
         start, at_p, at_n, tails = row(b.k, b.lam)
         for i in range(0, len(b), step):
             q, p, n, ok = (c[i : i + step].tolist() for c in (b.q, b.p, b.n, b.ok))
-            if b.p is b.q:  # prime rows only: q becomes text once, for p too; n is 1
-                q = p = list(map(str, q))
-                n = repeat("1")
             rows = [f"{start}{x}{at_p}{y}{at_n}{z}{tails[o]}" for x, y, z, o in zip(q, p, n, ok)]
             write(between)
             write(sep.join(rows))

@@ -574,39 +574,29 @@ class _Discard:
 
 
 def test_sweep_rows_stream_in_bounded_memory():
-    """--json and --csv write their rows a k at a time, so memory holds the
-    largest k's entries and not the output: the table to 200,000 peaks
-    under 2.5 MiB, where rendering every row at once takes 7.2 MiB for
-    JSON and 3.5 MiB for CSV."""
+    """--json and --csv write their rows one kernel chunk at a time from
+    the blocks' columns, so memory holds neither the output nor a row per
+    candidate: the table to 200,000 peaks under 2.5 MiB, where rendering
+    every row at once takes 7.2 MiB for JSON and 3.5 MiB for CSV, and
+    `--k 5 --json` to 2,000,000 (18,586 rows, 2.05 MiB of output) under
+    2 MiB, where holding a SweepEntry per row and every row's string took
+    8.6 MiB."""
     rows = sweep_row_dicts(search.SWEEP_TABLE_KS, 200000)
-    for fmt, render in (("--json", sweep_json), ("--csv", sweep_csv)):
+    cases = [
+        (["--table", "--qmax", "200000", fmt], len(render(rows)), 2.5)
+        for fmt, render in (("--json", sweep_json), ("--csv", sweep_csv))
+    ] + [(["--k", "5", "--qmax", "2000000", "--json"], 2_152_243, 2)]
+    for argv, size, mib in cases:
         sink = _Discard()
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(sink):
-                code = cli.main(["sweep", "--table", "--qmax", "200000", fmt])
+                code = cli.main(["sweep", *argv])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (code, sink.size) == (0, len(render(rows))), fmt
-        assert peak < 2.5 * 2**20, (fmt, peak)
-
-
-def test_sweep_k_json_holds_one_chunk_of_rows():
-    """`sweep --k 5 --json` writes its rows one kernel chunk at a time
-    from the block's columns: to 2,000,000 (18,586 rows, 2.05 MiB of
-    output) it peaks under 2 MiB, where holding a SweepEntry per row and
-    every row's string took 8.6 MiB."""
-    sink = _Discard()
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(sink):
-            code = cli.main(["sweep", "--k", "5", "--qmax", "2000000", "--json"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, sink.size) == (0, 2_152_243)
-    assert peak < 2 * 2**20, peak
+        assert (code, sink.size) == (0, size), argv
+        assert peak < mib * 2**20, (argv, peak)
 
 
 def test_sweep_renders_without_a_sweep_entry(capsys, monkeypatch):

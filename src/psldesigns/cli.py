@@ -8,9 +8,10 @@ Each cmd_* handler returns (exit code, answer). main() passes the answer
 to a renderer of the same name, which reads nothing else: text_* without
 --json; with it, json_* where there is one and json.dumps otherwise.
 `sweep --pair` is answered by cmd_pair, every other sweep by cmd_sweep,
-whose rows are an answer of per-k search.SweepBlock columns, which the
-JSON and CSV renderers write a chunk of rows at a time, each row one
-f-string of pieces made once per k, with a hit or a miss tail.
+whose answer holds the per-k search.SweepBlock columns in every format.
+Text, CSV and JSON write them one SweepBlock.chunks() chunk at a time:
+text a line of each k's hits, CSV and JSON each row as one f-string of
+pieces made once per k, with a hit or a miss tail.
 """
 
 from __future__ import annotations
@@ -138,17 +139,12 @@ def text_seq(a: dict) -> None:
     print(f"alpha={a['alpha']}: {_signs(a['sequence'])}")
 
 
-def cmd_sweep(args: argparse.Namespace) -> tuple[int, object]:
-    """The search.sweep_rows blocks, one SweepBlock per k: with --csv or
-    --json the answer, each block decided when the renderer reaches it,
-    and in text the q of each block's hits."""
+def cmd_sweep(args: argparse.Namespace) -> tuple[int, dict]:
+    """The search.sweep_rows blocks, one SweepBlock per k, each decided
+    when the renderer reaches it."""
     ks = list(search.SWEEP_TABLE_KS) if args.table else [args.k]
-    pp = args.prime_powers
-    blocks = search.sweep_rows(ks, args.qmax, include_prime_powers=pp)
-    if args.csv or args.json:
-        return 0, blocks
-    hits = {b.k: b.q[b.ok].tolist() for b in blocks}
-    return 0, {"table": args.table, "hits": hits}
+    blocks = search.sweep_rows(ks, args.qmax, include_prime_powers=args.prime_powers)
+    return 0, {"table": args.table, "csv": args.csv, "blocks": blocks}
 
 
 def _json_row(k: int, lam: int | None) -> tuple:
@@ -172,14 +168,14 @@ def _csv_row(k: int, lam: int | None) -> tuple:
 def _write_blocks(blocks, row, head: str, sep: str, tail: str) -> None:
     """head, the rows of every block with sep between two rows, and tail.
     Each row is one f-string of the pieces row(k, lam) makes once per
-    block. The rows are written search.DECIDE_CHUNK_ROWS, the kernel's
-    chunk, at a time, and each block before the next one is decided."""
-    write, between, step = sys.stdout.write, "", search.DECIDE_CHUNK_ROWS
+    block. The rows are written a chunk at a time, and each block before
+    the next one is decided."""
+    write, between = sys.stdout.write, ""
     write(head)
     for b in blocks:
         start, at_p, at_n, tails = row(b.k, b.lam)
-        for i in range(0, len(b), step):
-            q, p, n, ok = (c[i : i + step].tolist() for c in (b.q, b.p, b.n, b.ok))
+        for chunk in b.chunks():
+            q, p, n, ok = (c.tolist() for c in chunk)
             rows = [f"{start}{x}{at_p}{y}{at_n}{z}{tails[o]}" for x, y, z, o in zip(q, p, n, ok)]
             write(between)
             write(sep.join(rows))
@@ -187,17 +183,24 @@ def _write_blocks(blocks, row, head: str, sep: str, tail: str) -> None:
     write(tail)
 
 
-def json_sweep(blocks) -> None:
-    _write_blocks(blocks, _json_row, "[", ", ", "]\n")
+def json_sweep(a: dict) -> None:
+    _write_blocks(a["blocks"], _json_row, "[", ", ", "]\n")
 
 
-def text_sweep(a) -> None:
-    if not isinstance(a, dict):  # --csv: the per-k blocks
-        _write_blocks(a, _csv_row, _CSV_HEADER, "", "")
-    else:
-        for k, hits in a["hits"].items():
-            row = _ints(hits)
-            print(f"k={k} (mod 24: {k % 24}): {row}" if a["table"] else row)
+def text_sweep(a: dict) -> None:
+    """--csv writes every row; text writes a line of each k's hits, with
+    its k and k mod 24 under --table."""
+    if a["csv"]:
+        return _write_blocks(a["blocks"], _csv_row, _CSV_HEADER, "", "")
+    write = sys.stdout.write
+    for b in a["blocks"]:
+        write(f"k={b.k} (mod 24: {b.k % 24}): " if a["table"] else "")
+        between = ""
+        for hits in (q[ok].tolist() for q, _, _, ok in b.chunks()):
+            if hits:
+                write(between + _ints(hits))
+                between = " "
+        write("\n")
 
 
 def cmd_pair(args: argparse.Namespace) -> tuple[int, dict]:

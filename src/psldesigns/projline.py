@@ -17,6 +17,7 @@ random_element are test oracles, in tests/scalar_oracles.py.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -192,10 +193,13 @@ class FieldTables:
         return 1 - 2 * (self.log[a] & 1)
 
 
+@functools.lru_cache(maxsize=1)
 def field_tables(spec: gf.FieldSpec) -> FieldTables:
     """The tables from one gf.power_rows(alpha, q - 1), with no scalar gf
     op (Lidl and Niederreiter, Finite Fields, ch. 9): row i, the digits of
-    alpha**i, encodes to exp[i], and is scattered to digits[exp[i]]."""
+    alpha**i, encodes to exp[i], and is scattered to digits[exp[i]]. The
+    last field's tables are kept, read-only, so the 2n generator
+    permutations of an orbit share one build."""
     q = spec.q
     rows = gf.power_rows(spec, spec.alpha, q - 1)
     weights = spec.p ** np.arange(spec.n)
@@ -205,6 +209,8 @@ def field_tables(spec: gf.FieldSpec) -> FieldTables:
     digits = np.zeros((q, spec.n), dtype=np.int64)
     digits[powers] = rows
     exp = np.concatenate([powers, powers, np.zeros(2 * q - 1, dtype=np.int64)])
+    for table in (exp, log, digits, weights):
+        table.flags.writeable = False
     return FieldTables(spec.p, q, exp, log, digits, weights)
 
 

@@ -7,14 +7,14 @@ succeed. A sweep sieves the progression q = 1 + j*lcm(4, 2k) itself, one
 segment of j at a time, and decides each segment's primes serially in
 row chunks by starter.decide_prime_batch; extension-field candidates go
 through the scalar starter context. The equivalence scans decide their
-primes the same way with batched conditions. A pair (k, 2k) with k odd
-shares its candidates, q = 1 mod 4k, so _pair_pass decides the prime
-rows of both in one such pass, from one order-2k table per prime
-(starter.decide_pair_batch), for sweep_rows, which every rendering of
-`sweep --table` reads, and for verify_pair_coincidence, in either order;
-any other pair reads each k's chunks as sweep_entries does. _block puts
-every k's rows in one SweepBlock of columns, which sweep_entries expands
-to SweepEntry tuples. Explicit expansion stays in the design module.
+primes the same way with batched conditions. sweep_rows is the one
+source of sweep rows: its blocks, one SweepBlock of columns per k, are
+what sweep, sweep_entries, verify_pair_coincidence and every rendering
+of `sweep` read. A pair (k, 2k) with k odd shares its candidates,
+q = 1 mod 4k, so when both are asked for, _blocks decides the prime rows
+of both in one pass, from one order-2k table per prime
+(starter.decide_pair_batch), in either order. Explicit expansion stays
+in the design module.
 """
 
 from __future__ import annotations
@@ -156,6 +156,12 @@ class SweepBlock:
     def __len__(self) -> int:
         return self.q.size
 
+    def chunks(self) -> Iterator[tuple[np.ndarray, ...]]:
+        """The columns q, p, n and ok, DECIDE_CHUNK_ROWS rows at a time."""
+        step = DECIDE_CHUNK_ROWS
+        for i in range(0, len(self), step):
+            yield tuple(c[i : i + step] for c in (self.q, self.p, self.n, self.ok))
+
     def entries(self) -> list[SweepEntry]:
         """One SweepEntry per row."""
         k, lam = self.k, self.lam
@@ -193,18 +199,10 @@ def sweep_entries(
     include_prime_powers: bool = False,
 ) -> list[SweepEntry]:
     """Evaluate the criterion at every candidate q <= q_max with
-    q = 1 mod lcm(4, 2k), in increasing q order. Prime candidates come
-    from the progression sieve and go through the batched kernel
-    DECIDE_CHUNK_ROWS at a time; extension fields go through the scalar
-    context."""
-    _check_k(k)
-    _check_bound(q_max)
-    return _block(k, _prime_chunks(k, q_max), q_max, include_prime_powers).entries()
-
-
-def _prime_chunks(k: int, q_max: int):
-    """_decided over k's prime candidates, from 1 + sweep_modulus(k) > k + 1 on."""
-    return _decided(partial(starter.decide_prime_batch, k), sweep_modulus(k), q_max)
+    q = 1 mod lcm(4, 2k), in increasing q order: the entries of k's
+    sweep_rows block."""
+    (block,) = sweep_rows([k], q_max, include_prime_powers)
+    return block.entries()
 
 
 def sweep(
@@ -213,14 +211,11 @@ def sweep(
     include_prime_powers: bool = False,
 ) -> SweepResult:
     """The ascending q <= q_max (primes by default) where the order-k
-    subgroup with even cofactor starts a 3-design. Empty for inadmissible
-    k, which is the empirical content of the residue filter."""
-    hits = tuple(
-        ent.q
-        for ent in sweep_entries(k, q_max, include_prime_powers)
-        if ent.gives_design
-    )
-    return SweepResult(k=k, bound=q_max, hits=hits)
+    subgroup with even cofactor starts a 3-design, read off k's
+    sweep_rows block. Empty for inadmissible k, which is the empirical
+    content of the residue filter."""
+    (block,) = sweep_rows([k], q_max, include_prime_powers)
+    return SweepResult(k=k, bound=q_max, hits=tuple(block.q[block.ok].tolist()))
 
 
 SWEEP_TABLE_KS = (5, 10, 13, 17, 25, 26, 29, 34, 37, 41, 49, 50, 53, 58)
@@ -238,8 +233,8 @@ def sweep_rows(
 
     An odd k and 2k share their candidates, the primes q = 1 mod 4k, so
     when both are asked for, the first of the two to come decides the
-    prime rows of both in one _pair_pass, and holds the other k's q and
-    decision columns, 10 bytes a row, until its block is due."""
+    prime rows of both in one decide_pair_batch pass, and holds the other
+    k's q and decision columns, 10 bytes a row, until its block is due."""
     for k in ks:
         _check_k(k)
     _check_bound(q_max)
@@ -252,29 +247,23 @@ def _partner(k: int) -> int | None:
 
 
 def _blocks(ks: tuple[int, ...] | list[int], q_max: int, include_prime_powers: bool):
-    """sweep_rows's blocks. Nothing of a block is referenced here once it
-    has been yielded, so that the consumer's release of it frees it."""
-    held = {}  # k -> the (q, ok) chunks of its prime rows, from a pair pass
+    """sweep_rows's blocks, unchecked. Each pass over the primes
+    q = 1 mod sweep_modulus(k1) is one decide_prime_batch pass at k1 = k,
+    or, when k's partner comes later in ks, one decide_pair_batch pass at
+    the odd k1 of the two, whose columns are k1 and 2*k1. Nothing of a
+    block is referenced here once it has been yielded, so that the
+    consumer's release of it frees it."""
+    held = {}  # k -> the (q, ok) chunks of its prime rows
     for i, k in enumerate(ks):
-        partner = _partner(k)
-        if k not in held and partner in ks[i + 1 :]:
-            held[k], held[partner] = _pair_pass(k, partner, q_max)
-        yield _block(
-            k, held.pop(k) if k in held else _prime_chunks(k, q_max), q_max, include_prime_powers
-        )
-
-
-def _pair_pass(k: int, partner: int, q_max: int) -> tuple[list, list]:
-    """The (q, ok) chunks of the prime rows of k and of its partner, a
-    pair (k1, 2*k1) with k1 odd in either order, decided in one pass from
-    one order-2*k1 table per prime."""
-    k1 = min(k, partner)
-    col = int(k != k1)  # k's column of decide_pair_batch
-    mine, other = [], []
-    for qs, oks in _decided(partial(starter.decide_pair_batch, k1), sweep_modulus(k1), q_max):
-        mine.append((qs, oks[:, col]))
-        other.append((qs, oks[:, 1 - col]))
-    return mine, other
+        if k not in held:
+            pair = _partner(k) in ks[i + 1 :]
+            k1 = min(k, _partner(k)) if pair else k
+            decide = starter.decide_pair_batch if pair else starter.decide_prime_batch
+            decided = _decided(partial(decide, k1), sweep_modulus(k1), q_max)
+            # one (q, ok) chunk per k of the pass from each decided chunk
+            cols = ([(qs, ok) for ok in oks.reshape(qs.size, -1).T] for qs, oks in decided)
+            held.update(zip((k1, 2 * k1) if pair else (k,), zip(*cols)))
+        yield _block(k, held.pop(k, ()), q_max, include_prime_powers)
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +289,16 @@ def verify_pair_coincidence(k1: int, k2: int, q_max: int) -> PairScan:
 
     Each k is swept over its own candidate shape, so unrelated k diverge
     quickly: k1 = 5 vs k2 = 13 diverges at q = 41, a hit for 5 that is
-    not even a candidate for 13. An odd k and its double both sweep the
-    primes q = 1 (mod 4k), and one _pair_pass decides both hit lists, in
-    either order; any other pair reads each k's prime chunks as
-    sweep_entries does. k1, the bound and k2 are checked, in that order,
+    not even a candidate for 13. The hit lists are read off the two
+    sweep_rows blocks, so an odd k and its double are decided in one pass,
+    in either order. k1, the bound and k2 are checked, in that order,
     before anything is decided. first_divergence is the smallest q in the
     symmetric difference, None if the hit lists agree.
     """
     _check_k(k1)
     _check_bound(q_max)
     _check_k(k2)
-    if k2 == _partner(k1):
-        chunks = _pair_pass(k1, k2, q_max)
-    else:
-        chunks = _prime_chunks(k1, q_max), _prime_chunks(k2, q_max)
-    h1, h2 = (tuple(q for qs, ok in c for q in qs[ok].tolist()) for c in chunks)
+    h1, h2 = (tuple(b.q[b.ok].tolist()) for b in _blocks((k1, k2), q_max, False))
     diff = set(h1) ^ set(h2)
     return PairScan(k1, k2, q_max, h1, h2, min(diff) if diff else None)
 

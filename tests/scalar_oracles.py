@@ -64,6 +64,7 @@ twice" rule:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -343,7 +344,8 @@ def sweep_entries_by_row(
 ) -> list[search.SweepEntry]:
     """k's sweep entries from its kernel chunks, one entry at a time."""
     entries = []
-    for qs, oks in search._prime_chunks(k, q_max):
+    decide = functools.partial(starter.decide_prime_batch, k)
+    for qs, oks in search._decided(decide, search.sweep_modulus(k), q_max):
         entries += prime_entries(k, qs, oks)
     return with_prime_powers(k, q_max, entries) if include_prime_powers else entries
 

@@ -1,6 +1,6 @@
-"""Tests for the pure summaries of tools/bench_pairs.py: spread and
-summarize, which turn alternating before/after runs into the medians,
-quartiles and pair wins of a BENCH_*.json file."""
+"""Tests for tools/bench_pairs.py: spread, compare and summarize, which
+turn alternating before/after runs into the medians, quartiles and pair
+wins of a BENCH_*.json file, and time_call, the child of a --call round."""
 
 import importlib.util
 from pathlib import Path
@@ -63,3 +63,34 @@ def test_summarize_of_a_single_pair():
     assert out["metrics"]["op_p50_ms"]["pairs_won"] == {"base": 0, "head": 0}
     assert out["ops"]["base"]["incorrect_runs"] == out["ops"]["head"]["incorrect_runs"] == 0
 
+
+
+def test_time_call_times_each_repetition_in_a_child():
+    """A call's child imports the package from the checkout's src, runs
+    the setup once with stdout sent to os.devnull, and records wall and
+    CPU time around each repetition; the metrics are their medians in
+    milliseconds."""
+    checkout = _PATH.parent.parent
+    setup = "from psldesigns import cli\nimport time"
+    expr = "cli.main(['lift', '3', '4', '3']) or time.sleep(0.01)"
+    out = bench_pairs.time_call(checkout, setup, expr, 3)
+    assert len(out["wall_s"]) == len(out["cpu_s"]) == 3
+    assert all(wall >= 0.01 and 0 <= cpu <= wall for wall, cpu in zip(out["wall_s"], out["cpu_s"]))
+    assert out["metrics"] == {
+        "wall_ms": 1e3 * sorted(out["wall_s"])[1],
+        "cpu_ms": 1e3 * sorted(out["cpu_s"])[1],
+    }
+
+
+def test_compare_of_call_rounds_counts_the_lower_time():
+    """Call rounds are compared as pairs are, by CALL_METRICS: the lower
+    wall and CPU time win, and there are no op counts."""
+    rounds = [
+        {side: {"metrics": {"wall_ms": w, "cpu_ms": c}} for side, (w, c) in zip(("base", "head"), r)}
+        for r in (((10, 9), (8, 9)), ((12, 11), (9, 10)), ((7, 6), (9, 8)))
+    ]
+    out = bench_pairs.compare(rounds, bench_pairs.CALL_METRICS)
+    assert out["wall_ms"]["pairs_won"] == {"base": 1, "head": 2}
+    assert out["cpu_ms"]["pairs_won"] == {"base": 1, "head": 1}
+    assert out["wall_ms"]["head"] == {"median": 9, "q1": 8.5, "q3": 9}
+    assert (out["cpu_ms"]["unit"], out["cpu_ms"]["better"], out["cpu_ms"]["bound"]) == ("ms", "lower", None)

@@ -574,18 +574,22 @@ class _Discard:
 
 
 def test_sweep_rows_stream_in_bounded_memory():
-    """--json and --csv write their rows one kernel chunk at a time from
-    the blocks' columns, so memory holds neither the output nor a row per
-    candidate: the table to 200,000 peaks under 2.5 MiB, where rendering
-    every row at once takes 7.2 MiB for JSON and 3.5 MiB for CSV, and
-    `--k 5 --json` to 2,000,000 (18,586 rows, 2.05 MiB of output) under
-    2 MiB, where holding a SweepEntry per row and every row's string took
-    8.6 MiB."""
+    """--json, --csv and text write their rows one block chunk at a time
+    from the blocks' columns, so memory holds neither the output nor a row
+    per candidate: the table to 200,000 peaks under 2.5 MiB, where
+    rendering every row at once takes 7.2 MiB for JSON and 3.5 MiB for
+    CSV; `--k 5 --json` to 2,000,000 (18,586 rows, 2.05 MiB of output)
+    under 2 MiB, where holding a SweepEntry per row and every row's string
+    took 8.6 MiB; and `--k 5` in text to 10,000,000 under 2 MiB, where
+    holding every hit as a Python int took 4.4 MiB."""
     rows = sweep_row_dicts(search.SWEEP_TABLE_KS, 200000)
     cases = [
         (["--table", "--qmax", "200000", fmt], len(render(rows)), 2.5)
         for fmt, render in (("--json", sweep_json), ("--csv", sweep_csv))
-    ] + [(["--k", "5", "--qmax", "2000000", "--json"], 2_152_243, 2)]
+    ] + [
+        (["--k", "5", "--qmax", "2000000", "--json"], 2_152_243, 2),
+        (["--k", "5", "--qmax", "10000000"], 326_177, 2),
+    ]
     for argv, size, mib in cases:
         sink = _Discard()
         tracemalloc.start()

@@ -290,6 +290,24 @@ def test_field_tables_match_the_scalar_ops():
         assert tab.chi(nonzero).tolist() == [gf.chi(spec, x) for x in range(1, q)]
 
 
+def test_expand_orbit_builds_the_field_tables_once(monkeypatch):
+    """field_tables keeps the last field's tables, read-only, so the six
+    generator permutations of a GF(125) orbit share one gf.power_rows
+    call: the orbit of the finite points, the 126 complements of a point."""
+    spec = gf.field_for_order(125)
+    calls = []
+    real = gf.power_rows
+    monkeypatch.setattr(gf, "power_rows", lambda *args: calls.append(args[1:]) or real(*args))
+    projline.field_tables.cache_clear()
+    assert len(design.expand_orbit(spec, range(125))) == 126
+    assert calls == [(spec.alpha, 124)]
+    tab = projline.field_tables(spec)
+    assert len(calls) == 1
+    for table in (tab.exp, tab.log, tab.digits, tab.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
 def test_tables_and_contexts_make_no_scalar_field_op(monkeypatch):
     """field_tables, the array action (point_permutation, apply_to_points,
     expand_orbit), the signs and trials of the oracle, and

@@ -154,11 +154,13 @@ def test_every_sweep_candidate_has_an_even_cofactor():
     assert (rows, powers) == (13_983, 235)
 
 
-def test_sweep_chunking_never_changes_entries(monkeypatch):
+def test_sweep_chunking_never_changes_entries(monkeypatch, capsys):
     """Kernel chunks of 1 row, of 7 rows and of more rows than there are
     candidates give the same sweep entries and equivalence reports; the
     k = 13 sweep with prime powers mixes kernel rows with extension
-    fields."""
+    fields. Text, --csv and --json of the table and of k = 13 with prime
+    powers to 8000, written a block chunk at a time, print the same bytes,
+    and some chunks of 1 and of 7 rows of the k = 13 block hold no hit."""
     cases = [(5, 3000, False), (13, 30000, True), (58, 20000, False)]
     want = [search.sweep_entries(k, q_max, pp) for k, q_max, pp in cases]
     assert [len(w) for w in want] == [48, 148, 46]
@@ -167,12 +169,27 @@ def test_sweep_chunking_never_changes_entries(monkeypatch):
     want_scans = [search.thm_equivalence_sweep(name, p_max) for name, p_max in scans]
     # the scans check the prime candidates of the k = 5 and k = 13 sweeps
     assert [rep.checked for rep in want_scans] == [48, 140]
+    argvs = [
+        ["sweep", *mode, "--qmax", "8000", *fmt]
+        for mode in (["--table"], ["--k", "13", "--prime-powers"])
+        for fmt in ([], ["--csv"], ["--json"])
+    ]
+
+    def printed():
+        return [(cli.main(argv), *capsys.readouterr()) for argv in argvs]
+
+    want_printed = printed()
+    assert all(code == 0 and out and not err for code, out, err in want_printed)
     for rows in (1, 7, 10**6):
         monkeypatch.setattr(search, "DECIDE_CHUNK_ROWS", rows)
         got = [search.sweep_entries(k, q_max, pp) for k, q_max, pp in cases]
         assert got == want, rows
         got = [search.thm_equivalence_sweep(name, p_max) for name, p_max in scans]
         assert got == want_scans, rows
+        (block,) = search.sweep_rows([13], 8000, True)
+        hits = [int(ok.sum()) for *_, ok in block.chunks()]
+        assert sum(hits) == 5 and (0 in hits) == (rows < 10**6), rows
+        assert printed() == want_printed, rows
 
 
 def test_sweep_bound_over_size_limit_refused_before_sieving(monkeypatch):

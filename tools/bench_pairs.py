@@ -20,6 +20,22 @@ median and quartiles and how many pairs each side won (ties count for
 neither), each side's attempted and failed op counts, and how many of
 its runs perfbench did not report `correct`. Standard
 library only; perfbench itself is run, never imported.
+
+In-process figures come from the same tool and the same file:
+
+    python3 tools/bench_pairs.py --base HEAD~1 --head HEAD \\
+        --setup "from psldesigns import cli" \\
+        --call "pair=cli.main(['sweep', '--pair', '5', '10', '--qmax', '450000', '--json'])" \\
+        --rounds 10 --reps 5 --out BENCH_N.json
+
+Round i of a call starts one child per side, in the same checkouts and
+order as pair i of a workload. The child puts the checkout's src first on
+sys.path, sends its stdout to os.devnull, runs the setup once and then
+evaluates the expression --reps times, recording perf_counter and
+process_time around each. Each side's round reads as the median of its
+repetitions, in milliseconds of wall and of CPU time, and the summary
+gives medians, quartiles and rounds won as for the workloads. A setup
+that should leave caches warm evaluates the expression once itself.
 """
 
 from __future__ import annotations
@@ -39,6 +55,29 @@ from pathlib import Path
 DIR_NAME_LENGTHS = (8, 13, 22)
 RUN_TIMEOUT_S = 600
 SIDES = ("base", "head")
+
+
+# a call's child: argv is src, setup, expression, repetitions
+CALL_CHILD = """
+import json, os, sys, time
+src, setup, expr, reps = sys.argv[1:]
+sys.path.insert(0, src)
+out, sys.stdout = sys.stdout, open(os.devnull, "w")
+scope = {}
+exec(setup, scope)
+code = compile(expr, "<call>", "eval")
+wall, cpu = [], []
+for _ in range(int(reps)):
+    t, c = time.perf_counter(), time.process_time()
+    eval(code, scope)
+    cpu.append(time.process_time() - c)
+    wall.append(time.perf_counter() - t)
+out.write(json.dumps({"wall_s": wall, "cpu_s": cpu}) + "\\n")
+"""
+CALL_METRICS = [
+    {"name": name, "unit": "ms", "better": "lower", "bound": None}
+    for name in ("wall_ms", "cpu_ms")
+]
 
 
 def git(*args: str) -> bytes:
@@ -73,6 +112,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     }
 
 
+def time_call(checkout: Path, setup: str, expr: str, reps: int) -> dict:
+    """One child's repetitions of expr in checkout, each in seconds of
+    wall and of CPU time, and their medians in milliseconds as metrics."""
+    argv = [sys.executable, "-c", CALL_CHILD, str(checkout / "src"), setup, expr, str(reps)]
+    proc = subprocess.run(
+        argv, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{expr} in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    out = json.loads(proc.stdout)
+    metrics = {
+        f"{clock}_ms": 1e3 * statistics.median(out[f"{clock}_s"]) for clock in ("wall", "cpu")
+    }
+    return {**out, "metrics": metrics}
+
+
 def spread(xs: list[float]) -> dict:
     """Median and quartiles (inclusive method, so a pair of runs gives
     quartiles between them)."""
@@ -80,12 +135,11 @@ def spread(xs: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+def compare(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, and the pairs each
-    side won by the metric's better direction; per side: op counts and
-    the number of runs not `correct`."""
-    out = {"metrics": {}, "ops": {}}
-    for m in end_to_end:
+    side won by the metric's better direction."""
+    out = {}
+    for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
         wins = {side: 0 for side in SIDES}
@@ -94,13 +148,20 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
                 wins["head"] += 1
             elif sign * (h - b) < 0:
                 wins["base"] += 1
-        out["metrics"][name] = {
+        out[name] = {
             "unit": m["unit"],
             "better": m["better"],
             "bound": m["bound"],
             **{side: spread(values[side]) for side in SIDES},
             "pairs_won": wins,
         }
+    return out
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """compare's metrics; per side: op counts and the number of runs not
+    `correct`."""
+    out = {"metrics": compare(pairs, end_to_end), "ops": {}}
     for side in SIDES:
         out["ops"][side] = {
             key: sum(p[side][key] for p in pairs) for key in ("attempted", "failed")
@@ -116,15 +177,28 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--workload",
         action="append",
-        required=True,
+        default=[],
         metavar="NAME:PAIRS",
         help="a workload and its number of pairs; repeatable",
     )
     ap.add_argument("--seed", type=int, default=1, help="the seed of pair 0")
     ap.add_argument("--seconds", type=int, default=15)
+    ap.add_argument(
+        "--call",
+        action="append",
+        default=[],
+        metavar="NAME=EXPR",
+        help="an expression to time in process; repeatable",
+    )
+    ap.add_argument("--setup", default="", help="statements run before a call's repetitions")
+    ap.add_argument("--rounds", type=int, default=10, help="rounds per call")
+    ap.add_argument("--reps", type=int, default=5, help="repetitions per child")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if not args.workload and not args.call:
+        ap.error("give at least one --workload or --call")
     plan = [(name, int(n)) for name, n in (w.split(":") for w in args.workload)]
+    calls = [c.split("=", 1) for c in args.call]
 
     end_to_end = json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]
     report = {
@@ -139,8 +213,13 @@ def main(argv: list[str] | None = None) -> int:
             side: {"rev": rev, "tree": git("rev-parse", f"{rev}^{{tree}}").decode().strip()}
             for side, rev in zip(SIDES, (args.base, args.head))
         },
-        "workloads": {},
     }
+    if calls:
+        report["protocol"]["call"] = {
+            "setup": args.setup,
+            "reps": args.reps,
+            "order": "as the pairs: base first in even rounds",
+        }
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         checkouts = {}
@@ -149,21 +228,29 @@ def main(argv: list[str] | None = None) -> int:
                 dest = scratch / f"{side}-".ljust(length, "x")
                 export(rev, dest)
                 checkouts[side, length] = dest
-        for workload, n_pairs in plan:
+        jobs = [("workloads", name, n, end_to_end) for name, n in plan]
+        jobs += [("calls", name, args.rounds, CALL_METRICS) for name, _ in calls]
+        exprs = dict(calls)
+        for kind, name, n_pairs, metrics in jobs:
             pairs = []
             for i in range(n_pairs):
                 length = DIR_NAME_LENGTHS[i % len(DIR_NAME_LENGTHS)]
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pair = {"seed": args.seed + i, "dir_name_length": length, "first": order[0]}
+                seed = {"seed": args.seed + i} if kind == "workloads" else {}
+                pair = {**seed, "dir_name_length": length, "first": order[0]}
                 for side in order:
-                    print(f"{workload} pair {i}: {side}", file=sys.stderr, flush=True)
+                    print(f"{name} pair {i}: {side}", file=sys.stderr, flush=True)
                     checkout = checkouts[side, length]
-                    pair[side] = run_once(checkout, workload, args.seed + i, args.seconds)
+                    if kind == "workloads":
+                        pair[side] = run_once(checkout, name, args.seed + i, args.seconds)
+                    else:
+                        pair[side] = time_call(checkout, args.setup, exprs[name], args.reps)
                 pairs.append(pair)
-                report["workloads"][workload] = {
-                    "pairs": pairs,
-                    **summarize(pairs, end_to_end),
-                }
+                if kind == "workloads":
+                    summary = summarize(pairs, metrics)
+                else:
+                    summary = {"expr": exprs[name], "metrics": compare(pairs, metrics)}
+                report.setdefault(kind, {})[name] = {"pairs": pairs, **summary}
                 args.out.write_text(json.dumps(report, indent=1) + "\n")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -64,7 +64,6 @@ def test_summarize_of_a_single_pair():
     assert out["ops"]["base"]["incorrect_runs"] == out["ops"]["head"]["incorrect_runs"] == 0
 
 
-
 def test_time_call_times_each_repetition_in_a_child():
     """A call's child imports the package from the checkout's src, runs
     the setup once with stdout sent to os.devnull, and records wall and

@@ -175,17 +175,24 @@ class SweepBlock:
 def _block(k: int, chunks, q_max: int, include_prime_powers: bool) -> SweepBlock:
     """k's SweepBlock from the (q, ok) chunks of its prime rows and, with
     include_prime_powers, the extension-field candidates q = p^n <= q_max,
-    n >= 2, each decided by the scalar context, merged in q order. One
-    lambda is asked for only when there is a hit."""
+    n >= 2, merged in q order. One lambda is asked for only when there is
+    a hit. A candidate p^n = p^(d*m) is decided from GF(p^d), d = ord_k(p)
+    (starter.subfield_degrees): no design for even m (an all +1 table), nor
+    for even d with p^(d/2) = -1 (mod k), the unitary case, where every
+    triple has one sign; otherwise the scalar context of (p^d, k) decides,
+    itself a candidate with an even cofactor, as (q-1)/(p^d-1) is odd."""
     # an empty first chunk gives a k with no candidates empty columns
     q, ok = (np.concatenate(c) for c in zip((np.empty(0, np.int64), np.empty(0, bool)), *chunks))
     p, n = q, np.broadcast_to(np.int64(1), q.shape)  # n = 1 on every row, held once
     if include_prime_powers:
-        m = sweep_modulus(k)
-        powers = [t for t in _powers_of(_base_primes(q_max), q_max, 2) if t[2] % m == 1]
+        mod = sweep_modulus(k)
+        powers = [t for t in _powers_of(_base_primes(q_max), q_max, 2) if t[2] % mod == 1]
         ext_p, ext_n, ext_q = np.array(powers, dtype=np.int64).reshape(-1, 3).T
-        ctxs = (starter.make_starter_context(gf.field_for_order(x), k) for x in ext_q.tolist())
-        ext_ok = [starter.gives_design(ctx) for ctx in ctxs]
+        ext_ok = []
+        for x, y, _ in powers:
+            d, m = starter.subfield_degrees(x, y, k)
+            unitary = d % 2 == 0 and pow(x, d // 2, k) == k - 1
+            ext_ok.append(m % 2 == 1 and not unitary and _pair_gives_design(x**d, k))
         order = np.argsort(np.concatenate([q, ext_q]))
         q, p, n = (np.concatenate(c)[order] for c in ((q, ext_q), (p, ext_p), (n, ext_n)))
         ok = np.concatenate([ok, np.array(ext_ok, dtype=bool)])[order]

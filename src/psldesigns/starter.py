@@ -176,24 +176,19 @@ def _powmod(base: np.ndarray, exp, mod) -> np.ndarray:
     return result
 
 
-# the values of x that _order_k_elements tries together, in order: x = 2
-# alone, x = 3..10 as the columns of one power, then each x >= 11 alone
-_X_GROUPS = ((2,), tuple(range(3, 11)))
-
-
 def _order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Per row, an element of order k in GF(q)* for prime q = k*e + 1: the
     first y = x**e, x = 2, 3, ..., with y**(k/r) != 1 for every prime
     r | k (y**k = x**(q-1) = 1 holds already). A primitive root x < q
     always qualifies, so no factorisation of q - 1 is needed.
 
-    The x of each group of _X_GROUPS, and then of each x >= 11 alone, are
-    the columns of one power over the rows still left, and a row takes its
+    x = 2 alone, then x = 3..10, 11..18, ..., eight at a time, are the
+    columns of one power over the rows still left, and a row takes its
     first column that qualifies, so beta is the first x's on every row.
     """
     beta = np.zeros_like(qs)
     todo = np.arange(qs.size)
-    groups = itertools.chain(_X_GROUPS, ((x,) for x in itertools.count(11)))
+    groups = itertools.chain([(2,)], (range(x, x + 8) for x in itertools.count(3, 8)))
     while todo.size:
         q, ex = qs[todo, None], e[todo, None]
         y = _powmod(np.array(next(groups)), ex, q)
@@ -207,8 +202,27 @@ def _order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _is_square(a: np.ndarray, q) -> np.ndarray:
-    """Euler's criterion elementwise, for a != 0 mod the prime q."""
-    return _powmod(a, (q - 1) // 2, q) == 1
+    """Whether the Jacobi symbol (a | q) is 1, elementwise for odd q < 2**31
+    and a prime to q: chi(a) for a prime q. By binary reciprocity (Cohen,
+    1.4.2), the sign in bit 1 of t: strip a's 2^v, v the float64 exponent
+    of its lowest bit, flip for odd v if n = 3, 5 (mod 8) and if
+    a = n = 3 (mod 4), then (a, n) <- (n mod a, a). A finished row (a = 0,
+    lowest bit 2**40) runs on as a no-op; live rows are compacted every 4
+    steps."""
+    x, n = (np.array(y, dtype=np.int64).ravel() for y in np.broadcast_arrays(a % q, q))
+    t, out, rows = np.zeros_like(x), np.zeros_like(x), np.arange(x.size)
+    with np.errstate(divide="ignore"):
+        while rows.size:
+            for _ in range(4):
+                low = (x | 2**40) & -(x | 2**40)
+                v = (low.astype(np.float64).view(np.int64) >> 52) - 1023
+                x >>= v
+                t ^= (((n >> 1) ^ n) & (v << 1)) ^ (x & n)
+                x, n = n % x, x
+            live = x != 0
+            out[rows[~live]] = t[~live]
+            rows, x, n, t = rows[live], x[live], n[live], t[live]
+    return (out & 2 == 0).reshape(np.broadcast_shapes(np.shape(a), np.shape(q)))
 
 
 def _cofactors(k: int, qs: np.ndarray) -> np.ndarray:
@@ -225,8 +239,8 @@ def _cofactors(k: int, qs: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _euler_plan(k: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     """How _prime_tables fills the columns 1 <= m < k/2 of an order-k
-    table (m <= k/2 for odd k): Euler's criterion gives the ascending
-    basis columns, then each step (c, a, b) in turn sets t[c] = t[a]*t[b].
+    table (m <= k/2 for odd k): the character (_is_square) gives the
+    ascending basis columns, then each step (c, a, b) sets t[c] = t[a]*t[b].
     For odd k every column is in the basis.
 
     For even k, beta^(k/2) = -1 splits 1 - beta^(2m) into
@@ -237,7 +251,7 @@ def _euler_plan(k: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ..
     gives the even columns. For odd k/2, each odd m has k/2 - m even and
     t[m] = t[min(2m, k - 2m)] * t[k/2 - m]. For even k/2, k/2 - m is odd
     too: each odd m <= k/4 joins the basis and t[k/2 - m] = t[2m] * t[m].
-    That is k // 4 Euler columns, the dimension of the tables the two
+    That is k // 4 basis columns, the dimension of the tables the two
     identities allow, less chi(2).
     """
     half = k // 2
@@ -264,10 +278,10 @@ def _prime_tables(k: int, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Only m <= k/2 is decided: with an even cofactor beta is a square and
     chi(-1) = 1 (q = 1 mod 4), so t[k-m] = chi(-beta^-m (1 - beta^m)) =
-    t[m]. Euler's criterion runs on the basis columns of _euler_plan only,
-    and its steps give the rest; for even k, t[k/2] = chi(1 + 1) = chi(2),
-    which q mod 8 gives. Odd-cofactor rows, where the symmetry may fail,
-    are true in decide_prime_batch regardless of their table.
+    t[m]. The Jacobi symbol, _is_square, runs on the basis columns of
+    _euler_plan only, and its steps give the rest; for even k, t[k/2] =
+    chi(2), which q mod 8 gives. Odd-cofactor rows, where the symmetry may
+    fail, are true in decide_prime_batch regardless of their table.
     """
     qs = np.asarray(qs, dtype=np.int64)
     e = _cofactors(k, qs)
@@ -325,6 +339,15 @@ def decide_prime_batch(k: int, qs) -> np.ndarray:
 def admissible_k(k: int) -> bool:
     """Necessary residue condition mod 24 for a design with even cofactor."""
     return k % 24 in ADMISSIBLE_RESIDUES
+
+
+def subfield_degrees(p: int, n: int, k: int) -> tuple[int, int]:
+    """(d, m), d = ord_k(p) and n = d*m, for the order-k subgroup of GF(p^n),
+    which lies in GF(p^d). By transitivity of the norm (Lidl & Niederreiter,
+    ch. 2), chi_{p^n} = chi_{p^d}^m there: the table of (p^n, k) is all +1
+    for even m and that of (p^d, k) for odd m."""
+    d = next(d for d in itertools.count(1) if pow(p, d, k) == 1)
+    return d, n // d
 
 
 def lambda_formula(k: int, e: int) -> int:
@@ -450,26 +473,40 @@ def thm510_conditions(spec: gf.FieldSpec, alpha: int | None = None) -> Thm510Con
     return Thm510Conditions(spec.q, *c, None, None)
 
 
+def _least_nonresidue(qs: np.ndarray) -> np.ndarray:
+    """The least quadratic non-residue, a prime below sqrt(q) + 1 and so in
+    gf._small_primes(), of every prime q = 1 (mod 4) of the int64 array
+    qs, with no power: chi(2) = -1 exactly when q = 5 (mod 8), and for odd
+    primes x, chi(x) = (q mod x | x) by reciprocity, a lookup mod x."""
+    x = np.where(qs % 8 == 5, 2, 0)
+    for p in gf._small_primes()[1:]:
+        left = np.flatnonzero(x == 0)
+        if not left.size:
+            break
+        x[left[np.bincount(np.arange(p) ** 2 % p, minlength=p)[qs[left] % p] == 0]] = p
+    return x
+
+
 def thm510_batch(qs) -> np.ndarray:
     """thm510_conditions(...).values() at every prime q = 1 (mod 20) of
     qs at once, as a (rows, 7) bool array, from the order-10 table alone
     (_pair_tables). c3 is t_10[7], since 1 + beta = 1 + beta_10^2 =
-    1 - beta_10^7 (beta_10^5 = -1). c4 and c5 are Euler tests, with
-    s = beta(1-beta)^2(1+beta) as the root of 5, so 2 +- s are the roots
-    of x^2 - 4x - 1; none of c3..c5 depends on which beta of order 5 is
-    found. c6/c7 are Cornacchia descents with the roots 2*i*s of -20 and
-    10*i of -100, i a root of -1 (an element of order 4).
+    1 - beta_10^7 (beta_10^5 = -1). c4 is two Jacobi symbols and c5 one
+    power, with s = beta(1-beta)^2(1+beta) the root of 5, so 2 +- s are the
+    roots of x^2 - 4x - 1; none of c3..c5 depends on which beta is found.
+    c6/c7 are Cornacchia descents with the roots 2*i*s of -20 and 10*i of
+    -100, i = x^((q-1)/4) for the least non-residue x, a root of -1.
     """
     q, beta, t5, t10 = _pair_tables(5, qs)  # refuses odd q other than 1 mod 20
     s = beta * (1 - beta) % q * (1 - beta) % q * (1 + beta) % q
     roots = ((2 + s) % q, (2 - s) % q)
     assert np.all(s * s % q == 5)
-    i = _order_k_elements(4, q, (q - 1) // 4)
+    i = _powmod(_least_nonresidue(q), (q - 1) // 4, q)
     return np.column_stack([
         _signed_count(t5) == 0,
         _signed_count(t10) == 0,
         t10[:, 7] == -1,
-        ~_is_square(roots[0], q) | ~_is_square(roots[1], q),
+        ~_is_square(np.column_stack(roots), q[:, None]).all(axis=1),
         _powmod(5, (q - 1) // 4, q) != 1,
         ~_represented(q, 2 * i % q * s, 20),
         ~_represented(q, 10 * i, 100),

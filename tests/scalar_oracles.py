@@ -51,9 +51,13 @@ twice" rule:
   every answer off a batch row. It is moved from the package unchanged,
   except that gf.embed(spec, m), since deleted, is written m % spec.p;
 - order_k_elements tries one x at a time, x = 2, 3, ..., on the rows
-  still left, against starter._order_k_elements, which tries x = 3..10
-  together and must take the same first x on every row. It is moved
-  from the package unchanged, except that _powmod is starter._powmod;
+  still left, against starter._order_k_elements, which tries x = 3..10,
+  11..18, ... eight at a time and must take the same first x on every
+  row. It is moved from the package unchanged, except that _powmod is
+  starter._powmod;
+- is_square is Euler's criterion, a**((q-1)/2) == 1 by starter._powmod,
+  against starter._is_square, the Jacobi symbol by binary reciprocity.
+  It is moved from the package unchanged;
 - char_sequence picks the reduced sequence's entries by its two
   conventions' rules (m = 1..(k-1)/2 for odd k; even m < k/2, then
   chi(2), for k = 2 mod 4), against starter.char_sequence, which reads
@@ -282,7 +286,7 @@ def apply(spec: gf.FieldSpec, g: GroupElem, z: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the order-k element search, one x at a time
+# the order-k element search, one x at a time, and Euler's criterion
 
 
 def order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -304,6 +308,11 @@ def order_k_elements(k: int, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
         todo = todo[~ok]
         x += 1
     return beta
+
+
+def is_square(a: np.ndarray, q) -> np.ndarray:
+    """Euler's criterion elementwise, for a != 0 mod the prime q."""
+    return _powmod(a, (q - 1) // 2, q) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -93,3 +93,60 @@ def test_compare_of_call_rounds_counts_the_lower_time():
     assert out["cpu_ms"]["pairs_won"] == {"base": 1, "head": 1}
     assert out["wall_ms"]["head"] == {"median": 9, "q1": 8.5, "q3": 9}
     assert (out["cpu_ms"]["unit"], out["cpu_ms"]["better"], out["cpu_ms"]["bound"]) == ("ms", "lower", None)
+
+
+def test_ops_plan_keys_perfbench_ops_by_kind_and_field():
+    """The plan child runs perfbench/plans.py in the checkout: a sweep
+    round's five ops keyed by kind, an orbit op by kind, q and k."""
+    checkout = _PATH.parent.parent
+    rounds = bench_pairs.ops_plan(checkout, "sweep", 1, 15)
+    assert [[op["key"] for op in ops] for ops in rounds] == [
+        ["table", "k13pp", "pair", "thm510", "thm1326"]
+    ] * 5
+    assert rounds[0][3]["argv"][:2] == ["thm510", "--pmax"]
+    orbit = bench_pairs.ops_plan(checkout, "orbit", 1, 1)
+    assert orbit[0][0]["key"] == "build 29 7" and orbit[0][1]["key"] == "verify 29 7"
+
+
+def test_run_ops_runs_each_round_in_a_perfbench_worker():
+    """A plan of two small ops in two rounds: one worker per round, each
+    op's time and stdout hash recorded under its key, in plan order, and
+    the per-key median time as the metric."""
+    checkout = _PATH.parent.parent
+    ops = [
+        {"argv": ["lift", "3", "4", "3"], "key": "lift"},
+        {"argv": ["check", "41", "10"], "key": "check 41 10"},
+    ]
+    out = bench_pairs.run_ops(checkout, [ops, ops])
+    assert set(out["ops"]) == {"lift", "check 41 10"}
+    for key, rec in out["ops"].items():
+        assert len(rec["t_ms"]) == 2 and all(t > 0 for t in rec["t_ms"])
+        assert len(set(rec["out_sha1"])) == 1 and len(rec["out_sha1"][0]) == 12
+        assert out["metrics"][key] == sum(rec["t_ms"]) / 2
+    assert out["ops"]["lift"]["out_sha1"] != out["ops"]["check 41 10"]["out_sha1"]
+
+
+def _ops_side(times, sha="a"):
+    return {
+        "ops": {key: {"t_ms": [t], "out_sha1": [sha]} for key, t in times.items()},
+        "metrics": dict(times),
+    }
+
+
+def test_compare_ops_names_the_ops_that_moved():
+    """Per key, the lower median time wins a pair; `moved` names a key
+    whose head value falls outside the base's quartiles in most pairs,
+    and same_stdout is false if one pair's outputs differ."""
+    base = [{"fast": 10, "level": 5, "slow": 7}, {"fast": 12, "level": 6, "slow": 8},
+            {"fast": 11, "level": 7, "slow": 9}, {"fast": 13, "level": 5, "slow": 7}]
+    head = [{"fast": 6, "level": 6, "slow": 10}, {"fast": 7, "level": 5, "slow": 11},
+            {"fast": 12, "level": 6, "slow": 8}, {"fast": 6, "level": 7, "slow": 12}]
+    pairs = [{"base": _ops_side(b), "head": _ops_side(h)} for b, h in zip(base, head)]
+    pairs[2]["head"]["ops"]["slow"]["out_sha1"] = ["b"]
+    out = bench_pairs.compare_ops(pairs)
+    assert out["moved"] == {"fast": "lower", "slow": "higher"}
+    assert out["metrics"]["fast"]["pairs_won"] == {"base": 1, "head": 3}
+    assert out["metrics"]["fast"]["base"] == {"median": 11.5, "q1": 10.75, "q3": 12.25}
+    assert out["metrics"]["level"]["pairs_won"] == {"base": 2, "head": 2}
+    assert [out["metrics"][k]["same_stdout"] for k in ("fast", "level", "slow")] == [True, True, False]
+    assert out["metrics"]["slow"]["unit"] == "ms"

@@ -1,5 +1,6 @@
 """Tests for the sweep, pair-coincidence, lift, and equivalence scans."""
 
+import collections
 import math
 import sys
 import tracemalloc
@@ -503,3 +504,38 @@ def test_thm1326_equivalence_sweep():
 def test_thm_equivalence_sweep_unknown_name():
     with pytest.raises(ValueError):
         search.thm_equivalence_sweep("thm999", 100)
+
+
+def test_prime_powers_are_decided_from_their_subfield(monkeypatch):
+    """Every prime-power candidate q = p^n <= 3*10**6 of the 14 table k:
+    the block's verdict, taken from GF(p^d), d = ord_k(p) and n = d*m, is
+    the scalar context's on the canonical GF(q). The candidates fall in
+    the classes {m even: 291, unitary: 290, m odd with d < n: 12,
+    d = n: 7}, and only the last two build a field: GF(p^d), none of them
+    GF(q) itself when d < n. At k = 13 to 450,000 (perfbench's k13pp op)
+    that is 3 fields for 23 candidates."""
+    classes = collections.Counter()
+    built, hits = [], []
+    make = starter.make_starter_context
+    monkeypatch.setattr(
+        starter, "make_starter_context", lambda spec, *a: built.append(spec.q) or make(spec, *a)
+    )
+    for k in search.SWEEP_TABLE_KS:
+        built.clear()
+        block = search._block(k, (), 3 * 10**6, True)
+        want_built = []
+        for q, p, n, ok in zip(*(c.tolist() for c in (block.q, block.p, block.n, block.ok))):
+            d, m = starter.subfield_degrees(p, n, k)
+            assert d * m == n and pow(p, d, k) == 1 and all(pow(p, j, k) != 1 for j in range(1, d))
+            unitary = d % 2 == 0 and pow(p, d // 2, k) == k - 1
+            label = "m even" if m % 2 == 0 else "unitary" if unitary else "d < n" if d < n else "d = n"
+            classes[label] += 1
+            want_built += [p**d] * (label in ("d < n", "d = n"))
+            hits += [(q, k)] * ok
+            assert ok == starter.gives_design(make(gf.field_for_order(q), k)), (q, k)
+        assert built == want_built, k
+    assert classes == {"m even": 291, "unitary": 290, "d < n": 12, "d = n": 7}
+    assert {(29**3, 13), (29**3, 26), (113**3, 13), (113**3, 26)} <= set(hits)
+    built.clear()
+    block = search._block(13, (), 450_000, True)
+    assert (len(block), len(built)) == (23, 3)

@@ -20,6 +20,7 @@ from scalar_oracles import (
     element_order,
     element_tables,
     has_representation,
+    is_square,
     order_k_elements,
     rep_gaps,
     thm510_conditions,
@@ -765,11 +766,11 @@ def _qualifies(k, x, q, divisors):
 
 
 def test_order_k_elements_match_the_one_x_loop():
-    """The grouped search (x = 2, then x = 3..10 together, then x = 11, 12,
-    ... one at a time) takes the one-x loop's beta on every row, for k
-    with one, two and three prime divisors, where composite x matter, at
-    the primes q = 1 mod k below 30000 and the last 2048 below 10**8.
-    Some rows find no x <= 10 and reach the one-x steps."""
+    """The grouped search (x = 2, then x = 3..10, 11..18, ... eight at a
+    time) takes the one-x loop's beta on every row, for k with one, two
+    and three prime divisors, where composite x matter, at the primes
+    q = 1 mod k below 30000 and the last 2048 below 10**8. Some rows find
+    no x <= 10 and reach the later groups."""
     divisors = {**_PRIME_DIVISORS, 5: (5,), 13: (13,), 30: (2, 3, 5)}
     primes = np.array(search.sieve_primes(30000))
     past_ten = {}
@@ -804,6 +805,80 @@ def test_powmod_edge_shapes():
     got = starter._powmod(base, exp, mod)
     want = [[pow(b, x[0], m[0]) for b in row] for row, x, m in zip(base.tolist(), exp.tolist(), mod.tolist())]
     assert got.tolist() == want
+
+
+def test_is_square_is_the_jacobi_symbol():
+    """The Jacobi symbol by binary reciprocity against Euler's criterion on
+    the 200 primes just below 2**31 of each class mod 8 (q = 1, 3, 5, 7),
+    at a = 1, q - 1, the powers of 2 below q and random a, and against
+    sympy's jacobi_symbol on every fifth of those rows and on odd
+    composite moduli near 2**31; on each broadcast shape the callers use:
+    (rows, columns) against (rows, 1), rows against rows, and empty."""
+    jacobi_symbol = pytest.importorskip("sympy").jacobi_symbol
+    rng = np.random.default_rng(37)
+    qs = _last_primes_1_mod(2, 200, 2**31)
+    assert set((qs % 8).tolist()) == {1, 3, 5, 7}
+    a = np.concatenate([
+        np.ones((qs.size, 1), np.int64),
+        qs[:, None] - 1,
+        np.broadcast_to(2 ** np.arange(1, 31), (qs.size, 30)),
+        rng.integers(1, qs[:, None], (qs.size, 12)),
+    ], axis=1)
+    got = starter._is_square(a, qs[:, None])
+    assert got.shape == a.shape
+    assert got.tolist() == is_square(a, qs[:, None]).tolist()
+    assert starter._is_square(a[:, -1], qs).tolist() == got[:, -1].tolist()
+    want = [[jacobi_symbol(x, q) == 1 for x in row] for row, q in zip(a[::5].tolist(), qs[::5].tolist())]
+    assert got[::5].tolist() == want
+    odd = rng.integers(2**30, 2**31, 400) | 1
+    b = rng.integers(1, odd)
+    keep = np.gcd(b, odd) == 1
+    want = [jacobi_symbol(x, n) == 1 for x, n in zip(b[keep].tolist(), odd[keep].tolist())]
+    assert starter._is_square(b[keep], odd[keep]).tolist() == want
+    assert 0 < sum(want) < len(want)
+    empty = np.zeros((0, 1), np.int64)
+    assert starter._is_square(np.zeros((0, 3), np.int64), empty + 7).shape == (0, 3)
+    assert starter._is_square(empty[:, 0], empty[:, 0] + 7).shape == (0,)
+
+
+def test_least_nonresidue_matches_a_brute_loop():
+    """At every prime q = 1 (mod 4) below 10**5 and the last 2048 below
+    2**31: the least x with x**((q-1)/2) = -1, and x**((q-1)/4) is a root
+    of -1."""
+    primes = np.array(search.sieve_primes(10**5))
+    qs = np.concatenate([primes[primes % 4 == 1], _last_primes_1_mod(4, 2048, 2**31)])
+    got = starter._least_nonresidue(qs)
+    for q, x in zip(qs.tolist(), got.tolist()):
+        assert x == next(y for y in itertools.count(2) if pow(y, (q - 1) // 2, q) == q - 1), q
+    i = starter._powmod(got, (qs - 1) // 4, qs)
+    assert (i * i % qs == qs - 1).all()
+    assert qs.size > 4000 and got.max() > 20
+
+
+def test_thm510_i_is_the_order_4_search_element():
+    """thm510_batch's root of -1, x**((q-1)/4) for the least non-residue
+    x, is _order_k_elements(4, ...)'s element at every prime q = 1 (mod 20)
+    below 10**7: the least x whose power has order 4 is the least
+    non-residue. So c6 and c7 are those of the element search. They do
+    not depend on the root either: with x replaced by q - x, which gives
+    -i where q = 5 (mod 8), c6 and c7 are unchanged below 10**6."""
+    rows = 0
+    for qs in search._progression_primes(20, 10**7):
+        i = starter._powmod(starter._least_nonresidue(qs), (qs - 1) // 4, qs)
+        assert i.tolist() == starter._order_k_elements(4, qs, (qs - 1) // 4).tolist()
+        assert (i * i % qs == qs - 1).all()
+        rows += qs.size
+    assert rows == 82_950
+    qs = np.array([q for q in search.sieve_primes(10**6) if q % 20 == 1])
+    want = starter.thm510_batch(qs)
+    real = starter._least_nonresidue
+    try:
+        starter._least_nonresidue = lambda q: q - real(q)
+        got = starter.thm510_batch(qs)
+    finally:
+        starter._least_nonresidue = real
+    assert got.tolist() == want.tolist()
+    assert (qs % 8 == 5).sum() > 4000 and not want[:, 5:].all() and want[:, 5:].any()
 
 
 def test_pair_tables_match_prime_tables():

@@ -36,13 +36,33 @@ process_time around each. Each side's round reads as the median of its
 repetitions, in milliseconds of wall and of CPU time, and the summary
 gives medians, quartiles and rounds won as for the workloads. A setup
 that should leave caches warm evaluates the expression once itself.
+
+Per-op figures, so that a moved workload median names the ops that moved:
+
+    python3 tools/bench_pairs.py --base HEAD~1 --head HEAD \\
+        --ops sweep:10 --seed 1 --seconds 15 --out BENCH_N.json
+
+Pair i of `--ops W:PAIRS` writes the plan of seed S+i in each side's
+checkout, by running perfbench/plans.py's make_plan in a child, and then
+runs each round of it as `perfbench/worker.py ops PLAN.json` in a fresh
+interpreter, as perfbench does, in the same checkouts and order as pair i
+of a workload. Ops are keyed by their kind and, where the plan names one,
+their field (`build 181 10`): the seed moves a sweep's bounds and a
+build's generator, so argv alone would not match across pairs. Each
+side's pair reads, per key, as the median of its ops' worker times in
+milliseconds. Per key the file gives each side's median and quartiles,
+the pairs each side won, and whether both sides wrote the same stdout in
+every pair; `moved` lists the keys whose head value fell below the base's
+first quartile, or above its third, in more than half of the pairs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -74,10 +94,19 @@ for _ in range(int(reps)):
     wall.append(time.perf_counter() - t)
 out.write(json.dumps({"wall_s": wall, "cpu_s": cpu}) + "\\n")
 """
-CALL_METRICS = [
-    {"name": name, "unit": "ms", "better": "lower", "bound": None}
-    for name in ("wall_ms", "cpu_ms")
-]
+# an --ops plan's child, run in a checkout: argv is workload, seed, seconds
+PLAN_CHILD = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import plans
+workload, seed, seconds = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
+def key(op):
+    return " ".join([op.kind] + [str(op.info[f]) for f in ("q", "k") if f in op.info])
+rounds = plans.make_plan(workload, seed, seconds)
+print(json.dumps([[{"argv": op.argv, "key": key(op)} for op in ops] for ops in rounds]))
+"""
+OP_METRIC = {"unit": "ms", "better": "lower", "bound": None}
+CALL_METRICS = [{"name": name, **OP_METRIC} for name in ("wall_ms", "cpu_ms")]
 
 
 def git(*args: str) -> bytes:
@@ -126,6 +155,76 @@ def time_call(checkout: Path, setup: str, expr: str, reps: int) -> dict:
         f"{clock}_ms": 1e3 * statistics.median(out[f"{clock}_s"]) for clock in ("wall", "cpu")
     }
     return {**out, "metrics": metrics}
+
+
+def ops_plan(checkout: Path, workload: str, seed: int, seconds: int) -> list[list[dict]]:
+    """The rounds of perfbench's plan for (workload, seed, seconds), each a
+    list of ops {argv, key}, from a child in checkout."""
+    argv = [sys.executable, "-c", PLAN_CHILD, workload, str(seed), str(seconds)]
+    proc = subprocess.run(
+        argv, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{workload} plan in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def run_ops(checkout: Path, rounds: list[list[dict]]) -> dict:
+    """Each round in a fresh `perfbench/worker.py ops` run of checkout, with
+    its src on PYTHONPATH and a scratch working directory: per key, the
+    ops' times in milliseconds and the sha1 of each op's stdout, in plan
+    order, and as metrics the median time per key. An op that raised
+    stops the run."""
+    ops_out = {}
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0")
+    with tempfile.TemporaryDirectory(prefix="ops-") as work:
+        for i, ops in enumerate(rounds):
+            plan = {
+                "src": str(checkout / "src"),
+                "ops": [op["argv"] for op in ops],
+                "trace": False,
+                "max_seconds": RUN_TIMEOUT_S,
+                "summary": f"{work}/{i}.summary.json",
+                "results": f"{work}/{i}.results.jsonl",
+            }
+            plan_path = Path(work, f"{i}.plan.json")
+            plan_path.write_text(json.dumps(plan))
+            argv = [sys.executable, str(checkout / "perfbench" / "worker.py"), "ops", str(plan_path)]
+            proc = subprocess.run(
+                argv, cwd=work, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+            )
+            if proc.returncode != 0:
+                raise RuntimeError(f"worker in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+            results = [json.loads(line) for line in Path(plan["results"]).read_text().splitlines()]
+            for op, res in zip(ops, results, strict=True):
+                if res["exc"]:
+                    raise RuntimeError(f"{op['argv']} raised in {checkout}:\n{res['exc']}")
+                rec = ops_out.setdefault(op["key"], {"t_ms": [], "out_sha1": []})
+                rec["t_ms"].append(1e3 * res["t"])
+                rec["out_sha1"].append(hashlib.sha1(res["out"].encode()).hexdigest()[:12])
+    metrics = {key: statistics.median(rec["t_ms"]) for key, rec in ops_out.items()}
+    return {"ops": ops_out, "metrics": metrics}
+
+
+def compare_ops(pairs: list[dict]) -> dict:
+    """Per op key, compare's figures of the sides' per-pair medians and
+    whether both sides wrote the same stdout in every pair; `moved` names
+    the keys whose head value is below the base's first quartile, or above
+    its third, in more than half of the pairs."""
+    keys = sorted(pairs[0]["base"]["metrics"])
+    metrics = compare(pairs, [{"name": key, **OP_METRIC} for key in keys])
+    moved = {}
+    for key in keys:
+        rec = metrics[key]
+        rec["same_stdout"] = all(
+            p["base"]["ops"][key]["out_sha1"] == p["head"]["ops"][key]["out_sha1"] for p in pairs
+        )
+        heads = [p["head"]["metrics"][key] for p in pairs]
+        q1, q3 = rec["base"]["q1"], rec["base"]["q3"]
+        for way, count in (("lower", sum(h < q1 for h in heads)), ("higher", sum(h > q3 for h in heads))):
+            if 2 * count > len(heads):
+                moved[key] = way
+    return {"metrics": metrics, "moved": moved}
 
 
 def spread(xs: list[float]) -> dict:
@@ -190,14 +289,22 @@ def main(argv: list[str] | None = None) -> int:
         metavar="NAME=EXPR",
         help="an expression to time in process; repeatable",
     )
+    ap.add_argument(
+        "--ops",
+        action="append",
+        default=[],
+        metavar="NAME:PAIRS",
+        help="a workload to time op by op, and its number of pairs; repeatable",
+    )
     ap.add_argument("--setup", default="", help="statements run before a call's repetitions")
     ap.add_argument("--rounds", type=int, default=10, help="rounds per call")
     ap.add_argument("--reps", type=int, default=5, help="repetitions per child")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    if not args.workload and not args.call:
-        ap.error("give at least one --workload or --call")
+    if not args.workload and not args.call and not args.ops:
+        ap.error("give at least one --workload, --call or --ops")
     plan = [(name, int(n)) for name, n in (w.split(":") for w in args.workload)]
+    op_plan = [(name, int(n)) for name, n in (w.split(":") for w in args.ops)]
     calls = [c.split("=", 1) for c in args.call]
 
     end_to_end = json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]
@@ -220,6 +327,13 @@ def main(argv: list[str] | None = None) -> int:
             "reps": args.reps,
             "order": "as the pairs: base first in even rounds",
         }
+    if op_plan:
+        report["protocol"]["ops"] = {
+            "command": "python3 perfbench/worker.py ops PLAN.json, per round of "
+            "plans.make_plan(W, S+i, N)",
+            "key": "the op's kind, then its q and k where the plan names them",
+            "value": "per pair and side, the median worker time t of the key's ops, in ms",
+        }
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         checkouts = {}
@@ -230,24 +344,30 @@ def main(argv: list[str] | None = None) -> int:
                 checkouts[side, length] = dest
         jobs = [("workloads", name, n, end_to_end) for name, n in plan]
         jobs += [("calls", name, args.rounds, CALL_METRICS) for name, _ in calls]
+        jobs += [("ops", name, n, None) for name, n in op_plan]
         exprs = dict(calls)
         for kind, name, n_pairs, metrics in jobs:
             pairs = []
             for i in range(n_pairs):
                 length = DIR_NAME_LENGTHS[i % len(DIR_NAME_LENGTHS)]
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                seed = {"seed": args.seed + i} if kind == "workloads" else {}
+                seed = {"seed": args.seed + i} if kind != "calls" else {}
                 pair = {**seed, "dir_name_length": length, "first": order[0]}
                 for side in order:
                     print(f"{name} pair {i}: {side}", file=sys.stderr, flush=True)
                     checkout = checkouts[side, length]
                     if kind == "workloads":
                         pair[side] = run_once(checkout, name, args.seed + i, args.seconds)
+                    elif kind == "ops":
+                        rounds = ops_plan(checkout, name, args.seed + i, args.seconds)
+                        pair[side] = run_ops(checkout, rounds)
                     else:
                         pair[side] = time_call(checkout, args.setup, exprs[name], args.reps)
                 pairs.append(pair)
                 if kind == "workloads":
                     summary = summarize(pairs, metrics)
+                elif kind == "ops":
+                    summary = compare_ops(pairs)
                 else:
                     summary = {"expr": exprs[name], "metrics": compare(pairs, metrics)}
                 report.setdefault(kind, {})[name] = {"pairs": pairs, **summary}

@@ -207,13 +207,13 @@ def _is_square(a: np.ndarray, q) -> np.ndarray:
     1.4.2), the sign in bit 1 of t: strip a's 2^v, v the float64 exponent
     of its lowest bit, flip for odd v if n = 3, 5 (mod 8) and if
     a = n = 3 (mod 4), then (a, n) <- (n mod a, a). A finished row (a = 0,
-    lowest bit 2**40) runs on as a no-op; live rows are compacted every 4
-    steps."""
+    lowest bit 2**40) runs on as a no-op; live rows are compacted every 8
+    steps (every 4 took as long and left more heap behind)."""
     x, n = (np.array(y, dtype=np.int64).ravel() for y in np.broadcast_arrays(a % q, q))
     t, out, rows = np.zeros_like(x), np.zeros_like(x), np.arange(x.size)
     with np.errstate(divide="ignore"):
         while rows.size:
-            for _ in range(4):
+            for _ in range(8):
                 low = (x | 2**40) & -(x | 2**40)
                 v = (low.astype(np.float64).view(np.int64) >> 52) - 1023
                 x >>= v

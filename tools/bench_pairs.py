@@ -29,8 +29,9 @@ In-process figures come from the same tool and the same file:
         --rounds 10 --reps 5 --out BENCH_N.json
 
 Round i of a call starts one child per side, in the same checkouts and
-order as pair i of a workload. The child puts the checkout's src first on
-sys.path, sends its stdout to os.devnull, runs the setup once and then
+order as pair i of a workload. The child runs with one BLAS thread, puts
+the checkout's src first on sys.path, sends its stdout to os.devnull, runs
+the setup once and then
 evaluates the expression --reps times, recording perf_counter and
 process_time around each. Each side's round reads as the median of its
 repetitions, in milliseconds of wall and of CPU time, and the summary
@@ -143,10 +144,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 def time_call(checkout: Path, setup: str, expr: str, reps: int) -> dict:
     """One child's repetitions of expr in checkout, each in seconds of
-    wall and of CPU time, and their medians in milliseconds as metrics."""
+    wall and of CPU time, and their medians in milliseconds as metrics.
+    The child runs one BLAS thread: a second one spins for milliseconds
+    after numpy's import, and with a core free that time counted as the
+    expression's CPU time, at times more than its wall time."""
     argv = [sys.executable, "-c", CALL_CHILD, str(checkout / "src"), setup, expr, str(reps)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
-        argv, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+        argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{expr} in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")

@@ -6,6 +6,11 @@ sum(c_i * p**i), so prime-field arithmetic is plain arithmetic mod p.
 The encoding fixes a total order on elements, which makes generator
 selection, modulus selection and every file format deterministic.
 
+GF(p^n) multiplies one way: by the matrix of multiplication by b, whose
+row j is x**j * b (Lidl and Niederreiter, Finite Fields, ch. 2). The
+coefficient arrays apply it to many rows at once; mul, power and chi are
+their one-row cases, with a builtin path on prime fields.
+
 All operations are pure functions of (spec, operands); FieldSpec is frozen
 and hashable, so concurrent readers need no coordination.
 """
@@ -85,36 +90,6 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(p); coefficient lists, low degree first
-
-
-def _ptrim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmulmod(a: list, b: list, f, p: int) -> list:
-    """a * b reduced mod the monic polynomial f."""
-    if not a or not b:
-        return []
-    n = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    # each coefficient is reduced mod p once: as the leading term it is
-    # cleared, and the n low ones at the end (Python ints do not overflow)
-    for i in range(len(prod) - 1, n - 1, -1):
-        c = prod[i] % p
-        if c:
-            for j in range(n):
-                prod[i - n + j] -= c * f[j]
-    return _ptrim([c % p for c in prod[:n]])
-
-
-# ---------------------------------------------------------------------------
 # element encoding
 
 
@@ -161,35 +136,11 @@ def sub(spec: FieldSpec, a: int, b: int) -> int:
 
 
 def mul(spec: FieldSpec, a: int, b: int) -> int:
+    """a * b; on GF(p^n), a's coefficient row times the matrix of b."""
     if spec.n == 1:
         return (a * b) % spec.p
-    ca = _ptrim(element_coeffs(spec, a))
-    cb = _ptrim(element_coeffs(spec, b))
-    return element_from_coeffs(spec, _pmulmod(ca, cb, spec.modulus, spec.p))
-
-
-def _frobenius_image(spec: FieldSpec, ca: list) -> list:
-    """The coefficients of a**p from those of a (n >= 2)."""
-    img = [0] * spec.n
-    for c, col in zip(ca, spec.frobenius):
-        if c:
-            for j, m in enumerate(col):
-                img[j] += c * m
-    return _ptrim([x % spec.p for x in img])
-
-
-def norm(spec: FieldSpec, a: int) -> int:
-    """N(a) = a * a**p * ... * a**(p**(n-1)) = a**((q-1)/(p-1)), an element
-    of GF(p); N(a) = a on a prime field."""
-    if spec.n == 1:
-        return a
-    p, f = spec.p, spec.modulus
-    full = conj = _ptrim(element_coeffs(spec, a))
-    for _ in range(spec.n - 1):
-        conj = _frobenius_image(spec, conj)
-        full = _pmulmod(full, conj, f, p)
-    assert len(full) <= 1, "the norm lies in GF(p)"
-    return full[0] if full else 0
+    m = _x_multiples(spec, element_coeffs(spec, b), spec.n)
+    return encode_rows(spec, np.array([element_coeffs(spec, a)]) @ m % spec.p)[0]
 
 
 def inv(spec: FieldSpec, a: int) -> int:
@@ -202,33 +153,35 @@ def inv(spec: FieldSpec, a: int) -> int:
 
 
 def power(spec: FieldSpec, a: int, e: int) -> int:
-    """a**e by square-and-multiply on the coefficients, decoded and encoded
-    once; negative e inverts first."""
+    """a**e; negative e inverts first. On GF(p^n) a**e is row 0 of M**e,
+    M the matrix of a, by square-and-multiply on the row, with M squared
+    as power_rows squares it."""
     if e < 0:
         return power(spec, inv(spec, a), -e)
     if spec.n == 1:
         return pow(a, e, spec.p)
-    p, f = spec.p, spec.modulus
-    base, result = _ptrim(element_coeffs(spec, a)), [1]
+    p = spec.p
+    m = _x_multiples(spec, element_coeffs(spec, a), spec.n)
+    row = np.eye(1, spec.n, dtype=np.int64)  # the element 1
     while e:
         if e & 1:
-            result = _pmulmod(result, base, f, p)
+            row = row @ m % p
         e >>= 1
         if e:
-            base = _pmulmod(base, base, f, p)
-    return element_from_coeffs(spec, result)
+            m = m @ m % p
+    return encode_rows(spec, row)[0]
 
 
 def chi(spec: FieldSpec, a: int) -> int:
-    """Quadratic character: +1 on nonzero squares, -1 on nonsquares.
-
-    chi(a) = chi_p(N(a)), Euler's criterion on the norm in GF(p), since
-    (q-1)/2 = ((q-1)/(p-1)) * (p-1)/2. chi(0) is undefined and raises.
-    """
+    """Quadratic character: +1 on nonzero squares, -1 on nonsquares, by
+    Euler's criterion on GF(p) and chi_rows of a's row (Euler's criterion
+    on the norm) on GF(p^n). chi(0) is undefined and raises."""
     if a == 0:
         raise ValueError("chi(0) is undefined")
+    if spec.n > 1:
+        return chi_rows(spec, np.array([element_coeffs(spec, a)]))[0]
     p = spec.p
-    r = pow(norm(spec, a), (p - 1) // 2, p)
+    r = pow(a, (p - 1) // 2, p)
     if r == 1:
         return 1
     assert r == p - 1  # the only other square root of 1
@@ -316,8 +269,6 @@ def chi_rows(spec: FieldSpec, rows: np.ndarray) -> list[int]:
 # ---------------------------------------------------------------------------
 # field construction
 
-_FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}
-
 
 def check_size(q: int) -> None:
     """Refuse a field order over DEFAULT_Q_LIMIT."""
@@ -334,19 +285,15 @@ def _has_full_order(spec: FieldSpec, a: int) -> bool:
     return all(power(spec, a, q1 // f) != 1 for f, _ in factorize(q1))
 
 
+@lru_cache(maxsize=None)
 def make_prime_field(p: int) -> FieldSpec:
     """GF(p) for an odd prime p, with the smallest primitive root."""
-    cached = _FIELD_CACHE.get((p, 1))
-    if cached is not None:
-        return cached
     if factorize(p) != ((p, 1),):
         raise ValueError(f"{p} is not prime")
     if p == 2:
         raise ValueError("the field order must be odd")
     spec = FieldSpec(p=p, n=1, modulus=(), q=p, alpha=0)
-    spec = replace(spec, alpha=next(a for a in range(2, p) if _has_full_order(spec, a)))
-    _FIELD_CACHE[(p, 1)] = spec
-    return spec
+    return replace(spec, alpha=next(a for a in range(2, p) if _has_full_order(spec, a)))
 
 
 def _table_entry(p: int, n: int) -> tuple[tuple[int, ...], int]:
@@ -367,6 +314,7 @@ def _frobenius_columns(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, cols))
 
 
+@lru_cache(maxsize=None)
 def make_extension_field(p: int, n: int) -> FieldSpec:
     """GF(p^n) with the smallest modulus and generator.
 
@@ -384,14 +332,9 @@ def make_extension_field(p: int, n: int) -> FieldSpec:
         raise ValueError(f"{p} is not an odd prime")
     q = p**n
     check_size(q)
-    cached = _FIELD_CACHE.get((p, n))
-    if cached is not None:
-        return cached
     modulus, alpha = _table_entry(p, n)
     spec = FieldSpec(p=p, n=n, modulus=modulus, q=q, alpha=alpha)
-    spec = replace(spec, frobenius=_frobenius_columns(spec))
-    _FIELD_CACHE[(p, n)] = spec
-    return spec
+    return replace(spec, frobenius=_frobenius_columns(spec))
 
 
 def order_parts(q: int) -> tuple[int, int]:

@@ -4,31 +4,41 @@ None of this is reached by the command line or the library. It is kept
 here, in the tests, as the independent second route of the "checked
 twice" rule:
 
-- element_order is the least m with a**m == 1, found by gf.power on
+- _ptrim, _pmulmod, _frobenius_image and norm are the polynomial
+  arithmetic of GF(p^n) on coefficient lists, moved from gf unchanged,
+  and poly_mul, poly_power, poly_inv and poly_chi are gf's scalar ops as
+  they were on it: products by _pmulmod, inv as a**(q-2), and chi as
+  Euler's criterion on the norm. They are the oracle of gf's coefficient
+  arrays and of gf.mul, gf.power, gf.inv and gf.chi, the arrays' one-row
+  cases, and every oracle below multiplies through them on GF(p^n), so
+  none shares the matrix route it checks; on GF(p) they take the builtin
+  path, as gf does;
+- element_order is the least m with a**m == 1, found by poly_power on
   the divisors of q - 1, against which gf._has_full_order, the generator
-  test of the generator searches and of an explicit alpha, is tested; as
-  both take gf.power, the tests also hold them to sympy and to
-  repeated multiplication;
+  test of the generator searches and of an explicit alpha, is tested; the
+  tests also hold them to sympy and to repeated multiplication;
 - is_irreducible, Rabin's test, and search_extension_field, the search
   for the smallest monic irreducible modulus and the smallest generator
   of GF(p^n), wrote the field table that gf.make_extension_field reads,
   and tools/field_table.py checks the table against them. They are moved
-  from gf.make_extension_field unchanged;
+  from gf.make_extension_field unchanged, except that Rabin's test powers
+  by poly_power; the generator search still takes gf._has_full_order;
 - element_tables builds a starter context's block and chi table one
   field op per entry, against the coefficient-array route of
   starter.make_starter_context;
-- delta_sum_brute sums the orbit sign over all C(k,3) triples of the
-  block, against the convolution starter.delta_sum;
+- delta_sum_brute sums the orbit sign chi((z1-z2)(z2-z3)(z3-z1)) over
+  all C(k,3) triples of the block, by the polynomial route, against the
+  convolution starter.delta_sum;
 - dihedral_orbit_reps, rep_gaps and delta_of_rep sum the sign over the
   dihedral orbits of 3-subsets of a cyclic group, a third route to it;
 - canonicalize scales a matrix with square determinant to its canonical
   form, against which projline.psl_generators, built canonical, is
   tested; random_element, compose, inverse and identity are the group
   law on canonical matrices, against which projline.sample_trials and
-  apply are tested; apply maps one point through the scalar gf ops,
+  apply are tested; apply maps one point through the scalar ops above,
   against which projline.apply_to_points and point_permutation, the
   array route on GF(q)'s exp and log tables, are tested. It is moved
-  from the package unchanged;
+  from the package unchanged but for the poly_* ops;
 - sweep_entries_by_row builds a sweep's SweepEntry list one entry at a
   time from the kernel's prime chunks (prime_entries), with the
   extension-field rows merged by a sort on q (with_prime_powers),
@@ -45,11 +55,12 @@ twice" rule:
   batched Cornacchia descent starter._represented, and with it c6/c7 of
   starter.thm510_batch, is tested;
 - thm510_conditions evaluates c1..c5 on any field with two starter
-  contexts and scalar field ops (_quadratic_root_nonsquare checks c4),
+  contexts and the scalar ops above (_quadratic_root_nonsquare checks c4),
   and takes c6/c7 from thm510_batch on a prime field. It is the oracle
   of starter.thm510_batch, and of starter.thm510_conditions, which reads
   every answer off a batch row. It is moved from the package unchanged,
-  except that gf.embed(spec, m), since deleted, is written m % spec.p;
+  except that gf.embed(spec, m), since deleted, is written m % spec.p,
+  and that it multiplies by the poly_* ops;
 - order_k_elements tries one x at a time, x = 2, 3, ..., on the rows
   still left, against starter._order_k_elements, which tries x = 3..10,
   11..18, ... eight at a time and must take the same first x on every
@@ -77,7 +88,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from psldesigns import gf, projline, search, starter
+from psldesigns import gf, search, starter
 from psldesigns.projline import GroupElem
 from psldesigns.starter import (
     CharSequence,
@@ -90,6 +101,115 @@ from psldesigns.starter import (
 )
 
 # ---------------------------------------------------------------------------
+# polynomial helpers over GF(p); coefficient lists, low degree first
+
+
+def _ptrim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmulmod(a: list, b: list, f, p: int) -> list:
+    """a * b reduced mod the monic polynomial f."""
+    if not a or not b:
+        return []
+    n = len(f) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    # each coefficient is reduced mod p once: as the leading term it is
+    # cleared, and the n low ones at the end (Python ints do not overflow)
+    for i in range(len(prod) - 1, n - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(n):
+                prod[i - n + j] -= c * f[j]
+    return _ptrim([c % p for c in prod[:n]])
+
+
+def _frobenius_image(spec: gf.FieldSpec, ca: list) -> list:
+    """The coefficients of a**p from those of a (n >= 2)."""
+    img = [0] * spec.n
+    for c, col in zip(ca, spec.frobenius):
+        if c:
+            for j, m in enumerate(col):
+                img[j] += c * m
+    return _ptrim([x % spec.p for x in img])
+
+
+def norm(spec: gf.FieldSpec, a: int) -> int:
+    """N(a) = a * a**p * ... * a**(p**(n-1)) = a**((q-1)/(p-1)), an element
+    of GF(p); N(a) = a on a prime field."""
+    if spec.n == 1:
+        return a
+    p, f = spec.p, spec.modulus
+    full = conj = _ptrim(gf.element_coeffs(spec, a))
+    for _ in range(spec.n - 1):
+        conj = _frobenius_image(spec, conj)
+        full = _pmulmod(full, conj, f, p)
+    assert len(full) <= 1, "the norm lies in GF(p)"
+    return full[0] if full else 0
+
+
+# ---------------------------------------------------------------------------
+# the scalar ops by the polynomial route
+
+
+def poly_mul(spec: gf.FieldSpec, a: int, b: int) -> int:
+    if spec.n == 1:
+        return (a * b) % spec.p
+    ca = _ptrim(gf.element_coeffs(spec, a))
+    cb = _ptrim(gf.element_coeffs(spec, b))
+    return gf.element_from_coeffs(spec, _pmulmod(ca, cb, spec.modulus, spec.p))
+
+
+def poly_inv(spec: gf.FieldSpec, a: int) -> int:
+    """a**-1; on GF(p^n), a**(q-2)."""
+    if a == 0:
+        raise ValueError("0 has no multiplicative inverse")
+    if spec.n == 1:
+        return pow(a, -1, spec.p)
+    return poly_power(spec, a, spec.q - 2)
+
+
+def poly_power(spec: gf.FieldSpec, a: int, e: int) -> int:
+    """a**e by square-and-multiply on the coefficients, decoded and encoded
+    once; negative e inverts first."""
+    if e < 0:
+        return poly_power(spec, poly_inv(spec, a), -e)
+    if spec.n == 1:
+        return pow(a, e, spec.p)
+    p, f = spec.p, spec.modulus
+    base, result = _ptrim(gf.element_coeffs(spec, a)), [1]
+    while e:
+        if e & 1:
+            result = _pmulmod(result, base, f, p)
+        e >>= 1
+        if e:
+            base = _pmulmod(base, base, f, p)
+    return gf.element_from_coeffs(spec, result)
+
+
+def poly_chi(spec: gf.FieldSpec, a: int) -> int:
+    """Quadratic character: +1 on nonzero squares, -1 on nonsquares.
+
+    chi(a) = chi_p(N(a)), Euler's criterion on the norm in GF(p), since
+    (q-1)/2 = ((q-1)/(p-1)) * (p-1)/2. chi(0) is undefined and raises.
+    """
+    if a == 0:
+        raise ValueError("chi(0) is undefined")
+    p = spec.p
+    r = pow(norm(spec, a), (p - 1) // 2, p)
+    if r == 1:
+        return 1
+    assert r == p - 1  # the only other square root of 1
+    return -1
+
+
+# ---------------------------------------------------------------------------
 # the multiplicative order by the power route
 
 
@@ -99,7 +219,7 @@ def element_order(spec: gf.FieldSpec, a: int) -> int:
         raise ValueError("0 has no multiplicative order")
     m = spec.q - 1
     for f, _ in gf.factorize(m):
-        while m % f == 0 and gf.power(spec, a, m // f) == 1:
+        while m % f == 0 and poly_power(spec, a, m // f) == 1:
             m //= f
     return m
 
@@ -115,11 +235,11 @@ def is_irreducible(spec: gf.FieldSpec) -> bool:
     (Lidl and Niederreiter, Finite Fields, ch. 3), so h is a unit, that
     is gcd(h, f) = 1, exactly when h**(q-1) == 1. x is encoded as p."""
     p, n, q = spec.p, spec.n, spec.q
-    if gf.power(spec, p, q) != p:
+    if poly_power(spec, p, q) != p:
         return False
     for ell, _ in gf.factorize(n):
-        h = gf.sub(spec, gf.power(spec, p, p ** (n // ell)), p)
-        if gf.power(spec, h, q - 1) != 1:
+        h = gf.sub(spec, poly_power(spec, p, p ** (n // ell)), p)
+        if poly_power(spec, h, q - 1) != 1:
             return False
     return True
 
@@ -152,8 +272,8 @@ def element_tables(spec: gf.FieldSpec, k: int, beta: int) -> tuple[list, list]:
     of the coefficient-array route of starter.make_starter_context."""
     block = [1]
     for _ in range(k - 1):
-        block.append(gf.mul(spec, block[-1], beta))
-    return block, [0] + [gf.chi(spec, gf.sub(spec, 1, b)) for b in block[1:]]
+        block.append(poly_mul(spec, block[-1], beta))
+    return block, [0] + [poly_chi(spec, gf.sub(spec, 1, b)) for b in block[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +333,14 @@ def delta_of_rep(ctx: StarterContext, rep: OrbitRep) -> int:
 
 
 def delta_sum_brute(ctx: StarterContext) -> int:
-    """O(k^3) oracle for delta_sum: direct sign sum over all triples."""
+    """O(k^3) oracle for delta_sum: direct sum of the sign
+    chi((z1-z2)(z2-z3)(z3-z1)) over all triples of the block."""
     if ctx.e % 2:
         raise ValueError("the signed count is only defined for even e")
+    spec, sub = ctx.spec, functools.partial(gf.sub, ctx.spec)
     return sum(
-        projline.delta_finite(ctx.spec, t)
-        for t in itertools.combinations(ctx.block, 3)
+        poly_chi(spec, poly_mul(spec, poly_mul(spec, sub(z1, z2), sub(z2, z3)), sub(z3, z1)))
+        for z1, z2, z3 in itertools.combinations(ctx.block, 3)
     )
 
 
@@ -233,13 +355,13 @@ def canonicalize(spec: gf.FieldSpec, a: int, b: int, c: int, d: int) -> GroupEle
     induce the same map of the projective line exactly when they are
     proportional, so they canonicalize identically iff their maps agree.
     """
-    det = gf.sub(spec, gf.mul(spec, a, d), gf.mul(spec, b, c))
+    det = gf.sub(spec, poly_mul(spec, a, d), poly_mul(spec, b, c))
     if det == 0:
         raise ValueError("matrix is singular")
-    if gf.chi(spec, det) != 1:
+    if poly_chi(spec, det) != 1:
         raise ValueError("determinant is not a square, so not in PSL(2,q)")
-    s = gf.inv(spec, a or b)  # a = b = 0 would make the matrix singular
-    return GroupElem(*(gf.mul(spec, s, x) for x in (a, b, c, d)))
+    s = poly_inv(spec, a or b)  # a = b = 0 would make the matrix singular
+    return GroupElem(*(poly_mul(spec, s, x) for x in (a, b, c, d)))
 
 
 def identity(spec: gf.FieldSpec) -> GroupElem:
@@ -250,10 +372,10 @@ def compose(spec: gf.FieldSpec, g: GroupElem, h: GroupElem) -> GroupElem:
     """Canonical product, so apply(compose(g,h), z) == apply(g, apply(h, z))."""
     return canonicalize(
         spec,
-        gf.add(spec, gf.mul(spec, g.a, h.a), gf.mul(spec, g.b, h.c)),
-        gf.add(spec, gf.mul(spec, g.a, h.b), gf.mul(spec, g.b, h.d)),
-        gf.add(spec, gf.mul(spec, g.c, h.a), gf.mul(spec, g.d, h.c)),
-        gf.add(spec, gf.mul(spec, g.c, h.b), gf.mul(spec, g.d, h.d)),
+        gf.add(spec, poly_mul(spec, g.a, h.a), poly_mul(spec, g.b, h.c)),
+        gf.add(spec, poly_mul(spec, g.a, h.b), poly_mul(spec, g.b, h.d)),
+        gf.add(spec, poly_mul(spec, g.c, h.a), poly_mul(spec, g.d, h.c)),
+        gf.add(spec, poly_mul(spec, g.c, h.b), poly_mul(spec, g.d, h.d)),
     )
 
 
@@ -266,8 +388,8 @@ def random_element(spec: gf.FieldSpec, rng) -> GroupElem:
     q = spec.q
     while True:
         a, b, c, d = (rng.randrange(q) for _ in range(4))
-        det = gf.sub(spec, gf.mul(spec, a, d), gf.mul(spec, b, c))
-        if det != 0 and gf.chi(spec, det) == 1:
+        det = gf.sub(spec, poly_mul(spec, a, d), poly_mul(spec, b, c))
+        if det != 0 and poly_chi(spec, det) == 1:
             return canonicalize(spec, a, b, c, d)
 
 
@@ -277,12 +399,12 @@ def apply(spec: gf.FieldSpec, g: GroupElem, z: int) -> int:
     if z == q:
         if g.c == 0:
             return q
-        return gf.mul(spec, g.a, gf.inv(spec, g.c))
-    den = gf.add(spec, gf.mul(spec, g.c, z), g.d)
+        return poly_mul(spec, g.a, poly_inv(spec, g.c))
+    den = gf.add(spec, poly_mul(spec, g.c, z), g.d)
     if den == 0:
         return q
-    num = gf.add(spec, gf.mul(spec, g.a, z), g.b)
-    return gf.mul(spec, num, gf.inv(spec, den))
+    num = gf.add(spec, poly_mul(spec, g.a, z), g.b)
+    return poly_mul(spec, num, poly_inv(spec, den))
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +560,25 @@ def _quadratic_root_nonsquare(spec: gf.FieldSpec, beta: int) -> bool:
     (their characters agree).
     """
     five = 5 % spec.p
-    s = gf.mul(
+    s = poly_mul(
         spec,
-        gf.mul(spec, beta, gf.power(spec, gf.sub(spec, 1, beta), 2)),
+        poly_mul(spec, beta, poly_power(spec, gf.sub(spec, 1, beta), 2)),
         gf.add(spec, 1, beta),
     )
-    assert gf.mul(spec, s, s) == five
+    assert poly_mul(spec, s, s) == five
     two = 2 % spec.p
     roots = (gf.add(spec, two, s), gf.sub(spec, two, s))
     theta0 = gf.add(
         spec,
-        gf.mul(spec, two, gf.add(spec, gf.power(spec, beta, 4), beta)),
+        poly_mul(spec, two, gf.add(spec, poly_power(spec, beta, 4), beta)),
         3 % spec.p,
     )
     assert theta0 in roots
     for th in roots:
         # th^2 - 4*th - 1 == 0
-        val = gf.sub(spec, gf.sub(spec, gf.mul(spec, th, th), gf.mul(spec, 4 % spec.p, th)), 1)
+        val = gf.sub(spec, gf.sub(spec, poly_mul(spec, th, th), poly_mul(spec, 4 % spec.p, th)), 1)
         assert val == 0
-    return any(gf.chi(spec, th) == -1 for th in roots)
+    return any(poly_chi(spec, th) == -1 for th in roots)
 
 
 def thm510_conditions(spec: gf.FieldSpec, alpha: int | None = None) -> Thm510Conditions:
@@ -474,9 +596,9 @@ def thm510_conditions(spec: gf.FieldSpec, alpha: int | None = None) -> Thm510Con
     five = 5 % spec.p
     c1 = gives_design(ctx5)
     c2 = gives_design(ctx10)
-    c3 = gf.chi(spec, gf.add(spec, 1, beta)) == -1
+    c3 = poly_chi(spec, gf.add(spec, 1, beta)) == -1
     c4 = _quadratic_root_nonsquare(spec, beta)
-    c5 = gf.power(spec, five, (q - 1) // 4) != 1
+    c5 = poly_power(spec, five, (q - 1) // 4) != 1
     c6 = c7 = None
     if spec.n == 1:
         c6, c7 = thm510_batch([q])[0, 5:].tolist()

@@ -3,6 +3,7 @@ turn alternating before/after runs into the medians, quartiles and pair
 wins of a BENCH_*.json file, and time_call, the child of a --call round."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -106,6 +107,22 @@ def test_ops_plan_keys_perfbench_ops_by_kind_and_field():
     assert rounds[0][3]["argv"][:2] == ["thm510", "--pmax"]
     orbit = bench_pairs.ops_plan(checkout, "orbit", 1, 1)
     assert orbit[0][0]["key"] == "build 29 7" and orbit[0][1]["key"] == "verify 29 7"
+
+
+def test_ops_plan_keys_queries_ops_by_stratum():
+    """A queries op is keyed by its universe stratum, which splits check
+    and seq between prime and extension fields; the stratum agrees with
+    the op's kind and field size."""
+    checkout = _PATH.parent.parent
+    rounds = bench_pairs.ops_plan(checkout, "queries", 1, 5)
+    strata = {"check-prime", "check-ext", "seq-prime", "seq-ext", "lift"}
+    assert {op["key"] for ops in rounds for op in ops} == strata
+    for op in (op for ops in rounds for op in ops):
+        kind, _, fields = op["key"].partition("-")
+        assert op["argv"][0] == kind
+        if fields:
+            q = int(op["argv"][1])
+            assert (fields == "prime") == all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
 def test_run_ops_runs_each_round_in_a_perfbench_worker():

@@ -49,7 +49,10 @@ runs each round of it as `perfbench/worker.py ops PLAN.json` in a fresh
 interpreter, as perfbench does, in the same checkouts and order as pair i
 of a workload. Ops are keyed by their kind and, where the plan names one,
 their field (`build 181 10`): the seed moves a sweep's bounds and a
-build's generator, so argv alone would not match across pairs. Each
+build's generator, so argv alone would not match across pairs. A
+`queries` op is keyed by its universe stratum (`check-prime`,
+`check-ext`, `seq-prime`, `seq-ext`, `lift`), so that prime and
+extension fields are not averaged together. Each
 side's pair reads, per key, as the median of its ops' worker times in
 milliseconds. Per key the file gives each side's median and quartiles,
 the pairs each side won, and whether both sides wrote the same stdout in
@@ -101,7 +104,10 @@ import json, sys
 sys.path.insert(0, "perfbench")
 import plans
 workload, seed, seconds = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
+entries = plans.load_queries_record() if workload == "queries" else []
 def key(op):
+    if "entry" in op.info:
+        return entries[op.info["entry"]]["stratum"]
     return " ".join([op.kind] + [str(op.info[f]) for f in ("q", "k") if f in op.info])
 rounds = plans.make_plan(workload, seed, seconds)
 print(json.dumps([[{"argv": op.argv, "key": key(op)} for op in ops] for ops in rounds]))
@@ -336,7 +342,8 @@ def main(argv: list[str] | None = None) -> int:
         report["protocol"]["ops"] = {
             "command": "python3 perfbench/worker.py ops PLAN.json, per round of "
             "plans.make_plan(W, S+i, N)",
-            "key": "the op's kind, then its q and k where the plan names them",
+            "key": "the op's kind, then its q and k where the plan names them; "
+            "a queries op's universe stratum",
             "value": "per pair and side, the median worker time t of the key's ops, in ms",
         }
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-"))

@@ -12,7 +12,8 @@ twice" rule:
   arrays and of gf.mul, gf.power, gf.inv and gf.chi, the arrays' one-row
   cases, and every oracle below multiplies through them on GF(p^n), so
   none shares the matrix route it checks; on GF(p) they take the builtin
-  path, as gf does;
+  path, as gf does. norm reads the field's stored Frobenius columns,
+  which the tests hold to poly_power by N(a) = a**((q-1)/(p-1));
 - element_order is the least m with a**m == 1, found by poly_power on
   the divisors of q - 1, against which gf._has_full_order, the generator
   test of the generator searches and of an explicit alpha, is tested; the

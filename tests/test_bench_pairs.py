@@ -111,13 +111,13 @@ def test_ops_plan_keys_perfbench_ops_by_kind_and_field():
 
 def test_ops_plan_keys_queries_ops_by_stratum():
     """A queries op is keyed by its universe stratum, which splits check
-    and seq between prime and extension fields; the stratum agrees with
-    the op's kind and field size."""
+    and seq between prime and extension fields; in the first round the
+    stratum agrees with the op's kind and with trial division of q."""
     checkout = _PATH.parent.parent
     rounds = bench_pairs.ops_plan(checkout, "queries", 1, 5)
     strata = {"check-prime", "check-ext", "seq-prime", "seq-ext", "lift"}
     assert {op["key"] for ops in rounds for op in ops} == strata
-    for op in (op for ops in rounds for op in ops):
+    for op in rounds[0]:
         kind, _, fields = op["key"].partition("-")
         assert op["argv"][0] == kind
         if fields:

@@ -9,7 +9,9 @@ selection, modulus selection and every file format deterministic.
 GF(p^n) multiplies one way: by the matrix of multiplication by b, whose
 row j is x**j * b (Lidl and Niederreiter, Finite Fields, ch. 2). The
 coefficient arrays apply it to many rows at once; mul, power and chi are
-their one-row cases, with a builtin path on prime fields.
+their one-row cases, with a builtin path on prime fields. Sums and
+differences are taken on the arrays, digit by digit; the scalar add, neg
+and sub are test oracles, in tests/scalar_oracles.py.
 
 All operations are pure functions of (spec, operands); FieldSpec is frozen
 and hashable, so concurrent readers need no coordination.
@@ -102,37 +104,8 @@ def element_coeffs(spec: FieldSpec, a: int) -> list[int]:
     return cs
 
 
-def element_from_coeffs(spec: FieldSpec, coeffs) -> int:
-    """Encoding of a coefficient sequence (low degree first, len <= n)."""
-    v = 0
-    for c in reversed(list(coeffs)):
-        v = v * spec.p + c % spec.p
-    return v
-
-
 # ---------------------------------------------------------------------------
 # field operations
-
-
-def add(spec: FieldSpec, a: int, b: int) -> int:
-    if spec.n == 1:
-        return (a + b) % spec.p
-    p = spec.p
-    ca, cb = element_coeffs(spec, a), element_coeffs(spec, b)
-    return element_from_coeffs(spec, [(x + y) % p for x, y in zip(ca, cb)])
-
-
-def neg(spec: FieldSpec, a: int) -> int:
-    if spec.n == 1:
-        return -a % spec.p
-    p = spec.p
-    return element_from_coeffs(spec, [-c % p for c in element_coeffs(spec, a)])
-
-
-def sub(spec: FieldSpec, a: int, b: int) -> int:
-    if spec.n == 1:
-        return (a - b) % spec.p
-    return add(spec, a, neg(spec, b))
 
 
 def mul(spec: FieldSpec, a: int, b: int) -> int:

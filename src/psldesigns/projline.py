@@ -10,9 +10,12 @@ z -> (a*z + b)/(c*z + d), held in a canonical form, scaled so that the
 first nonzero entry is 1, so that equal maps compare equal. The package
 only applies elements, and by one route: apply_to_points, on arrays,
 through GF(q)'s O(q) exp, log and digit tables (field_tables);
-point_permutation is that on all q + 1 points. The scalar apply,
-canonicalize, the group law itself (compose, inverse, identity) and
-random_element are test oracles, in tests/scalar_oracles.py.
+point_permutation is that on all q + 1 points. The orbit sign of a
+3-subset is computed by one route too: triple_signs on the same tables,
+of which delta_extended is the one-row case. The scalar apply,
+canonicalize, the group law itself (compose, inverse, identity),
+random_element and the scalar orbit sign are test oracles, in
+tests/scalar_oracles.py.
 """
 
 from __future__ import annotations
@@ -46,13 +49,12 @@ def psl_generators(spec: gf.FieldSpec) -> list[GroupElem]:
     """Transvections generating PSL(2,q), z -> z + x and z -> z/(xz + 1).
 
     For prime fields the two unit transvections suffice; for GF(p^n) the
-    shears by x = alpha**t for t < n are added, since 1, alpha, ...,
-    alpha**(n-1) span the field over GF(p). Each has determinant 1 and
+    shears by x = alpha**t for t < n, the rows of one gf.power_rows, are
+    added, since 1, alpha, ..., alpha**(n-1) span the field over GF(p). Each has determinant 1 and
     first entry 1, so it is built in canonical form.
     """
     gens = []
-    for t in range(spec.n):
-        x = gf.power(spec, spec.alpha, t)
+    for x in gf.encode_rows(spec, gf.power_rows(spec, spec.alpha, spec.n)):
         gens.append(GroupElem(1, x, 0, 1))
         gens.append(GroupElem(1, 0, x, 1))
     return gens
@@ -70,40 +72,18 @@ def _require_two_orbit_regime(spec: gf.FieldSpec) -> None:
         )
 
 
-def delta_finite(spec: gf.FieldSpec, triple) -> int:
-    """Orbit sign chi((z1-z2)(z2-z3)(z3-z1)) of three distinct finite points.
-
-    Well-defined on unordered triples only when q = 1 (mod 4), where
-    chi(-1) = 1; other q raise.
-    """
-    _require_two_orbit_regime(spec)
-    z1, z2, z3 = triple
-    if len({z1, z2, z3}) != 3:
-        raise ValueError("points must be distinct")
-    if max(z1, z2, z3) >= spec.q:
-        raise ValueError("points must be finite")
-    prod = gf.mul(
-        spec,
-        gf.mul(spec, gf.sub(spec, z1, z2), gf.sub(spec, z2, z3)),
-        gf.sub(spec, z3, z1),
-    )
-    return gf.chi(spec, prod)
-
-
 def delta_extended(spec: gf.FieldSpec, triple) -> int:
-    """Orbit sign of any 3-subset of PG(1,q).
-
-    +1 on the orbit of {inf, 0, 1} and -1 on the orbit of {inf, 0, alpha};
-    a triple through infinity gets chi(x - y), which is checked against the
-    brute-force orbit classification in the test suite.
-    """
-    pts = sorted(triple)
-    if len(set(pts)) != 3:
+    """Orbit sign of a 3-subset of PG(1,q), q = 1 (mod 4): triple_signs of
+    one row, +1 on the orbit of {inf, 0, 1} and -1 on the orbit of
+    {inf, 0, alpha}. Points outside range(q + 1) raise before any table
+    is built; the field's O(q) tables are built on first use, as
+    point_permutation builds them."""
+    if len(set(triple)) != 3:
         raise ValueError("points must be distinct")
-    if pts[2] == spec.q:
-        _require_two_orbit_regime(spec)
-        return gf.chi(spec, gf.sub(spec, pts[0], pts[1]))
-    return delta_finite(spec, pts)
+    if not all(z in range(spec.q + 1) for z in triple):
+        raise ValueError(f"points must lie in range(q + 1) = range({spec.q + 1})")
+    _require_two_orbit_regime(spec)
+    return int(triple_signs(field_tables(spec), np.array([triple]))[0])
 
 
 def triple_ranks(rows: np.ndarray) -> np.ndarray:
@@ -215,9 +195,11 @@ def field_tables(spec: gf.FieldSpec) -> FieldTables:
 
 
 def triple_signs(tables: FieldTables, rows: np.ndarray) -> np.ndarray:
-    """delta_extended of each row of three distinct points, from the
-    tables. Like delta_extended it is the orbit sign only for q = 1
-    (mod 4); unlike it, it does not check that."""
+    """The sign of each row of three distinct points, from the tables:
+    chi((x - y)(y - z)(z - x)) on a finite row, and chi(x - y) on a row
+    {x, y, inf}, which the tests hold to the brute-force orbit
+    classification. It is the orbit sign only for q = 1 (mod 4), where
+    chi(-1) = 1; unlike delta_extended, it does not check that."""
     x, y, z = np.sort(rows, axis=1).T
     at_inf = z == tables.q
     z = np.where(at_inf, 0, z)  # any finite index; the sign is chi(x - y)

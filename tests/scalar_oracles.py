@@ -13,7 +13,16 @@ twice" rule:
   cases, and every oracle below multiplies through them on GF(p^n), so
   none shares the matrix route it checks; on GF(p) they take the builtin
   path, as gf does. norm reads the field's stored Frobenius columns,
-  which the tests hold to poly_power by N(a) = a**((q-1)/(p-1));
+  which the tests hold to poly_power by N(a) = a**((q-1)/(p-1)).
+  element_from_coeffs, add, neg and sub are gf's scalar encoding and
+  additive ops, moved from it unchanged, against which the digit tables
+  of projline.field_tables are tested;
+- delta_finite and delta_extended are the orbit sign of a 3-subset of
+  PG(1,q), chi((z1-z2)(z2-z3)(z3-z1)) on finite points and chi(x - y) on
+  {x, y, inf}, one triple at a time by the polynomial route, so they
+  share no table with projline.triple_signs and projline.delta_extended,
+  its one-row case, which they check. They are moved from projline
+  unchanged but for the poly_* ops;
 - element_order is the least m with a**m == 1, found by poly_power on
   the divisors of q - 1, against which gf._has_full_order, the generator
   test of the generator searches and of an explicit alpha, is tested; the
@@ -159,12 +168,41 @@ def norm(spec: gf.FieldSpec, a: int) -> int:
 # the scalar ops by the polynomial route
 
 
+def element_from_coeffs(spec: gf.FieldSpec, coeffs) -> int:
+    """Encoding of a coefficient sequence (low degree first, len <= n)."""
+    v = 0
+    for c in reversed(list(coeffs)):
+        v = v * spec.p + c % spec.p
+    return v
+
+
+def add(spec: gf.FieldSpec, a: int, b: int) -> int:
+    if spec.n == 1:
+        return (a + b) % spec.p
+    p = spec.p
+    ca, cb = gf.element_coeffs(spec, a), gf.element_coeffs(spec, b)
+    return element_from_coeffs(spec, [(x + y) % p for x, y in zip(ca, cb)])
+
+
+def neg(spec: gf.FieldSpec, a: int) -> int:
+    if spec.n == 1:
+        return -a % spec.p
+    p = spec.p
+    return element_from_coeffs(spec, [-c % p for c in gf.element_coeffs(spec, a)])
+
+
+def sub(spec: gf.FieldSpec, a: int, b: int) -> int:
+    if spec.n == 1:
+        return (a - b) % spec.p
+    return add(spec, a, neg(spec, b))
+
+
 def poly_mul(spec: gf.FieldSpec, a: int, b: int) -> int:
     if spec.n == 1:
         return (a * b) % spec.p
     ca = _ptrim(gf.element_coeffs(spec, a))
     cb = _ptrim(gf.element_coeffs(spec, b))
-    return gf.element_from_coeffs(spec, _pmulmod(ca, cb, spec.modulus, spec.p))
+    return element_from_coeffs(spec, _pmulmod(ca, cb, spec.modulus, spec.p))
 
 
 def poly_inv(spec: gf.FieldSpec, a: int) -> int:
@@ -191,7 +229,7 @@ def poly_power(spec: gf.FieldSpec, a: int, e: int) -> int:
         e >>= 1
         if e:
             base = _pmulmod(base, base, f, p)
-    return gf.element_from_coeffs(spec, result)
+    return element_from_coeffs(spec, result)
 
 
 def poly_chi(spec: gf.FieldSpec, a: int) -> int:
@@ -208,6 +246,54 @@ def poly_chi(spec: gf.FieldSpec, a: int) -> int:
         return 1
     assert r == p - 1  # the only other square root of 1
     return -1
+
+
+# ---------------------------------------------------------------------------
+# the orbit sign of a 3-subset of PG(1,q), one triple at a time
+
+
+def _require_two_orbit_regime(spec: gf.FieldSpec) -> None:
+    if spec.q % 4 != 1:
+        raise ValueError(
+            f"q = {spec.q} is not 1 mod 4; there is a single orbit on triples "
+            "and the triple sign is undefined"
+        )
+
+
+def delta_finite(spec: gf.FieldSpec, triple) -> int:
+    """Orbit sign chi((z1-z2)(z2-z3)(z3-z1)) of three distinct finite points.
+
+    Well-defined on unordered triples only when q = 1 (mod 4), where
+    chi(-1) = 1; other q raise.
+    """
+    _require_two_orbit_regime(spec)
+    z1, z2, z3 = triple
+    if len({z1, z2, z3}) != 3:
+        raise ValueError("points must be distinct")
+    if max(z1, z2, z3) >= spec.q:
+        raise ValueError("points must be finite")
+    prod = poly_mul(
+        spec,
+        poly_mul(spec, sub(spec, z1, z2), sub(spec, z2, z3)),
+        sub(spec, z3, z1),
+    )
+    return poly_chi(spec, prod)
+
+
+def delta_extended(spec: gf.FieldSpec, triple) -> int:
+    """Orbit sign of any 3-subset of PG(1,q).
+
+    +1 on the orbit of {inf, 0, 1} and -1 on the orbit of {inf, 0, alpha};
+    a triple through infinity gets chi(x - y), which is checked against the
+    brute-force orbit classification in the test suite.
+    """
+    pts = sorted(triple)
+    if len(set(pts)) != 3:
+        raise ValueError("points must be distinct")
+    if pts[2] == spec.q:
+        _require_two_orbit_regime(spec)
+        return poly_chi(spec, sub(spec, pts[0], pts[1]))
+    return delta_finite(spec, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +325,7 @@ def is_irreducible(spec: gf.FieldSpec) -> bool:
     if poly_power(spec, p, q) != p:
         return False
     for ell, _ in gf.factorize(n):
-        h = gf.sub(spec, poly_power(spec, p, p ** (n // ell)), p)
+        h = sub(spec, poly_power(spec, p, p ** (n // ell)), p)
         if poly_power(spec, h, q - 1) != 1:
             return False
     return True
@@ -274,7 +360,7 @@ def element_tables(spec: gf.FieldSpec, k: int, beta: int) -> tuple[list, list]:
     block = [1]
     for _ in range(k - 1):
         block.append(poly_mul(spec, block[-1], beta))
-    return block, [0] + [poly_chi(spec, gf.sub(spec, 1, b)) for b in block[1:]]
+    return block, [0] + [poly_chi(spec, sub(spec, 1, b)) for b in block[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +421,17 @@ def delta_of_rep(ctx: StarterContext, rep: OrbitRep) -> int:
 
 def delta_sum_brute(ctx: StarterContext) -> int:
     """O(k^3) oracle for delta_sum: direct sum of the sign
-    chi((z1-z2)(z2-z3)(z3-z1)) over all triples of the block."""
+    chi((z1-z2)(z2-z3)(z3-z1)) over all triples of the block, each product
+    by the polynomial route. The k^2 differences are taken once, and chi
+    once per distinct product."""
     if ctx.e % 2:
         raise ValueError("the signed count is only defined for even e")
-    spec, sub = ctx.spec, functools.partial(gf.sub, ctx.spec)
+    spec, block = ctx.spec, ctx.block
+    diff = [[sub(spec, a, b) for b in block] for a in block]
+    chi = functools.cache(functools.partial(poly_chi, spec))
     return sum(
-        poly_chi(spec, poly_mul(spec, poly_mul(spec, sub(z1, z2), sub(z2, z3)), sub(z3, z1)))
-        for z1, z2, z3 in itertools.combinations(ctx.block, 3)
+        chi(poly_mul(spec, poly_mul(spec, diff[i][j], diff[j][m]), diff[m][i]))
+        for i, j, m in itertools.combinations(range(len(block)), 3)
     )
 
 
@@ -356,7 +446,7 @@ def canonicalize(spec: gf.FieldSpec, a: int, b: int, c: int, d: int) -> GroupEle
     induce the same map of the projective line exactly when they are
     proportional, so they canonicalize identically iff their maps agree.
     """
-    det = gf.sub(spec, poly_mul(spec, a, d), poly_mul(spec, b, c))
+    det = sub(spec, poly_mul(spec, a, d), poly_mul(spec, b, c))
     if det == 0:
         raise ValueError("matrix is singular")
     if poly_chi(spec, det) != 1:
@@ -373,15 +463,15 @@ def compose(spec: gf.FieldSpec, g: GroupElem, h: GroupElem) -> GroupElem:
     """Canonical product, so apply(compose(g,h), z) == apply(g, apply(h, z))."""
     return canonicalize(
         spec,
-        gf.add(spec, poly_mul(spec, g.a, h.a), poly_mul(spec, g.b, h.c)),
-        gf.add(spec, poly_mul(spec, g.a, h.b), poly_mul(spec, g.b, h.d)),
-        gf.add(spec, poly_mul(spec, g.c, h.a), poly_mul(spec, g.d, h.c)),
-        gf.add(spec, poly_mul(spec, g.c, h.b), poly_mul(spec, g.d, h.d)),
+        add(spec, poly_mul(spec, g.a, h.a), poly_mul(spec, g.b, h.c)),
+        add(spec, poly_mul(spec, g.a, h.b), poly_mul(spec, g.b, h.d)),
+        add(spec, poly_mul(spec, g.c, h.a), poly_mul(spec, g.d, h.c)),
+        add(spec, poly_mul(spec, g.c, h.b), poly_mul(spec, g.d, h.d)),
     )
 
 
 def inverse(spec: gf.FieldSpec, g: GroupElem) -> GroupElem:
-    return canonicalize(spec, g.d, gf.neg(spec, g.b), gf.neg(spec, g.c), g.a)
+    return canonicalize(spec, g.d, neg(spec, g.b), neg(spec, g.c), g.a)
 
 
 def random_element(spec: gf.FieldSpec, rng) -> GroupElem:
@@ -389,7 +479,7 @@ def random_element(spec: gf.FieldSpec, rng) -> GroupElem:
     q = spec.q
     while True:
         a, b, c, d = (rng.randrange(q) for _ in range(4))
-        det = gf.sub(spec, poly_mul(spec, a, d), poly_mul(spec, b, c))
+        det = sub(spec, poly_mul(spec, a, d), poly_mul(spec, b, c))
         if det != 0 and poly_chi(spec, det) == 1:
             return canonicalize(spec, a, b, c, d)
 
@@ -401,10 +491,10 @@ def apply(spec: gf.FieldSpec, g: GroupElem, z: int) -> int:
         if g.c == 0:
             return q
         return poly_mul(spec, g.a, poly_inv(spec, g.c))
-    den = gf.add(spec, poly_mul(spec, g.c, z), g.d)
+    den = add(spec, poly_mul(spec, g.c, z), g.d)
     if den == 0:
         return q
-    num = gf.add(spec, poly_mul(spec, g.a, z), g.b)
+    num = add(spec, poly_mul(spec, g.a, z), g.b)
     return poly_mul(spec, num, poly_inv(spec, den))
 
 
@@ -563,21 +653,21 @@ def _quadratic_root_nonsquare(spec: gf.FieldSpec, beta: int) -> bool:
     five = 5 % spec.p
     s = poly_mul(
         spec,
-        poly_mul(spec, beta, poly_power(spec, gf.sub(spec, 1, beta), 2)),
-        gf.add(spec, 1, beta),
+        poly_mul(spec, beta, poly_power(spec, sub(spec, 1, beta), 2)),
+        add(spec, 1, beta),
     )
     assert poly_mul(spec, s, s) == five
     two = 2 % spec.p
-    roots = (gf.add(spec, two, s), gf.sub(spec, two, s))
-    theta0 = gf.add(
+    roots = (add(spec, two, s), sub(spec, two, s))
+    theta0 = add(
         spec,
-        poly_mul(spec, two, gf.add(spec, poly_power(spec, beta, 4), beta)),
+        poly_mul(spec, two, add(spec, poly_power(spec, beta, 4), beta)),
         3 % spec.p,
     )
     assert theta0 in roots
     for th in roots:
         # th^2 - 4*th - 1 == 0
-        val = gf.sub(spec, gf.sub(spec, poly_mul(spec, th, th), poly_mul(spec, 4 % spec.p, th)), 1)
+        val = sub(spec, sub(spec, poly_mul(spec, th, th), poly_mul(spec, 4 % spec.p, th)), 1)
         assert val == 0
     return any(poly_chi(spec, th) == -1 for th in roots)
 
@@ -597,7 +687,7 @@ def thm510_conditions(spec: gf.FieldSpec, alpha: int | None = None) -> Thm510Con
     five = 5 % spec.p
     c1 = gives_design(ctx5)
     c2 = gives_design(ctx10)
-    c3 = poly_chi(spec, gf.add(spec, 1, beta)) == -1
+    c3 = poly_chi(spec, add(spec, 1, beta)) == -1
     c4 = _quadratic_root_nonsquare(spec, beta)
     c5 = poly_power(spec, five, (q - 1) // 4) != 1
     c6 = c7 = None

@@ -304,7 +304,7 @@ def test_criterion_12_property_suite():
         for _ in range(200):
             t = tuple(rng.sample(range(q), 3))
             scaled = tuple(gf.mul(spec, spec.alpha, z) for z in t)
-            if projline.delta_finite(spec, scaled) != -projline.delta_finite(
+            if projline.delta_extended(spec, scaled) != -projline.delta_extended(
                 spec, t
             ):
                 failures.append(f"nonsquare flip at q={q}")

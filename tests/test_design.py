@@ -10,7 +10,7 @@ import pytest
 
 from psldesigns import design, gf, projline, search, starter
 
-from scalar_oracles import canonicalize
+from scalar_oracles import canonicalize, neg
 
 
 @pytest.fixture(scope="module")
@@ -404,7 +404,7 @@ def test_block_stabilizer(q, k):
     for c in block:
         if gf.chi(spec, c) == 1:
             elems.add(canonicalize(spec, c, 0, 0, 1))
-        if gf.chi(spec, gf.neg(spec, c)) == 1:
+        if gf.chi(spec, neg(spec, c)) == 1:
             elems.add(canonicalize(spec, 0, c, 1, 0))
     perms = [projline.point_permutation(spec, g) for g in elems]
     for pm in perms:

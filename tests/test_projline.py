@@ -10,16 +10,21 @@ import pytest
 from psldesigns import design, gf, projline, starter
 
 from scalar_oracles import (
+    add,
     apply,
     canonicalize,
     compose,
+    delta_extended as poly_delta_extended,
+    delta_finite,
     identity,
     inverse,
+    neg,
     poly_chi,
     poly_inv,
     poly_mul,
     poly_power,
     random_element,
+    sub,
 )
 
 # every q = 1 mod 4 up to the oracle limit
@@ -154,27 +159,49 @@ def test_group_order(f13):
 
 
 def test_delta_finite_frozen(f41):
-    assert projline.delta_finite(f41, (1, 10, 18)) == -1
-    assert projline.delta_finite(f41, (1, 18, 37)) == 1
+    """The scalar delta_finite and projline.delta_extended on the same
+    finite triples of GF(41)."""
+    for sign in (delta_finite, projline.delta_extended):
+        assert sign(f41, (1, 10, 18)) == -1
+        assert sign(f41, (1, 18, 37)) == 1
 
 
 def test_delta_finite_order_independence(f41):
     rng = random.Random(3)
     for _ in range(100):
         pts = rng.sample(range(41), 3)
-        want = projline.delta_finite(f41, tuple(sorted(pts)))
+        want = delta_finite(f41, tuple(sorted(pts)))
         rng.shuffle(pts)
-        assert projline.delta_finite(f41, tuple(pts)) == want
+        assert delta_finite(f41, tuple(pts)) == want
+        assert projline.delta_extended(f41, tuple(pts)) == want
 
 
-def test_delta_finite_validation(f41):
-    with pytest.raises(ValueError):
-        projline.delta_finite(f41, (1, 1, 2))
-    with pytest.raises(ValueError):
-        projline.delta_finite(f41, (1, 2, 41))
+def test_delta_finite_validation(f13, f41, f9):
+    """Repeated points and q = 3 (mod 4) raise on both routes; a point
+    outside range(q + 1) raises in projline.delta_extended, naming the
+    range, before any table is built."""
     f19 = gf.make_prime_field(19)
-    with pytest.raises(ValueError):
-        projline.delta_finite(f19, (1, 2, 3))
+    for sign in (delta_finite, projline.delta_extended):
+        with pytest.raises(ValueError, match="distinct"):
+            sign(f41, (1, 1, 2))
+        with pytest.raises(ValueError, match="not 1 mod 4"):
+            sign(f19, (1, 2, 3))
+    with pytest.raises(ValueError, match="finite"):
+        delta_finite(f41, (1, 2, 41))
+    # 41 is infinity on PG(1,41): the sign through it is chi(1 - 2) = chi(-1)
+    assert projline.delta_extended(f41, (1, 2, 41)) == 1
+    projline.field_tables.cache_clear()
+    for spec, triple in (
+        (f13, (-1, 0, 1)),
+        (f13, (-13, 0, 1)),
+        (f13, (0, 1, 15)),
+        (f13, (0, 1, 14)),
+        (f41, (1, 2, 42)),
+        (f9, (-1, 0, 1)),
+    ):
+        with pytest.raises(ValueError, match=rf"range\(q \+ 1\) = range\({spec.q + 1}\)"):
+            projline.delta_extended(spec, triple)
+    assert projline.field_tables.cache_info().currsize == 0
 
 
 def test_delta_extended_reference_triples(f13, f29, f41, f9, f25):
@@ -189,7 +216,7 @@ def test_delta_extended_agrees_on_finite_triples(f29):
     rng = random.Random(9)
     for _ in range(200):
         t = tuple(rng.sample(range(29), 3))
-        assert projline.delta_extended(f29, t) == projline.delta_finite(f29, t)
+        assert projline.delta_extended(f29, t) == delta_finite(f29, t)
 
 
 def test_delta_is_invariant_under_group(f13, f29, f41, f25):
@@ -293,8 +320,8 @@ def test_field_tables_match_the_scalar_ops():
         tab = projline.field_tables(spec)
         a, b = (x.ravel() for x in np.indices((q, q)))
         pairs = list(zip(a.tolist(), b.tolist()))
-        assert tab.add(a, b).tolist() == [gf.add(spec, x, y) for x, y in pairs]
-        assert tab.sub(a, b).tolist() == [gf.sub(spec, x, y) for x, y in pairs]
+        assert tab.add(a, b).tolist() == [add(spec, x, y) for x, y in pairs]
+        assert tab.sub(a, b).tolist() == [sub(spec, x, y) for x, y in pairs]
         assert tab.mul(a, b).tolist() == [poly_mul(spec, x, y) for x, y in pairs]
         nonzero = np.arange(1, q)
         assert tab.inv(nonzero).tolist() == [poly_inv(spec, x) for x in range(1, q)]
@@ -304,16 +331,17 @@ def test_field_tables_match_the_scalar_ops():
 def test_expand_orbit_builds_the_field_tables_once(monkeypatch):
     """field_tables keeps the last field's tables, read-only, so the six
     generator permutations of a GF(125) orbit share one gf.power_rows
-    call: the orbit of the finite points, the 126 complements of a point."""
+    call, after psl_generators' own power_rows(alpha, 3): the orbit of
+    the finite points, the 126 complements of a point."""
     spec = gf.field_for_order(125)
     calls = []
     real = gf.power_rows
     monkeypatch.setattr(gf, "power_rows", lambda *args: calls.append(args[1:]) or real(*args))
     projline.field_tables.cache_clear()
     assert len(design.expand_orbit(spec, range(125))) == 126
-    assert calls == [(spec.alpha, 124)]
+    assert calls == [(spec.alpha, 3), (spec.alpha, 124)]
     tab = projline.field_tables(spec)
-    assert len(calls) == 1
+    assert len(calls) == 2
     for table in (tab.exp, tab.log, tab.digits, tab.weights):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
@@ -323,8 +351,8 @@ def test_tables_and_contexts_make_no_scalar_field_op(monkeypatch):
     """field_tables, the array action (point_permutation, apply_to_points,
     expand_orbit), the signs and trials of the oracle, and
     make_starter_context, on prime and extension fields, with the scalar
-    add, neg, sub, mul, inv and chi made to raise: the same results as
-    with them in place."""
+    mul, inv and chi made to raise: the same results as with them in
+    place."""
     specs = [gf.field_for_order(q) for q in (25, 27, 61)]
     pairs = [(gf.field_for_order(q), k) for q, k in ((41, 10), (1009, 42), (2**31 - 1, 14))]
 
@@ -347,7 +375,7 @@ def test_tables_and_contexts_make_no_scalar_field_op(monkeypatch):
     def scalar_op(*args):
         raise AssertionError("a scalar gf op was called")
 
-    for name in ("add", "neg", "sub", "mul", "inv", "chi"):
+    for name in ("mul", "inv", "chi"):
         monkeypatch.setattr(gf, name, scalar_op)
     for spec, parts in zip(specs, want):
         for got, expected in zip(run(spec), parts):
@@ -371,25 +399,29 @@ def test_generators_are_the_canonical_transvections():
 
 
 def test_generators_make_no_scalar_field_op(monkeypatch):
-    """With the scalar sub, mul, chi and inv made to raise, psl_generators
-    still builds the same generators on GF(61) and GF(125)."""
+    """With the scalar mul, chi, inv and power made to raise,
+    psl_generators still builds the same generators on GF(61) and
+    GF(125): alpha**t for t < n are the rows of one gf.power_rows."""
     specs = [gf.field_for_order(q) for q in (61, 125)]
     want = [projline.psl_generators(spec) for spec in specs]
 
     def scalar_op(*args):
         raise AssertionError("a scalar gf op was called")
 
-    for name in ("sub", "mul", "chi", "inv"):
+    for name in ("mul", "chi", "inv", "power"):
         monkeypatch.setattr(gf, name, scalar_op)
     assert [projline.psl_generators(spec) for spec in specs] == want
 
 
 def test_triple_signs_match_delta_extended_on_every_triple(small_field):
+    """triple_signs and projline.delta_extended, its one-row case, equal
+    the scalar sign by the polynomial route on every triple."""
     spec = small_field
     tab = projline.field_tables(spec)
     rows = projline.colex_triples(spec.q + 1)
-    want = [projline.delta_extended(spec, t) for t in rows.tolist()]
+    want = [poly_delta_extended(spec, t) for t in rows.tolist()]
     assert projline.triple_signs(tab, rows).tolist() == want
+    assert [projline.delta_extended(spec, t) for t in rows.tolist()] == want
     # the sign of a triple does not depend on the order of its points
     shuffled = np.random.default_rng(spec.q).permuted(rows, axis=1)
     assert projline.triple_signs(tab, shuffled).tolist() == want
@@ -417,7 +449,7 @@ def test_apply_to_points_matches_apply(f13, f9, f25):
         tab = projline.field_tables(spec)
         elems = [random_element(spec, rng) for _ in range(30)]
         # a map fixing infinity (c = 0) and z -> -1/z, which swaps it with 0
-        minus_one = gf.neg(spec, 1)
+        minus_one = neg(spec, 1)
         elems += [identity(spec), canonicalize(spec, 0, 1, minus_one, 0)]
         mats = np.array([(g.a, g.b, g.c, g.d) for g in elems])
         points = np.tile(np.arange(spec.q + 1), (len(elems), 1))

@@ -9,9 +9,10 @@ selection, modulus selection and every file format deterministic.
 GF(p^n) multiplies one way: by the matrix of multiplication by b, whose
 row j is x**j * b (Lidl and Niederreiter, Finite Fields, ch. 2). The
 coefficient arrays apply it to many rows at once; mul, power and chi are
-their one-row cases, with a builtin path on prime fields. Sums and
-differences are taken on the arrays, digit by digit; the scalar add, neg
-and sub are test oracles, in tests/scalar_oracles.py.
+their one-row cases, with a builtin path on prime fields. The package
+adds and subtracts digit by digit on arrays, in projline's field tables
+and the starter contexts; the scalar add, neg and sub are test oracles,
+in tests/scalar_oracles.py.
 
 All operations are pure functions of (spec, operands); FieldSpec is frozen
 and hashable, so concurrent readers need no coordination.

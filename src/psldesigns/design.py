@@ -4,9 +4,13 @@ A design here is the PSL(2,q)-orbit of a starter block, stored as one
 (b, k) array with a block per row, in the narrowest unsigned dtype that
 holds the points range(v) (uint8 up to v = 256, then uint16): its points
 in increasing order (finite points by field encoding, q for the point at
-infinity), the rows in lexicographic order. Verification recounts
-t-subset coverage from scratch and never trusts the orbit-transitivity
-argument that produced the blocks.
+infinity), the rows in lexicographic order. The orbit of the starter's
+subgroup H is built from a transversal of the dihedral group that fixes
+H, sorted once, when its R = |PSL(2,q)|/(2k) rows (|PSL(2,q)|/k for an
+odd cofactor) fit the block budget; any other block, and H past that, is
+closed breadth-first under the generators. Both routes give the same
+array. Verification recounts t-subset coverage from scratch and never
+trusts the orbit-transitivity argument that produced the blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ DEFAULT_BLOCK_BUDGET = 10**6
 MAX_RECOUNT_SUBSETS = 10**7
 # t-subsets ranked per recount chunk, so each temporary is 2 MiB of int64
 RECOUNT_CHUNK_SUBSETS = 1 << 18
+# points of transversal images gathered and sorted per chunk, 64 KiB as
+# uint8, so that a chunk's rows are sorted in cache
+TRANSVERSAL_CHUNK_POINTS = 1 << 16
 # characters of design-file text parsed or formatted per chunk
 TEXT_CHUNK_CHARS = 1 << 18
 NON_DESIGN_FLAG = "NOT-A-3-DESIGN"
@@ -96,15 +103,23 @@ def expand_orbit(spec: gf.FieldSpec, block: tuple[int, ...] | list[int]) -> np.n
     """All distinct images of a block under PSL(2,q), as a (b, k) array
     in _point_dtype(q + 1) of increasing rows in lexicographic order.
 
-    Breadth-first over the standard generators, one level at a time: the
-    level's images are sorted row by row, and repeats among them and rows
-    already found are dropped by exact row key. Aborts if the orbit would
-    exceed the budget (default 10**6 blocks, env PSL_DESIGNS_BUDGET
-    overrides), before any permutation is built when the lower bound
-    C(v, 3) / (2 * C(k, 3)) on its size exceeds it: blocks of k >= 3 points
-    cover a whole PSL(2,q)-orbit of 3-subsets, one of at most two equal ones.
-    An empty block, a point that is not an integer, one outside range(v)
-    or a repeated point is refused first.
+    Two routes, chosen on the input, give the same array. When the block
+    is exactly the order-k subgroup H of GF(q)* (_subgroup_cofactor) and
+    its transversal's row count R (_transversal_rows) is within the
+    budget, the orbit is the images of H under a transversal of the
+    dihedral group D that fixes it, sorted once (_transversal_orbit). R
+    is b times |Stab(H)|/|D|, so b itself except where the stabiliser is
+    larger: on a Baer subline (q = q0**2, k = q0 + 1, Stab(H) = PGL(2,q0))
+    R/b is q0(q0 - 1)/2, so (169, 14) sorts 86,190 rows for 1,105 blocks.
+    Any other block, and H with R over the budget, is closed
+    breadth-first under the generators (_closure_orbit).
+
+    Aborts if the orbit would exceed the budget (default 10**6 blocks,
+    env PSL_DESIGNS_BUDGET overrides), before any permutation is built
+    when the lower bound C(v, 3) / (2 * C(k, 3)) on its size exceeds it:
+    blocks of k >= 3 points cover a whole PSL(2,q)-orbit of 3-subsets,
+    one of at most two equal ones. An empty block, a point that is not
+    an integer, one outside range(v) or a repeated point is refused first.
     """
     budget = _block_budget()
     v = spec.q + 1
@@ -120,6 +135,92 @@ def expand_orbit(spec: gf.FieldSpec, block: tuple[int, ...] | list[int]) -> np.n
         raise ValueError("block has repeated points")
     if len(start) >= 3 and comb(v, 3) > 2 * comb(len(start), 3) * budget:
         raise RuntimeError(f"orbit exceeds block budget of {budget}")
+    e = _subgroup_cofactor(spec, start)
+    if e and _transversal_rows(spec.q, e) <= budget:
+        return _transversal_orbit(spec, len(start), e)
+    return _closure_orbit(spec, start, budget)
+
+
+def _subgroup_cofactor(spec: gf.FieldSpec, start: np.ndarray) -> int:
+    """e = (q - 1)/k when the k sorted distinct points of start are
+    exactly the order-k subgroup H of GF(q)*, else 0: k divides q - 1,
+    and every point is finite, nonzero and has log = 0 (mod e)."""
+    q, k = spec.q, len(start)
+    if (q - 1) % k or start[0] == 0 or start[-1] == q:
+        return 0
+    e = (q - 1) // k
+    return 0 if (projline.field_tables(spec).log[start] % e).any() else e
+
+
+def _squares_only(q: int, e: int) -> bool:
+    """Whether H (cofactor e) and -1 both lie in the squares of GF(q)*,
+    so that a pair {a, b} takes only the cosets tH with t(b - a) a
+    square: e even and q = 1 (mod 4). Otherwise every coset has a
+    representative t that makes the determinant square."""
+    return e % 2 == 0 and q % 4 == 1
+
+
+def _transversal_rows(q: int, e: int) -> int:
+    """R = |PSL(2,q)|/|D|, the rows of _transversal_orbit: C(q + 1, 2)
+    unordered pairs {a, b} of PG(1,q), times the cosets tH taken for
+    each, e/2 under _squares_only, else e. D, the maps z -> hz and, under
+    _squares_only, z -> h/z for h in H, has order 2k, resp. k."""
+    return comb(q + 1, 2) * (e // 2 if _squares_only(q, e) else e)
+
+
+def _transversal_orbit(spec: gf.FieldSpec, k: int, e: int) -> np.ndarray:
+    """expand_orbit of the order-k subgroup H of cofactor e, as the images
+    of H under a transversal of D (_transversal_rows), with no membership
+    test (Cameron, Omidi and Tayfeh-Rezaie, "3-designs from PGL(2,q)",
+    Electron. J. Combin. 13 (2006) R50).
+
+    Every element of PSL(2,q) is m_{a,b}(tz) or m_{a,b}(t/z), where
+    m_{a,b}(w) = (b*w + a)/(w + 1) sends 0 to a and infinity to b, and H
+    is closed under inverses, so the orbit is the images m_{a,b}(tH) over
+    the unordered pairs {a, b} and the cosets tH with t(b - a) a square
+    (every coset unless _squares_only). With d = a - b, m_{a,b}(w) =
+    b + d/(w + 1), and d is taken up to sign; for b = infinity the image
+    is tH + a, t a square. So each image is a base set, d/(tH + 1)
+    (infinity where w = -1) or tH, translated by a point of GF(q). The
+    translates are gathered from one addition table of the field tables,
+    TRANSVERSAL_CHUNK_POINTS points at a time, and sorted row by row;
+    then one np.lexsort of the rows' narrow columns orders them, and the
+    adjacent repeats that a stabiliser larger than D makes are dropped.
+    """
+    q = spec.q
+    tables = projline.field_tables(spec)
+    step = 2 if _squares_only(q, e) else 1
+    coset_logs = np.arange(e)[:, None] + e * np.arange(k)
+    plus_one = tables.add(tables.exp[coset_logs], 1)
+    # the logs of 1/(w + 1); 0, a placeholder, where w + 1 = 0
+    inv_logs = np.where(plus_one == 0, 0, q - 1 - tables.log[plus_one])
+    j, c = np.divmod(np.arange((q - 1) // 2 * e), e)  # d = alpha**j, t = alpha**c
+    used = (j + c) % step == 0
+    j, c = j[used], c[used]
+    finite = np.where(plus_one[c] == 0, q, tables.exp[j[:, None] + inv_logs[c]])
+    bases = np.concatenate([finite, tables.exp[coset_logs[::step]]])
+    dtype = _point_dtype(q + 1)
+    pts = np.arange(q)
+    shift = np.full((q, q + 1), q, dtype=dtype)  # row b: z -> z + b, infinity fixed
+    shift[:, :q] = tables.add(pts[:, None], pts)
+    rows = np.empty((q * len(bases), k), dtype=dtype)
+    chunk = max(1, TRANSVERSAL_CHUNK_POINTS // (q * k))
+    for lo in range(0, len(bases), chunk):
+        part = rows[q * lo : q * (lo + chunk)]
+        part[:] = shift[:, bases[lo : lo + chunk]].reshape(-1, k)
+        part.sort(axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keys = rows.view(np.dtype((np.void, k * dtype.itemsize))).ravel()
+    repeats = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    return np.delete(rows, repeats, axis=0) if repeats.size else rows
+
+
+def _closure_orbit(spec: gf.FieldSpec, start: np.ndarray, budget: int) -> np.ndarray:
+    """expand_orbit of the sorted distinct points start, breadth-first
+    over the standard generators, one level at a time: the level's images
+    are sorted row by row, and repeats among them and rows already found
+    are dropped by exact row key. Aborts past budget blocks."""
+    v = spec.q + 1
     perms = np.array(
         [projline.point_permutation(spec, g) for g in projline.psl_generators(spec)],
         dtype=_point_dtype(v),

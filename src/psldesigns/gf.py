@@ -44,9 +44,13 @@ class FieldSpec:
     alpha: canonical generator of the multiplicative group, the smallest
       encoding of order q - 1.
     frobenius: the columns of the Frobenius map a -> a**p as a GF(p)-linear
-      map, column i the coefficients of x**(i*p) mod the modulus; empty for
-      prime fields. A function of (p, modulus), so it takes no part in
-      equality.
+      map, an (n, n) int64 array whose row i holds the coefficients of
+      x**(i*p) mod the modulus.
+    reduction: _reduction_rows, x**n, ..., x**(2n-2) mod the modulus, an
+      (n - 1, n) int64 array.
+    Both are built once, read-only, by make_extension_field, and are None
+    on prime fields; functions of (p, modulus), they take no part in
+    equality or hashing.
     """
 
     p: int
@@ -54,7 +58,8 @@ class FieldSpec:
     modulus: tuple[int, ...]
     q: int
     alpha: int
-    frobenius: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
+    frobenius: np.ndarray | None = field(default=None, compare=False, repr=False)
+    reduction: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +197,7 @@ def _mulmod_rows(
 ) -> np.ndarray:
     """The row-wise products of two (rows, n) coefficient arrays: the
     polynomial products, reduced mod p and then mod the modulus by one
-    matrix product with red = _reduction_rows(spec)."""
+    matrix product with red = spec.reduction."""
     p, n = spec.p, spec.n
     prod = np.zeros((len(a), 2 * n - 1), dtype=np.int64)
     for i in range(n):
@@ -226,15 +231,13 @@ def encode_rows(spec: FieldSpec, rows: np.ndarray) -> list[int]:
 def chi_rows(spec: FieldSpec, rows: np.ndarray) -> list[int]:
     """chi of every row of a coefficient array of nonzero elements, as
     Python ints: the norms of all rows at once, from the n - 1 Frobenius
-    conjugates (row times the stored matrix), then Euler's criterion in
-    GF(p) per row, as chi does one element at a time."""
+    conjugates (row times the field's stored matrix), then Euler's
+    criterion in GF(p) per row, as chi does one element at a time."""
     p, n = spec.p, spec.n
-    frob = np.array(spec.frobenius, dtype=np.int64)
-    red = _reduction_rows(spec)
     conj = full = rows
     for _ in range(n - 1):
-        conj = conj @ frob % p
-        full = _mulmod_rows(spec, full, conj, red)
+        conj = conj @ spec.frobenius % p
+        full = _mulmod_rows(spec, full, conj, spec.reduction)
     assert not full[:, 1:].any(), "the norm lies in GF(p)"
     half = (p - 1) // 2
     return [1 if pow(x, half, p) == 1 else -1 for x in full[:, 0].tolist()]
@@ -282,10 +285,9 @@ def _table_entry(p: int, n: int) -> tuple[tuple[int, ...], int]:
     raise RuntimeError(f"GF({p}^{n}) is missing from {EXT_FIELD_TABLE}")
 
 
-def _frobenius_columns(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
+def _frobenius_columns(spec: FieldSpec) -> np.ndarray:
     """Column i of the Frobenius map is (x**p)**i, and x is encoded as p."""
-    cols = power_rows(spec, power(spec, spec.p, spec.p), spec.n).tolist()
-    return tuple(map(tuple, cols))
+    return power_rows(spec, power(spec, spec.p, spec.p), spec.n)
 
 
 @lru_cache(maxsize=None)
@@ -296,7 +298,8 @@ def make_extension_field(p: int, n: int) -> FieldSpec:
     degree n over GF(p), comparing coefficient tuples low degree first,
     and alpha the smallest encoding of order q - 1. Both are read from
     EXT_FIELD_TABLE, which holds every field within the size limit; the
-    Frobenius columns are computed. n == 1 delegates to make_prime_field.
+    Frobenius columns and the reduction rows are computed, once per field.
+    n == 1 delegates to make_prime_field.
     """
     if n < 1:
         raise ValueError(f"invalid extension degree {n}")
@@ -308,7 +311,9 @@ def make_extension_field(p: int, n: int) -> FieldSpec:
     check_size(q)
     modulus, alpha = _table_entry(p, n)
     spec = FieldSpec(p=p, n=n, modulus=modulus, q=q, alpha=alpha)
-    return replace(spec, frobenius=_frobenius_columns(spec))
+    spec = replace(spec, frobenius=_frobenius_columns(spec), reduction=_reduction_rows(spec))
+    spec.frobenius.flags.writeable = spec.reduction.flags.writeable = False
+    return spec
 
 
 def order_parts(q: int) -> tuple[int, int]:

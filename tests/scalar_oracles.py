@@ -143,7 +143,7 @@ def _pmulmod(a: list, b: list, f, p: int) -> list:
 def _frobenius_image(spec: gf.FieldSpec, ca: list) -> list:
     """The coefficients of a**p from those of a (n >= 2)."""
     img = [0] * spec.n
-    for c, col in zip(ca, spec.frobenius):
+    for c, col in zip(ca, spec.frobenius.tolist()):
         if c:
             for j, m in enumerate(col):
                 img[j] += c * m

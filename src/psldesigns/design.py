@@ -203,13 +203,22 @@ def _transversal_orbit(spec: gf.FieldSpec, k: int, e: int) -> np.ndarray:
     pts = np.arange(q)
     shift = np.full((q, q + 1), q, dtype=dtype)  # row b: z -> z + b, infinity fixed
     shift[:, :q] = tables.add(pts[:, None], pts)
+    # the result comes before the staged rows and is gathered a chunk at
+    # a time, and the staged rows and the order are freed before the
+    # repeats are found: so they leave one free block above the result on
+    # the heap, which the file text reuses (an orbit round's peak RSS)
     rows = np.empty((q * len(bases), k), dtype=dtype)
+    staged = np.empty_like(rows)
     chunk = max(1, TRANSVERSAL_CHUNK_POINTS // (q * k))
     for lo in range(0, len(bases), chunk):
-        part = rows[q * lo : q * (lo + chunk)]
+        part = staged[q * lo : q * (lo + chunk)]
         part[:] = shift[:, bases[lo : lo + chunk]].reshape(-1, k)
         part.sort(axis=1)
-    rows = rows[np.lexsort(rows.T[::-1])]
+    order = np.lexsort(staged.T[::-1])
+    chunk = max(1, TRANSVERSAL_CHUNK_POINTS // k)
+    for lo in range(0, len(rows), chunk):
+        rows[lo : lo + chunk] = staged[order[lo : lo + chunk]]
+    del staged, order
     keys = rows.view(np.dtype((np.void, k * dtype.itemsize))).ravel()
     repeats = np.flatnonzero(keys[1:] == keys[:-1]) + 1
     return np.delete(rows, repeats, axis=0) if repeats.size else rows

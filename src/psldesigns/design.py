@@ -5,12 +5,12 @@ A design here is the PSL(2,q)-orbit of a starter block, stored as one
 holds the points range(v) (uint8 up to v = 256, then uint16): its points
 in increasing order (finite points by field encoding, q for the point at
 infinity), the rows in lexicographic order. The orbit of the starter's
-subgroup H is built from a transversal of the dihedral group that fixes
-H, sorted once, when its R = |PSL(2,q)|/(2k) rows (|PSL(2,q)|/k for an
-odd cofactor) fit the block budget; any other block, and H past that, is
-closed breadth-first under the generators. Both routes give the same
-array. Verification recounts t-subset coverage from scratch and never
-trusts the orbit-transitivity argument that produced the blocks.
+subgroup H is built from a transversal of the dihedral group D that
+fixes H, sorted once, when its R = |PSL(2,q)|/|D| rows fit the block
+budget; any other block, and H past that, is closed breadth-first under
+the generators. Both routes give the same array. Verification recounts
+t-subset coverage from scratch and never trusts the orbit-transitivity
+argument that produced the blocks.
 """
 
 from __future__ import annotations
@@ -203,10 +203,10 @@ def _transversal_orbit(spec: gf.FieldSpec, k: int, e: int) -> np.ndarray:
     pts = np.arange(q)
     shift = np.full((q, q + 1), q, dtype=dtype)  # row b: z -> z + b, infinity fixed
     shift[:, :q] = tables.add(pts[:, None], pts)
-    # the result comes before the staged rows and is gathered a chunk at
-    # a time, and the staged rows and the order are freed before the
-    # repeats are found: so they leave one free block above the result on
-    # the heap, which the file text reuses (an orbit round's peak RSS)
+    # the result is allocated before the staged rows, which are freed
+    # before the repeats are found: so they leave one free block above the
+    # result on the heap, which the file text reuses (an orbit round's
+    # peak RSS)
     rows = np.empty((q * len(bases), k), dtype=dtype)
     staged = np.empty_like(rows)
     chunk = max(1, TRANSVERSAL_CHUNK_POINTS // (q * k))
@@ -214,11 +214,10 @@ def _transversal_orbit(spec: gf.FieldSpec, k: int, e: int) -> np.ndarray:
         part = staged[q * lo : q * (lo + chunk)]
         part[:] = shift[:, bases[lo : lo + chunk]].reshape(-1, k)
         part.sort(axis=1)
-    order = np.lexsort(staged.T[::-1])
-    chunk = max(1, TRANSVERSAL_CHUNK_POINTS // k)
-    for lo in range(0, len(rows), chunk):
-        rows[lo : lo + chunk] = staged[order[lo : lo + chunk]]
-    del staged, order
+    # mode="clip" gathers straight into rows, where the default "raise"
+    # would buffer a copy
+    np.take(staged, np.lexsort(staged.T[::-1]), axis=0, out=rows, mode="clip")
+    del staged
     keys = rows.view(np.dtype((np.void, k * dtype.itemsize))).ravel()
     repeats = np.flatnonzero(keys[1:] == keys[:-1]) + 1
     return np.delete(rows, repeats, axis=0) if repeats.size else rows

@@ -192,18 +192,16 @@ def _reduction_rows(spec: FieldSpec) -> np.ndarray:
     return _x_multiples(spec, low, spec.n - 1)
 
 
-def _mulmod_rows(
-    spec: FieldSpec, a: np.ndarray, b: np.ndarray, red: np.ndarray
-) -> np.ndarray:
-    """The row-wise products of two (rows, n) coefficient arrays: the
-    polynomial products, reduced mod p and then mod the modulus by one
-    matrix product with red = spec.reduction."""
+def _mulmod_rows(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The row-wise products of two (rows, n) coefficient arrays of
+    GF(p^n), n >= 2: the polynomial products, reduced mod p and then mod
+    the modulus by one matrix product with spec.reduction."""
     p, n = spec.p, spec.n
     prod = np.zeros((len(a), 2 * n - 1), dtype=np.int64)
     for i in range(n):
         prod[:, i : i + n] += a[:, i : i + 1] * b
     prod %= p
-    return (prod[:, :n] + prod[:, n:] @ red) % p
+    return (prod[:, :n] + prod[:, n:] @ spec.reduction) % p
 
 
 def power_rows(spec: FieldSpec, a: int, k: int) -> np.ndarray:
@@ -237,7 +235,7 @@ def chi_rows(spec: FieldSpec, rows: np.ndarray) -> list[int]:
     conj = full = rows
     for _ in range(n - 1):
         conj = conj @ spec.frobenius % p
-        full = _mulmod_rows(spec, full, conj, spec.reduction)
+        full = _mulmod_rows(spec, full, conj)
     assert not full[:, 1:].any(), "the norm lies in GF(p)"
     half = (p - 1) // 2
     return [1 if pow(x, half, p) == 1 else -1 for x in full[:, 0].tolist()]

@@ -1,10 +1,13 @@
 """Tests for tools/bench_pairs.py: spread, compare and summarize, which
 turn alternating before/after runs into the medians, quartiles and pair
-wins of a BENCH_*.json file, and time_call, the child of a --call round."""
+wins of a BENCH_*.json file, time_call, the child of a --call round, and
+compare_ops's `moved` rule, a sign test per key with Holm's correction."""
 
 import importlib.util
 import math
 from pathlib import Path
+
+import numpy as np
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -151,19 +154,83 @@ def _ops_side(times, sha="a"):
 
 
 def test_compare_ops_names_the_ops_that_moved():
-    """Per key, the lower median time wins a pair; `moved` names a key
-    whose head value falls outside the base's quartiles in most pairs,
-    and same_stdout is false if one pair's outputs differ."""
-    base = [{"fast": 10, "level": 5, "slow": 7}, {"fast": 12, "level": 6, "slow": 8},
-            {"fast": 11, "level": 7, "slow": 9}, {"fast": 13, "level": 5, "slow": 7}]
-    head = [{"fast": 6, "level": 6, "slow": 10}, {"fast": 7, "level": 5, "slow": 11},
-            {"fast": 12, "level": 6, "slow": 8}, {"fast": 6, "level": 7, "slow": 12}]
+    """Per key, the lower median time wins a pair and the sign test reads
+    the split; `moved` names the keys that Holm's correction rejects,
+    here the key faster in all 8 pairs and the one slower in all 8
+    (p = 2**-7 each, below 0.05/3 and 0.05/2), not the one that moved
+    in 6 of 8 (p = 0.29). same_stdout is false if one pair's outputs
+    differ."""
+    base = [{"fast": 10 + i, "level": 5 + i % 3, "slow": 7 + i % 2} for i in range(8)]
+    head = [{"fast": 6 + i, "level": 5 + (i + 1) % 3 + (i > 5), "slow": 9 + i} for i in range(8)]
     pairs = [{"base": _ops_side(b), "head": _ops_side(h)} for b, h in zip(base, head)]
     pairs[2]["head"]["ops"]["slow"]["out_sha1"] = ["b"]
     out = bench_pairs.compare_ops(pairs)
     assert out["moved"] == {"fast": "lower", "slow": "higher"}
-    assert out["metrics"]["fast"]["pairs_won"] == {"base": 1, "head": 3}
-    assert out["metrics"]["fast"]["base"] == {"median": 11.5, "q1": 10.75, "q3": 12.25}
-    assert out["metrics"]["level"]["pairs_won"] == {"base": 2, "head": 2}
+    assert out["metrics"]["fast"]["pairs_won"] == {"base": 0, "head": 8}
+    assert out["metrics"]["fast"]["sign_p"] == out["metrics"]["slow"]["sign_p"] == 2**-7
+    assert out["metrics"]["fast"]["base"] == {"median": 13.5, "q1": 11.75, "q3": 15.25}
+    assert out["metrics"]["level"]["pairs_won"] == {"base": 6, "head": 2}
+    assert out["metrics"]["level"]["sign_p"] == 2 * (1 + 8 + 28) / 2**8
     assert [out["metrics"][k]["same_stdout"] for k in ("fast", "level", "slow")] == [True, True, False]
     assert out["metrics"]["slow"]["unit"] == "ms"
+    # at 6 pairs no key can pass Holm's first step for 3 keys: 2**-5 > 0.05/3
+    assert bench_pairs.compare_ops(pairs[:6])["moved"] == bench_pairs.TOO_FEW_PAIRS
+
+
+def test_sign_test_p_is_the_two_sided_binomial_tail():
+    """p = 2 P(X <= min(lower, higher)) for X ~ Bin(n, 1/2), capped at 1;
+    ties take no part, so an all-tied key reads 1."""
+    assert bench_pairs.sign_test_p(11, 0) == bench_pairs.sign_test_p(0, 11) == 2**-10
+    assert bench_pairs.sign_test_p(9, 1) == 2 * 11 / 2**10
+    assert bench_pairs.sign_test_p(5, 5) == bench_pairs.sign_test_p(0, 0) == 1
+    assert bench_pairs.sign_test_p(3, 1) == 2 * 5 / 16
+
+
+def test_holm_steps_down_until_a_p_value_is_too_large():
+    """The i-th smallest of m p-values is rejected while each so far is at
+    most alpha / (m - i): 0.01 <= 0.05/4 and 0.016 <= 0.05/3, then
+    0.03 > 0.05/2 stops the walk, so 0.04 is kept too."""
+    p = {"a": 0.03, "b": 0.01, "c": 0.04, "d": 0.016}
+    assert bench_pairs.holm(p, 0.05) == ["b", "d"]
+    assert bench_pairs.holm({"a": 0.02}, 0.05) == ["a"]
+    assert bench_pairs.holm({}, 0.05) == []
+
+
+def _signed_p_values(lower_counts, n):
+    """The sign test's p-value for each count of pairs in which the head
+    was lower, out of n untied pairs."""
+    table = [bench_pairs.sign_test_p(x, n - x) for x in range(n + 1)]
+    return [table[x] for x in lower_counts]
+
+
+def test_moved_names_an_iid_key_in_at_most_5_percent_of_draws():
+    """1,000 draws of 38 keys (orbit's count) whose base and head values
+    are i.i.d.: the sign test with Holm's correction names a key in at
+    most 5 % of the draws, at 11 pairs, the fewest it reads, and at 20."""
+    rng = np.random.default_rng(4242)
+    keys = [f"k{i}" for i in range(38)]
+    for n in (11, 20):
+        base, head = rng.standard_normal((2, 1000, 38, n))
+        lower = (head < base).sum(axis=2)
+        named = sum(
+            bool(bench_pairs.holm(dict(zip(keys, _signed_p_values(row, n))), bench_pairs.MOVED_ALPHA))
+            for row in lower.tolist()
+        )
+        assert named <= 50, (n, named)
+
+
+def test_a_key_shifted_in_every_pair_is_named_once_the_pairs_allow():
+    """38 keys of i.i.d. times, one of them shifted down by its own
+    interquartile range in every pair: at 10 pairs no key could pass
+    Holm's first step (2**-9 > 0.05/38), so `moved` says so; at 11 the
+    shifted key is named, and no other."""
+    rng = np.random.default_rng(4343)
+    keys = [f"k{i:02d}" for i in range(38)]
+    base, head = 10 + rng.standard_normal((2, 11, 38))
+    head[:, 7] = base[:, 7] - 1.35  # the standard normal's interquartile range
+    pairs = [
+        {"base": _ops_side(dict(zip(keys, b))), "head": _ops_side(dict(zip(keys, h)))}
+        for b, h in zip(base.tolist(), head.tolist())
+    ]
+    assert bench_pairs.compare_ops(pairs[:10])["moved"] == bench_pairs.TOO_FEW_PAIRS
+    assert bench_pairs.compare_ops(pairs)["moved"] == {"k07": "lower"}

@@ -212,6 +212,15 @@ CASES: dict[str, list] = {
         ["sweep", "--table", "--csv", "--qmax", "3000"],
         ["sweep", "--table", "--prime-powers", "--json", "--qmax", "3000"],
     ],
+    # Baer sublines, whose stabiliser PGL(2, q0) is larger than the
+    # dihedral one: (169, 14), whose transversal's 86,190 rows fit the
+    # block budget and hold each of the 1,105 blocks 78 times, and
+    # (529, 24), whose 1,542,035 do not, so the closure builds its 6,095
+    "build-baer-sublines": [
+        ["build", "169", "14", "--out", "{tmp}/d.txt"],
+        ["verify", "{tmp}/d.txt", "--json"],
+        ["build", "529", "24", "--out", "{tmp}/e.txt"],
+    ],
     # --pair written even-first, and a pair of unrelated k, as JSON
     "sweep-pair-either-order": [
         ["sweep", "--pair", "10", "5", "--qmax", "3000"],

@@ -104,9 +104,13 @@ def test_small_pairs_cover_primes_and_prime_powers():
 
 @pytest.mark.parametrize(("q", "k"), SMALL_PAIRS)
 def test_array_path_matches_oracles(q, k):
+    """Every small starter's orbit takes the transversal route, and equals
+    the tuple closure row for row; its coverage equals the nested loops'."""
     spec = gf.field_for_order(q)
     block = _block(spec, k)
     want = _oracle_orbit(spec, block)
+    e = design._subgroup_cofactor(spec, np.sort(block))
+    assert e == (q - 1) // k and design._transversal_rows(q, e) <= design.DEFAULT_BLOCK_BUDGET
     blocks = design.expand_orbit(spec, block)
     # every small pair has v <= 256, so its points fit in uint8
     assert blocks.dtype == np.uint8 and blocks.flags.c_contiguous
@@ -242,6 +246,130 @@ def test_expand_orbit_refuses_points_off_the_line(f13, monkeypatch):
                 design.expand_orbit(f13, block)
     # infinity, the largest point, is on the line
     assert design.expand_orbit(f13, [0, 1, 13]).shape == (182, 3)
+
+
+def _psl_order(q):
+    return q * (q * q - 1) // 2
+
+
+def _dihedral_order(q, k):
+    """|D|, the maps z -> hz and, when H and -1 are squares, z -> h/z."""
+    return 2 * k if design._squares_only(q, (q - 1) // k) else k
+
+
+def _both_routes(spec, k):
+    """The transversal and the closure orbit of the order-k subgroup."""
+    e = (spec.q - 1) // k
+    start = np.sort(np.array(gf.encode_rows(spec, gf.power_rows(spec, gf.power(spec, spec.alpha, e), k))))
+    assert design._subgroup_cofactor(spec, start) == e
+    return design._transversal_orbit(spec, k, e), design._closure_orbit(spec, start, 10**6)
+
+
+# (q, k) -> |Stab(H)| where the starter subgroup's stabiliser is larger
+# than D: the Baer sublines q = q0**2, k = q0 + 1, stabilised by
+# PGL(2, q0) of order q0(q0**2 - 1), and k = 4 at q = 9 and 81. These are
+# all such starters with q < 200 (198 of them), and with q < 400 for an
+# even cofactor and R <= 400,000 (195).
+LARGER_STABILISERS = {
+    (9, 4): 24,
+    (25, 6): 120,
+    (49, 8): 336,
+    (81, 4): 24,
+    (81, 10): 720,
+    (121, 12): 1320,
+    (169, 14): 2184,
+}
+# the census of the routes: every starter with q below this bound
+ROUTE_CENSUS_Q = 100
+
+
+def test_transversal_equals_the_closure_on_every_starter_below_the_bound():
+    """On every valid (q, k) with q < ROUTE_CENSUS_Q both routes give the
+    same array, the transversal's R rows are |PSL(2,q)|/|D|, and b times
+    |Stab(H)| is |PSL(2,q)|, with Stab(H) = D except where
+    LARGER_STABILISERS says otherwise."""
+    pairs = [(q, k) for q, k in _valid_pairs(ROUTE_CENSUS_Q - 1)]
+    assert len(pairs) == 78
+    for q, k in pairs:
+        spec = gf.field_for_order(q)
+        transversal, closure = _both_routes(spec, k)
+        assert transversal.dtype == closure.dtype and np.array_equal(transversal, closure), (q, k)
+        d = _dihedral_order(q, k)
+        assert design._transversal_rows(q, (q - 1) // k) * d == _psl_order(q)
+        assert len(closure) * LARGER_STABILISERS.get((q, k), d) == _psl_order(q), (q, k)
+
+
+@pytest.mark.parametrize(("q", "k"), [qk for qk in LARGER_STABILISERS if qk[0] >= ROUTE_CENSUS_Q])
+def test_transversal_drops_the_repeats_of_a_larger_stabiliser(q, k):
+    """Past the census bound too, on the Baer sublines (121, 12) and
+    (169, 14): the transversal makes |Stab(H)|/|D| copies of each block
+    and drops them, and equals the closure."""
+    spec = gf.field_for_order(q)
+    transversal, closure = _both_routes(spec, k)
+    assert np.array_equal(transversal, closure)
+    assert len(closure) * LARGER_STABILISERS[q, k] == _psl_order(q)
+    assert design._transversal_rows(q, (q - 1) // k) * 2 * k == _psl_order(q)
+
+
+@pytest.mark.parametrize("q", [7, 9, 11, 13, 19, 27, 31])
+def test_transversal_equals_the_closure_on_every_subgroup(q):
+    """Every subgroup block, starter or not, k from 1 to q - 1: with q = 3
+    (mod 4) and an even cofactor, -1 is not a square and every coset is
+    taken (_squares_only is false), and the row counts still give
+    |PSL(2,q)|/|D|."""
+    spec = gf.field_for_order(q)
+    for k in (k for k in range(1, q) if (q - 1) % k == 0):
+        transversal, closure = _both_routes(spec, k)
+        assert np.array_equal(transversal, closure), (q, k)
+        rows = design._transversal_rows(q, (q - 1) // k)
+        assert rows * _dihedral_order(q, k) == _psl_order(q) and rows % len(closure) == 0
+
+
+def test_only_the_subgroup_itself_takes_the_transversal(f13, monkeypatch):
+    """_subgroup_cofactor reads the subgroup H = {1, 5, 8, 12} of GF(13)*
+    (alpha = 2, e = 3) and nothing else: not a coset of it, a block with 0
+    or infinity, nor a block of the wrong size. Those are closed, and
+    expand_orbit gives what the closure gives."""
+    assert design._subgroup_cofactor(f13, np.array([1, 5, 8, 12])) == 3
+    others = ([2, 3, 10, 11], [0, 1, 5, 8], [1, 5, 8, 13], [1, 5, 8, 11], [1, 5, 8])
+    for block in others:
+        assert design._subgroup_cofactor(f13, np.array(block)) == 0, block
+
+    def no_transversal(*args):
+        raise AssertionError("took the transversal")
+
+    monkeypatch.setattr(design, "_transversal_orbit", no_transversal)
+    for block in others:
+        want = _oracle_orbit(f13, block)
+        assert design.expand_orbit(f13, block).tolist() == [list(row) for row in want]
+
+
+def test_a_budget_below_the_transversal_rows_takes_the_closure(monkeypatch):
+    """At (169, 14), a Baer subline, b = 1,105 and R = 86,190: a budget of
+    10,000 fits the orbit but not the transversal's rows, so the closure
+    builds it, and the array is the one the transversal gives under the
+    default budget."""
+    spec = gf.field_for_order(169)
+    block = _block(spec, 14)
+    assert design._transversal_rows(169, 12) == 86190
+    taken = []
+
+    def spy(name):
+        route = getattr(design, name)
+
+        def traced(*args):
+            taken.append(name)
+            return route(*args)
+
+        return traced
+
+    for name in ("_transversal_orbit", "_closure_orbit"):
+        monkeypatch.setattr(design, name, spy(name))
+    default = design.expand_orbit(spec, block)
+    monkeypatch.setenv("PSL_DESIGNS_BUDGET", "10000")
+    budgeted = design.expand_orbit(spec, block)
+    assert taken == ["_transversal_orbit", "_closure_orbit"]
+    assert len(default) == 1105 and np.array_equal(default, budgeted)
 
 
 def test_verify_t_design_frozen(d13, d17):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import time
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -107,6 +108,24 @@ def test_extension_field_spec(f9, f25, f49):
         gf.make_extension_field(3, 0)
     with pytest.raises(ValueError):
         gf.make_extension_field(3, 30)  # over the size limit
+
+
+def test_extension_field_holds_its_frobenius_and_reduction_arrays(f41, f25, f49):
+    """make_extension_field builds the Frobenius matrix and the reduction
+    rows once, as read-only int64 arrays; a spec without them, or with
+    other arrays, still equals and hashes as the field. Prime fields hold
+    neither."""
+    assert f41.frobenius is None and f41.reduction is None
+    for spec in (f25, f49, gf.make_extension_field(5, 6)):
+        held = {"frobenius": gf._frobenius_columns(spec), "reduction": gf._reduction_rows(spec)}
+        for name, want in held.items():
+            got = getattr(spec, name)
+            assert got.dtype == np.int64 and not got.flags.writeable, name
+            assert np.array_equal(got, want), name
+        bare = replace(spec, frobenius=None, reduction=None)
+        assert bare == spec and hash(bare) == hash(spec)
+        with pytest.raises(ValueError):
+            spec.reduction[0, 0] = 1
 
 
 def _sympy_irreducible(coeffs, p):

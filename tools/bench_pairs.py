@@ -55,9 +55,15 @@ build's generator, so argv alone would not match across pairs. A
 extension fields are not averaged together. Each
 side's pair reads, per key, as the median of its ops' worker times in
 milliseconds. Per key the file gives each side's median and quartiles,
-the pairs each side won, and whether both sides wrote the same stdout in
-every pair; `moved` lists the keys whose head value fell below the base's
-first quartile, or above its third, in more than half of the pairs.
+the pairs each side won, whether both sides wrote the same stdout in
+every pair, and the p-value of a two-sided exact sign test on the pairs,
+ties dropped (Conover, Practical Nonparametric Statistics, ch. 3).
+`moved` names the keys that Holm's step-down correction over all of the
+workload's keys rejects at a family-wise level of MOVED_ALPHA (Holm,
+Scand. J. Statist. 6 (1979)), each as "lower" or "higher". It reads
+"too few pairs", and names no key, below the pair count n at which a key
+that moved the same way in every pair could pass Holm's first step,
+2**(1 - n) <= MOVED_ALPHA / keys: 11 pairs for 38 keys.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import statistics
@@ -113,6 +120,9 @@ rounds = plans.make_plan(workload, seed, seconds)
 print(json.dumps([[{"argv": op.argv, "key": key(op)} for op in ops] for ops in rounds]))
 """
 OP_METRIC = {"unit": "ms", "better": "lower", "bound": None}
+# the chance that `moved` names any key of a workload whose sides do not differ
+MOVED_ALPHA = 0.05
+TOO_FEW_PAIRS = "too few pairs"
 CALL_METRICS = [{"name": name, **OP_METRIC} for name in ("wall_ms", "cpu_ms")]
 
 
@@ -217,24 +227,51 @@ def run_ops(checkout: Path, rounds: list[list[dict]]) -> dict:
     return {"ops": ops_out, "metrics": metrics}
 
 
+def sign_test_p(lower: int, higher: int) -> float:
+    """Two-sided exact sign test: the chance of a split at least as uneven
+    as lower : higher when each untied pair goes either way with
+    probability 1/2; 1 when every pair is tied."""
+    n = lower + higher
+    tail = sum(math.comb(n, i) for i in range(min(lower, higher) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def holm(p_values: dict[str, float], alpha: float) -> list[str]:
+    """The keys that Holm's step-down procedure rejects at family-wise
+    level alpha: in increasing order of p-value, the i-th of m keys
+    (i from 0) while each p-value so far is at most alpha / (m - i)."""
+    ranked = sorted(p_values, key=p_values.get)
+    rejected = []
+    for i, key in enumerate(ranked):
+        if p_values[key] > alpha / (len(ranked) - i):
+            break
+        rejected.append(key)
+    return rejected
+
+
 def compare_ops(pairs: list[dict]) -> dict:
-    """Per op key, compare's figures of the sides' per-pair medians and
-    whether both sides wrote the same stdout in every pair; `moved` names
-    the keys whose head value is below the base's first quartile, or above
-    its third, in more than half of the pairs."""
+    """Per op key, compare's figures of the sides' per-pair medians,
+    whether both sides wrote the same stdout in every pair, and the sign
+    test's p-value; `moved` names the keys that Holm's correction rejects
+    at MOVED_ALPHA, or is TOO_FEW_PAIRS when not even a key that moved
+    the same way in every pair could be named."""
     keys = sorted(pairs[0]["base"]["metrics"])
     metrics = compare(pairs, [{"name": key, **OP_METRIC} for key in keys])
-    moved = {}
+    ways = {}
     for key in keys:
         rec = metrics[key]
         rec["same_stdout"] = all(
             p["base"]["ops"][key]["out_sha1"] == p["head"]["ops"][key]["out_sha1"] for p in pairs
         )
-        heads = [p["head"]["metrics"][key] for p in pairs]
-        q1, q3 = rec["base"]["q1"], rec["base"]["q3"]
-        for way, count in (("lower", sum(h < q1 for h in heads)), ("higher", sum(h > q3 for h in heads))):
-            if 2 * count > len(heads):
-                moved[key] = way
+        diffs = [p["head"]["metrics"][key] - p["base"]["metrics"][key] for p in pairs]
+        lower, higher = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
+        rec["sign_p"] = sign_test_p(lower, higher)
+        ways[key] = "lower" if lower > higher else "higher"
+    if 2.0 ** (1 - len(pairs)) > MOVED_ALPHA / len(keys):
+        moved = TOO_FEW_PAIRS
+    else:
+        p_values = {key: metrics[key]["sign_p"] for key in keys}
+        moved = {key: ways[key] for key in sorted(holm(p_values, MOVED_ALPHA))}
     return {"metrics": metrics, "moved": moved}
 
 

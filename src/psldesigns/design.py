@@ -8,9 +8,12 @@ infinity), the rows in lexicographic order. The orbit of the starter's
 subgroup H is built from a transversal of the dihedral group D that
 fixes H, sorted once, when its R = |PSL(2,q)|/|D| rows fit the block
 budget; any other block, and H past that, is closed breadth-first under
-the generators. Both routes give the same array. Verification recounts
-t-subset coverage from scratch and never trusts the orbit-transitivity
-argument that produced the blocks.
+the generators. Both routes give the same array. Verification never
+trusts the orbit-transitivity argument that produced the blocks: after
+its refusals it settles a non-design by two exact counts, divisibility
+of b*C(k, t) by C(v, t) and the coverage of one t-subset, and else
+recounts every t-subset's coverage from scratch. All three are counting
+alone; no group theory enters.
 """
 
 from __future__ import annotations
@@ -262,9 +265,12 @@ def _coverage_counts(
     position l are the contiguous slice P[:C(l, 2)]. For t = 2 the ranks
     are P; for t = 3 each position l writes that slice plus C(x_l, 3) into
     its rows of one buffer. np.add.at adds the ranks into the counts in
-    place, with no C(v, t)-long temporary per chunk; its fast path needs
-    int64 counts and intp ranks (int32 counts take about 25 times as long
-    per add). Pure counting: no group theory enters.
+    place, with no C(v, t)-long temporary per chunk. Its fast path needs
+    intp ranks and an added value of the counts' dtype: the Python scalar
+    1 is taken as int64, so int32 counts would take about 25 times as long
+    per add (np.int32(1) would not: about 4 ns an add either way at
+    v = 182, numpy 2.4 on a 2-CPU Xeon). Pure counting: no group theory
+    enters.
     """
     k = blocks.shape[1]
     a, b = np.triu_indices(k, 1)
@@ -307,6 +313,14 @@ def verify_t_design(
     fail check_blocks, then a v with no t-subsets or with more than
     MAX_RECOUNT_SUBSETS of them, and blocks of fewer than t points, which
     cover no t-subset, all before the counts are allocated.
+
+    Then two exact counts can each settle a non-design before the recount.
+    Constant coverage lam needs lam*C(v, t) = b*C(k, t) by double counting,
+    so a remainder is a no, read off the shape alone; else the blocks
+    through the first t points of row 0 are counted, O(b*k), and a count
+    other than that lam is a no. Only blocks that pass both are recounted
+    (_coverage_counts), so a design always is. Neither test uses group
+    theory, and each answers only None, never a lambda.
     """
     if t not in (2, 3):
         raise ValueError(f"only t = 2 and t = 3 are supported, got {t}")
@@ -328,6 +342,13 @@ def verify_t_design(
         )
     if k < t:
         raise ValueError(f"blocks of {k} points contain no {t}-subsets")
+    lam, rem = divmod(len(blocks) * comb(k, t), comb(v, t))
+    if rem:
+        return None
+    # the blocks through the first t points of row 0: its points are
+    # distinct, so a row holds all of them when t of its points are among them
+    if np.count_nonzero(np.isin(blocks, blocks[0, :t]).sum(axis=1) == t) != lam:
+        return None
     chunk_rows = max(1, RECOUNT_CHUNK_SUBSETS // comb(k, t))
     counts = _coverage_counts(blocks, t, v, chunk_rows)
     if (counts == counts[0]).all():

@@ -228,6 +228,13 @@ CASES: dict[str, list] = {
         ["sweep", "--pair", "26", "13", "--qmax", "5000", "--json"],
         ["sweep", "--pair", "5", "13", "--qmax", "3000", "--json"],
     ],
+    # a non-design that passes the divisibility test (lambda* = 33 is an
+    # integer), so that verify reads the coverage of a triple to refuse it
+    "build-verify-probe": [
+        ["build", "53", "13", "--out", "{tmp}/d.txt"],
+        ["verify", "{tmp}/d.txt"],
+        ["verify", "{tmp}/d.txt", "--json"],
+    ],
 }
 
 

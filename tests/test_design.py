@@ -1,6 +1,7 @@
 """Tests for orbit expansion, coverage verification, and serialization."""
 
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -131,8 +132,9 @@ def test_coverage_counts_do_not_depend_on_the_chunk_size(f41, f9):
 
 
 def test_coverage_counts_add_int64_counts_through_intp_ranks(f41, monkeypatch):
-    """np.add.at keeps its fast path only with int64 counts and intp
-    ranks; into int32 counts it takes about 25 times as long per add."""
+    """np.add.at keeps its fast path only with intp ranks and an added
+    value of the counts' dtype: the Python scalar 1 is taken as int64,
+    so into int32 counts it takes about 25 times as long per add."""
     added = []
 
     class Add:
@@ -439,6 +441,92 @@ def test_verify_t_design_refuses_non_integer_blocks(d13):
     for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64):
         assert design.verify_t_design(np.array(ints, dtype=dtype), 3) == 1
         assert design.verify_t_design(d13.blocks.astype(dtype), 3) == 3
+
+
+def _early_answer(blocks, t, v):
+    """Which of verify_t_design's exact counts answers first, by Python
+    ints: "divisibility" when C(v, t) does not divide b*C(k, t), "probe"
+    when the blocks through row 0's first t points are not that many,
+    else "recount"."""
+    lam, rem = divmod(len(blocks) * math.comb(len(blocks[0]), t), math.comb(v, t))
+    if rem:
+        return "divisibility"
+    first = set(blocks[0][:t])
+    return "probe" if sum(first <= set(blk) for blk in blocks) != lam else "recount"
+
+
+def test_verify_t_design_agrees_with_the_nested_loops_on_random_multisets(monkeypatch):
+    """Seeded multisets of increasing rows, repeats allowed, with v <= 9,
+    k <= 5 and t in {2, 3}: verify_t_design says flat exactly when the
+    nested-loop counts are. Half the draws take b a multiple of
+    C(v, t)/gcd(C(v, t), C(k, t)), so that the divisibility test passes,
+    and the sample holds every route: refused by divisibility, refused
+    by the probe, non-designs that pass both, which only the recount
+    refuses, and (every k-subset, repeated) designs. _coverage_counts
+    runs for the last two alone."""
+    recounts = []
+    coverage_counts = design._coverage_counts
+
+    def spy(*args):
+        recounts.append(1)
+        return coverage_counts(*args)
+
+    monkeypatch.setattr(design, "_coverage_counts", spy)
+    rng = np.random.default_rng(45)
+    seen = {"divisibility": 0, "probe": 0, "recount": 0, "design": 0}
+    for _ in range(600):
+        v = int(rng.integers(4, 10))
+        t = int(rng.integers(2, 4))
+        k = int(rng.integers(t, min(5, v - 1) + 1))
+        step = math.comb(v, t) // math.gcd(math.comb(v, t), math.comb(k, t))
+        draw = rng.random()
+        if draw < 0.05:  # every k-subset, repeated: a design
+            rows = np.array(list(itertools.combinations(range(v), k)) * int(rng.integers(1, 3)))
+        else:
+            b = step * int(rng.integers(1, 4)) if draw < 0.5 else int(rng.integers(1, 13))
+            rows = np.sort([rng.choice(v, k, replace=False) for _ in range(b)], axis=1)
+        blocks = rows.tolist()
+        counts = _oracle_counts(v, blocks, t)
+        flat = counts[0] if len(set(counts)) == 1 else None
+        recounts.clear()
+        assert design.verify_t_design(rows, t, v=v) == flat, (v, k, t, blocks)
+        route = _early_answer(blocks, t, v)
+        assert flat is None or route == "recount", (v, k, t, blocks)
+        assert recounts == ([1] if route == "recount" else []), (v, k, t, blocks)
+        seen["design" if flat is not None else route] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_verify_t_design_recounts_only_what_the_exact_counts_pass(monkeypatch):
+    """(29, 7) fails divisibility and (53, 13) the probe, with lambda* = 33
+    an integer, so neither reaches _coverage_counts; the design (41, 10)
+    does, and is recounted."""
+    recounted = []
+    coverage_counts = design._coverage_counts
+
+    def spy(blocks, t, v, chunk_rows):
+        recounted.append(v - 1)
+        return coverage_counts(blocks, t, v, chunk_rows)
+
+    monkeypatch.setattr(design, "_coverage_counts", spy)
+    cases = [(29, 7, "divisibility", None), (53, 13, "probe", None), (41, 10, "recount", 18)]
+    for q, k, route, lam in cases:
+        blocks = design.build_design(gf.field_for_order(q), k).blocks
+        assert _early_answer(blocks.tolist(), 3, q + 1) == route
+        assert design.verify_t_design(blocks, 3) == lam
+        if q == 53:
+            assert len(blocks) * math.comb(13, 3) == 33 * math.comb(54, 3)
+    assert recounted == [41]
+
+
+def test_verify_t_design_refuses_past_the_cap_before_the_exact_counts(d17):
+    """A non-design with v past the recount cap is refused by the cap, not
+    answered None by divisibility or the probe."""
+    assert design.verify_t_design(d17.blocks, 3) is None
+    with pytest.raises(ValueError, match="recount cap"):
+        design.verify_t_design(d17.blocks, 3, v=10**6)
+    with pytest.raises(ValueError, match="recount cap"):
+        design.verify_t_design([(0, 1, 2)], 3, v=10**6)
 
 
 def test_build_design_13_4(d13):
@@ -768,12 +856,14 @@ def test_refusing_a_block_of_181_10_rereads_in_halves(monkeypatch):
 
 
 def test_build_and_verify_peaks_at_181_10(tmp_path):
-    """The traced heap peaks of the build op (build_design, write_design)
-    and the verify op (read_design, verify_t_design) at
-    (181, 10), the largest orbit the benchmark builds: 148,239 blocks of
-    10 points that fit in 1.4 MiB as uint8, and 11.3 MiB as int64. The
+    """The traced heap peaks of the build op (build_design, write_design),
+    the verify op (read_design, verify_t_design) and the coverage recount
+    at (181, 10), the largest orbit the benchmark builds: 148,239 blocks
+    of 10 points that fit in 1.4 MiB as uint8, and 11.3 MiB as int64. The
     file text is one 4.8 MiB string, and the recount's counters are
-    7.5 MiB of int64, so a whole-design int64 copy breaks the bounds."""
+    7.5 MiB of int64, so a whole-design int64 copy breaks the bounds. The
+    orbit is a non-design that verify_t_design refuses by the coverage of
+    one triple, so the recount is run on its own."""
     spec = gf.field_for_order(181)
     path = str(tmp_path / "d.txt")
     tracemalloc.start()
@@ -786,8 +876,13 @@ def test_build_and_verify_peaks_at_181_10(tmp_path):
         d = design.read_design(path)
         assert design.verify_t_design(d.blocks, 3, v=d.v) is None
         verify_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        chunk_rows = design.RECOUNT_CHUNK_SUBSETS // math.comb(10, 3)
+        assert design._coverage_counts(d.blocks, 3, d.v, chunk_rows).max() == 24
+        recount_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert d.b == 148239
     assert build_peak <= 13 * 2**20, build_peak
     assert verify_peak <= 15 * 2**20, verify_peak
+    assert recount_peak <= 15 * 2**20, recount_peak

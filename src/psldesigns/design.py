@@ -345,9 +345,15 @@ def verify_t_design(
     lam, rem = divmod(len(blocks) * comb(k, t), comb(v, t))
     if rem:
         return None
-    # the blocks through the first t points of row 0: its points are
-    # distinct, so a row holds all of them when t of its points are among them
-    if np.count_nonzero(np.isin(blocks, blocks[0, :t]).sum(axis=1) == t) != lam:
+    # the blocks through the first t points of row 0. A row's points are
+    # distinct, so it holds at most t of them, and all t when its flat
+    # hits, which come in row order, start a run of t equal row numbers
+    first = blocks[0, :t]
+    hit = blocks == first[0]
+    for point in first[1:]:
+        hit |= blocks == point
+    rows = np.flatnonzero(hit) // k
+    if np.count_nonzero(rows[t - 1 :] == rows[: 1 - t]) != lam:
         return None
     chunk_rows = max(1, RECOUNT_CHUNK_SUBSETS // comb(k, t))
     counts = _coverage_counts(blocks, t, v, chunk_rows)

@@ -386,13 +386,18 @@ def test_verify_t_design_counting_identity(d13):
     assert d13.b * math.comb(4, 2) == lam2 * math.comb(14, 2)
 
 
-def test_verify_t_design_validation(d13):
+def test_verify_t_design_validation(d13, d17):
     with pytest.raises(ValueError):
         design.verify_t_design(d13.blocks, 4)
     with pytest.raises(ValueError):
         design.verify_t_design([], 3)
     with pytest.raises(ValueError, match="recount cap"):
         design.verify_t_design(d13.blocks, 3, v=10**6)
+    # non-designs past the cap are refused by it, not answered None by
+    # divisibility or the one-triple count
+    for blocks in (d17.blocks, [(0, 1, 2)]):
+        with pytest.raises(ValueError, match="recount cap"):
+            design.verify_t_design(blocks, 3, v=10**6)
     with pytest.raises(ValueError, match="recount cap"):
         design.verify_t_design([(0, 1)], 3)
     # blocks smaller than t cover nothing: refused, not a design with lambda 0
@@ -443,6 +448,20 @@ def test_verify_t_design_refuses_non_integer_blocks(d13):
         assert design.verify_t_design(d13.blocks.astype(dtype), 3) == 3
 
 
+@pytest.fixture
+def recounts(monkeypatch):
+    """The v of every _coverage_counts call, in order."""
+    seen = []
+    coverage_counts = design._coverage_counts
+
+    def spy(blocks, t, v, chunk_rows):
+        seen.append(v)
+        return coverage_counts(blocks, t, v, chunk_rows)
+
+    monkeypatch.setattr(design, "_coverage_counts", spy)
+    return seen
+
+
 def _early_answer(blocks, t, v):
     """Which of verify_t_design's exact counts answers first, by Python
     ints: "divisibility" when C(v, t) does not divide b*C(k, t), "probe"
@@ -455,7 +474,7 @@ def _early_answer(blocks, t, v):
     return "probe" if sum(first <= set(blk) for blk in blocks) != lam else "recount"
 
 
-def test_verify_t_design_agrees_with_the_nested_loops_on_random_multisets(monkeypatch):
+def test_verify_t_design_agrees_with_the_nested_loops_on_random_multisets(recounts):
     """Seeded multisets of increasing rows, repeats allowed, with v <= 9,
     k <= 5 and t in {2, 3}: verify_t_design says flat exactly when the
     nested-loop counts are. Half the draws take b a multiple of
@@ -464,14 +483,6 @@ def test_verify_t_design_agrees_with_the_nested_loops_on_random_multisets(monkey
     by the probe, non-designs that pass both, which only the recount
     refuses, and (every k-subset, repeated) designs. _coverage_counts
     runs for the last two alone."""
-    recounts = []
-    coverage_counts = design._coverage_counts
-
-    def spy(*args):
-        recounts.append(1)
-        return coverage_counts(*args)
-
-    monkeypatch.setattr(design, "_coverage_counts", spy)
     rng = np.random.default_rng(45)
     seen = {"divisibility": 0, "probe": 0, "recount": 0, "design": 0}
     for _ in range(600):
@@ -492,23 +503,15 @@ def test_verify_t_design_agrees_with_the_nested_loops_on_random_multisets(monkey
         assert design.verify_t_design(rows, t, v=v) == flat, (v, k, t, blocks)
         route = _early_answer(blocks, t, v)
         assert flat is None or route == "recount", (v, k, t, blocks)
-        assert recounts == ([1] if route == "recount" else []), (v, k, t, blocks)
+        assert recounts == ([v] if route == "recount" else []), (v, k, t, blocks)
         seen["design" if flat is not None else route] += 1
     assert min(seen.values()) >= 5, seen
 
 
-def test_verify_t_design_recounts_only_what_the_exact_counts_pass(monkeypatch):
+def test_verify_t_design_recounts_only_what_the_exact_counts_pass(recounts):
     """(29, 7) fails divisibility and (53, 13) the probe, with lambda* = 33
     an integer, so neither reaches _coverage_counts; the design (41, 10)
     does, and is recounted."""
-    recounted = []
-    coverage_counts = design._coverage_counts
-
-    def spy(blocks, t, v, chunk_rows):
-        recounted.append(v - 1)
-        return coverage_counts(blocks, t, v, chunk_rows)
-
-    monkeypatch.setattr(design, "_coverage_counts", spy)
     cases = [(29, 7, "divisibility", None), (53, 13, "probe", None), (41, 10, "recount", 18)]
     for q, k, route, lam in cases:
         blocks = design.build_design(gf.field_for_order(q), k).blocks
@@ -516,17 +519,7 @@ def test_verify_t_design_recounts_only_what_the_exact_counts_pass(monkeypatch):
         assert design.verify_t_design(blocks, 3) == lam
         if q == 53:
             assert len(blocks) * math.comb(13, 3) == 33 * math.comb(54, 3)
-    assert recounted == [41]
-
-
-def test_verify_t_design_refuses_past_the_cap_before_the_exact_counts(d17):
-    """A non-design with v past the recount cap is refused by the cap, not
-    answered None by divisibility or the probe."""
-    assert design.verify_t_design(d17.blocks, 3) is None
-    with pytest.raises(ValueError, match="recount cap"):
-        design.verify_t_design(d17.blocks, 3, v=10**6)
-    with pytest.raises(ValueError, match="recount cap"):
-        design.verify_t_design([(0, 1, 2)], 3, v=10**6)
+    assert recounts == [42]
 
 
 def test_build_design_13_4(d13):

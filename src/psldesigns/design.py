@@ -31,19 +31,18 @@ DEFAULT_BLOCK_BUDGET = 10**6
 # the most t-subsets a coverage recount may allocate a counter for: one
 # int64 each, about 80 MB at the cap (v = 182 needs C(182, 3) = 988,260)
 MAX_RECOUNT_SUBSETS = 10**7
-# t-subsets ranked per recount chunk, so each temporary is 2 MiB of int64
-RECOUNT_CHUNK_SUBSETS = 1 << 18
+# t-subsets ranked per recount chunk, 256 KiB of intp ranks (see README)
+RECOUNT_CHUNK_SUBSETS = 1 << 15
 # points of transversal images gathered and sorted per chunk, 64 KiB as
 # uint8, so that a chunk's rows are sorted in cache
 TRANSVERSAL_CHUNK_POINTS = 1 << 16
-# characters of design-file text parsed or formatted per chunk
+# design-file text characters parsed, and formatted, per chunk (see README)
 TEXT_CHUNK_CHARS = 1 << 18
+FORMAT_CHUNK_CHARS = 1 << 15
 NON_DESIGN_FLAG = "NOT-A-3-DESIGN"
-# the line breaks of str.splitlines; and, by byte value, its ASCII line
-# breaks and the ASCII whitespace of str.split
+# the line breaks of str.splitlines; of ASCII, the bytes 10-13 and 28-30,
+# and the whitespace of str.split is the bytes 9-13 and 28-32
 _LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
-_BREAK_BYTE = np.array([c in b"\n\x0b\x0c\r\x1c\x1d\x1e" for c in range(256)])
-_SPACE_BYTE = np.array([c in b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f " for c in range(256)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,9 +442,10 @@ def format_design(design: Design) -> str:
     """Serialize: header `v k lambda b`, an extra flag line for
     non-designs, then one block per line, rows in lexicographic order.
 
-    The blocks must pass check_blocks. The rows are written a chunk at a
-    time, gathered from one table of the points up to the largest as
-    decimal text, indexed by the points themselves.
+    The blocks must pass check_blocks. A chunk of rows takes its cells by
+    np.take from the points' decimal labels, each with a space (a line
+    break in the last column), NUL-padded to V{width} items, and emits
+    their bytes with the NULs deleted: exact, as the text is ASCII.
     """
     check_blocks(design.blocks, design.k, design.v)
     head = f"{design.v} {design.k} {design.lam} {design.b}\n"
@@ -461,17 +461,16 @@ def format_design(design: Design) -> str:
     top = int(blocks[:, -1].max())
     width = 1 + len(str(top))
     spaced, ended = (
-        np.array([f"{z}{end}" for z in range(top + 1)], dtype=f"S{width}")
-        .view(np.uint8)
-        .reshape(-1, width)
+        np.array([f"{z}{end}" for z in range(top + 1)], dtype=f"S{width}").view(f"V{width}")
         for end in (" ", "\n")
     )
-    chunk_rows = max(1, TEXT_CHUNK_CHARS // (width * blocks.shape[1]))
+    chunk_rows = max(1, FORMAT_CHUNK_CHARS // (width * blocks.shape[1]))
     parts = [head]
     for lo in range(0, len(blocks), chunk_rows):
         chunk = blocks[lo : lo + chunk_rows]
-        cells = np.concatenate([spaced[chunk[:, :-1]], ended[chunk[:, -1:]]], axis=1)
-        parts.append(cells[cells != 0].tobytes().decode())
+        cells = np.take(spaced, chunk)
+        cells[:, -1] = np.take(ended, chunk[:, -1])
+        parts.append(cells.tobytes().translate(None, b"\0").decode())
     return "".join(parts)
 
 
@@ -495,14 +494,15 @@ def _next_line(text: str, pos: int) -> tuple[str, int]:
 
 def _tokens_per_line(piece: str) -> np.ndarray:
     """How many tokens each line of piece holds, as str.splitlines and
-    str.split count them; numpy counts the runs of non-space bytes of
-    ASCII text, and Python counts any other."""
-    raw = np.frombuffer(piece.encode(), dtype=np.uint8)
-    if (raw > 127).any():
+    str.split count them: Python's own count unless piece is ASCII, else
+    numpy's, from byte ranges (x - 9 < 5 is 9 <= x <= 13 in wrapping uint8)
+    and the non-space bytes that follow a space or start piece."""
+    if not piece.isascii():
         return np.array([len(ln.split()) for ln in piece.splitlines()], dtype=np.intp)
-    gap = _SPACE_BYTE[raw]
-    starts = np.flatnonzero(~gap & np.concatenate(([True], gap[:-1])))
-    line_ends = np.append(np.flatnonzero(_BREAK_BYTE[raw]), len(raw))
+    raw = np.frombuffer(piece.encode(), dtype=np.uint8)
+    gap = (raw - 9 < 5) | (raw - 28 < 5)
+    starts = np.flatnonzero(np.diff(gap, prepend=True) & ~gap)
+    line_ends = np.append(np.flatnonzero((raw - 10 < 4) | (raw - 28 < 3)), len(raw))
     return np.diff(np.searchsorted(starts, line_ends), prepend=0)
 
 

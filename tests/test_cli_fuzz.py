@@ -178,3 +178,14 @@ def test_fuzz_verify_design_files(text, t, as_json):
         with open(path, "w") as fh:
             fh.write(text)
         _exit_code(["verify", path, "--t", t] + ["--json"] * as_json)
+
+
+@_FUZZ
+@given(text=_design_text() | st.text(st.characters(max_codepoint=0x2029), max_size=40))
+def test_fuzz_token_counts_match_str_split(text):
+    """The per-line token counts of the parse are those of str.splitlines
+    and str.split. The byte route breaks \\r\\n twice, which adds an empty
+    line, so only the lines that hold tokens are compared."""
+    tokens = design._tokens_per_line(text).tolist()
+    want = [len(ln.split()) for ln in text.splitlines()]
+    assert [n for n in tokens if n] == [n for n in want if n]

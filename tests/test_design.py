@@ -131,6 +131,26 @@ def test_coverage_counts_do_not_depend_on_the_chunk_size(f41, f9):
             assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
 
 
+@pytest.mark.parametrize(("q", "k"), [(61, 5), (73, 8), (49, 16)])
+def test_a_recount_chunk_holds_at_most_seven_rank_buffers(q, k):
+    """RECOUNT_CHUNK_SUBSETS was chosen for what one chunk of a design's
+    recount allocates besides its counts: the rank buffer, 8 bytes a
+    t-subset, and the chunk's columns, pair ranks and top points, in all
+    at most 7 rank buffers, 1.75 MiB at 2**15 t-subsets. A chunk 8 times
+    that size faulted its temporaries in again in every call of a fresh
+    interpreter, and cost it 40 % more than a warmed one."""
+    blocks = design.build_design(gf.field_for_order(q), k).blocks
+    tracemalloc.start()
+    try:
+        assert design.verify_t_design(blocks, 3) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rank_buffer = 8 * design.RECOUNT_CHUNK_SUBSETS
+    assert rank_buffer == 2**18
+    assert peak - 8 * math.comb(q + 1, 3) <= 7 * rank_buffer, peak
+
+
 def test_coverage_counts_add_int64_counts_through_intp_ranks(f41, monkeypatch):
     """np.add.at keeps its fast path only with intp ranks and an added
     value of the counts' dtype: the Python scalar 1 is taken as int64,
@@ -765,6 +785,45 @@ def test_text_chunks_do_not_change_format_or_parse(d13, d17, monkeypatch):
             "block 100 is not whitespace-separated decimal integers that fit "
             "in int64: '0 1_0 11 12\\n'"
         ), size
+
+
+def test_token_byte_classes_are_pythons_whitespace_and_line_breaks():
+    """_tokens_per_line compares ASCII bytes against ranges: every byte
+    0-127 is a gap exactly when str.split splits on it, and a line break
+    exactly when str.splitlines breaks there. Text with a character above
+    127 is counted by Python: on its UTF-8 bytes, \\x85 and \\u2028 would
+    break no line and \\xa0 would split no token."""
+    for c in range(128):
+        text = f"a{chr(c)}a"
+        counts = design._tokens_per_line(text)
+        assert (len(counts) == 2) == (len(text.splitlines()) == 2), c
+        assert (counts.sum() == 2) == chr(c).isspace(), c
+    for text in ("a\x85b c\n", "a\u2028b c\u2029", "0\xa01 2\n3"):
+        want = [len(ln.split()) for ln in text.splitlines()]
+        assert design._tokens_per_line(text).tolist() == want, text
+
+
+@pytest.mark.parametrize("v", [2, 14, 256, 257, 1000, 65536])
+def test_format_and_parse_match_the_python_reference(v, monkeypatch):
+    """Seeded random increasing rows in both point dtypes, with labels of
+    1 to 5 digits: each line is " ".join of its row's points, and the
+    parse gives the rows back, at the default chunk sizes and a small one."""
+    rng = np.random.default_rng(v)
+    k = min(v, int(rng.integers(1, 12)))
+    dtype = design._point_dtype(v)
+    rows = np.array([np.sort(rng.choice(v, k, replace=False)) for _ in range(40)], dtype=dtype)
+    rows[0, -1] = v - 1  # the longest label
+    rows = rows[np.lexsort(rows.T[::-1])]
+    d = design.Design(q=v - 1, k=k, lam=0, blocks=rows, is_design=False)
+    want = f"{v} {k} 0 40\n{design.NON_DESIGN_FLAG}\n"
+    want += "".join(" ".join(map(str, row)) + "\n" for row in rows.tolist())
+    for chunk in (None, 64):
+        if chunk:
+            monkeypatch.setattr(design, "TEXT_CHUNK_CHARS", chunk)
+            monkeypatch.setattr(design, "FORMAT_CHUNK_CHARS", chunk)
+        assert design.format_design(d) == want
+        back = design.parse_design(want)
+        assert back.blocks.dtype == dtype and np.array_equal(back.blocks, rows)
 
 
 @pytest.mark.parametrize("size", [64, 1 << 18])
